@@ -64,18 +64,6 @@ class AgentTypeDef:
     doc: str = ""
     factory: Callable[..., "Agent"] | None = None
 
-    def to_document(self) -> dict:
-        return {
-            "type_name": self.type_name,
-            "kind": self.kind.value,
-            "params": [
-                {"name": p.name, "semantic_type": p.semantic_type, "required": p.required}
-                for p in self.params
-            ],
-            "message_kinds": list(self.message_kinds),
-            "doc": self.doc,
-        }
-
 
 class AgentTypeLibrary:
     """The only source of instantiable agent types."""
@@ -99,9 +87,6 @@ class AgentTypeLibrary:
 
     def names(self) -> list[str]:
         return sorted(self._types)
-
-    def to_document(self) -> list[dict]:
-        return [self._types[name].to_document() for name in self.names()]
 
 
 @dataclass(frozen=True)

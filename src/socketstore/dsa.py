@@ -68,7 +68,9 @@ class FailureEvent:
 
 class DedupReceiver:
     """Sliding-window duplicate filter: each seq is deliverable at most once;
-    duplicates and packets older than the window are discarded."""
+    duplicates and packets older than the window are discarded. Seen seqs
+    below the window are never looked up again; they are pruned once the set
+    outgrows twice the window, so offer is amortized O(1), memory O(window)."""
 
     def __init__(self, window: int = DEDUP_WINDOW):
         self.window = window
@@ -84,6 +86,7 @@ class DedupReceiver:
         self._seen.add(seq)
         if seq > self._max_seq:
             self._max_seq = seq
+        if len(self._seen) > 2 * self.window:
             floor = self._max_seq - self.window
             self._seen = {s for s in self._seen if s > floor}
         self._pending.append((arrive_ms, seq, payload))

@@ -93,7 +93,7 @@ def config_from_file(path: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**doc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PacketRow:
     seq: int
     sent_at_ms: float

@@ -18,6 +18,7 @@ from .netsim import (
     DeliveryRecord,
     FlowId,
     NetsimError,
+    NodeKind,
     Packet,
     Simulator,
     TopologyView,
@@ -89,7 +90,7 @@ def allocate_disjoint_paths(
 
     links = {
         lk.id: lk
-        for lk in sorted(view.links, key=lambda l: l.id)
+        for lk in sorted(_routable_links(view, src, dst), key=lambda l: l.id)
         if lk.residual_mbps + 1e-12 >= rate_mbps
     }
     used: dict[str, tuple[str, str]] = {}  # link id -> direction of flow (u, v)
@@ -120,6 +121,13 @@ def allocate_disjoint_paths(
             f"latency spread {pathset.spread_ms} ms exceeds tolerance {spread_ms} ms", k
         )
     return pathset
+
+
+def _routable_links(view: TopologyView, src: str, dst: str) -> list:
+    """Links a src->dst path may use: hosts never forward, so a link that
+    touches a host other than src or dst is left out."""
+    relays = {n.id for n in view.nodes if n.kind is NodeKind.SWITCH} | {src, dst}
+    return [lk for lk in view.links if relays.issuperset(lk.endpoints)]
 
 
 def _shortest_residual_path(node_ids, links, used, src, dst):
@@ -206,7 +214,7 @@ def default_shortest_path(view: TopologyView, src: str, dst: str) -> list[str] |
     import heapq
 
     adj: dict[str, list] = {n.id: [] for n in view.nodes}
-    for lk in view.links:
+    for lk in _routable_links(view, src, dst):
         a, b = lk.endpoints
         adj[a].append((lk.latency_ms, b, lk.id))
         adj[b].append((lk.latency_ms, a, lk.id))
@@ -272,10 +280,7 @@ def deploy_mirror_paths(
     )
     if isinstance(fresh, AllocationFailure):
         return fresh
-    second = _try_deploy(sim, flow, fresh, rate_mbps)
-    if isinstance(second, MirrorHandles):
-        return second
-    return second
+    return _try_deploy(sim, flow, fresh, rate_mbps)
 
 
 def _try_deploy(sim, flow, pathset, rate_mbps) -> MirrorHandles | AllocationFailure:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
@@ -76,7 +77,7 @@ class Link:
         return node in self.endpoints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowId:
     src: str
     dst: str
@@ -101,7 +102,7 @@ class LatencyInjection:
     end_ms: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Packet:
     flow: FlowId
     seq: int
@@ -111,14 +112,14 @@ class Packet:
     path_index: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hop:
     link: str
     enter_ms: float
     delay_ms: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryRecord:
     packet: Packet
     delivered: bool
@@ -205,9 +206,6 @@ class Topology:
                 raise TopologyError(f"negative latency on link {link.id!r}")
             self.links[link.id] = link
 
-    def incident_links(self, node_id: str) -> list[Link]:
-        return [lk for lk in self.links.values() if lk.touches(node_id)]
-
 
 _NODE_FIELDS = {"id", "kind", "nic_count"}
 _LINK_FIELDS = {"endpoints", "capacity_mbps", "latency_ms"}
@@ -283,9 +281,9 @@ class Simulator:
         self._injections: list[LatencyInjection] = []
         self._reservations: dict[int, tuple[str, float]] = {}
         self._reservation_seq = 0
-        # per-link (t_ns, bytes) samples backing the monitored transfer rate
-        self._transfers: dict[str, list[tuple[int, int]]] = {}
-        self.delivery_log: list[DeliveryRecord] = []
+        # per-link (t_ns, bytes) samples backing the monitored transfer rate;
+        # samples that left the rate window are popped from the head on send
+        self._transfers: defaultdict[str, deque[tuple[int, int]]] = defaultdict(deque)
 
     # -- clock and events ------------------------------------------------
 
@@ -448,9 +446,9 @@ class Simulator:
         self.node(flow.src)
         self.node(flow.dst)
         t_ns = ms_to_ns(packet.sent_at_ms)
+        cutoff_ns = self._now_ns - ms_to_ns(RATE_WINDOW_MS)
         cursor = flow.src
         hops: list[Hop] = []
-        record: DeliveryRecord
         max_hops = len(self.topology.links) + 1
         while cursor != flow.dst:
             if cursor == flow.src:
@@ -459,36 +457,34 @@ class Simulator:
                 rule = self._rules.get((cursor, flow, packet.path_index))
                 out = rule.out_link if rule else None
             if out is None:
-                record = DeliveryRecord(
+                return DeliveryRecord(
                     packet, False, None, None, False, tuple(hops),
                     drop_reason=f"no rule at {cursor}",
                 )
-                self.delivery_log.append(record)
-                return record
             if len(hops) >= max_hops:
-                record = DeliveryRecord(
+                return DeliveryRecord(
                     packet, False, None, None, False, tuple(hops), drop_reason="routing loop",
                 )
-                self.delivery_log.append(record)
-                return record
             link = self.link(out)
             delay_ns = ms_to_ns(link.base_latency_ms) + self._extra_latency_ns(out, t_ns)
             hops.append(Hop(out, ns_to_ms(t_ns), ns_to_ms(delay_ns)))
-            self._transfers.setdefault(out, []).append((t_ns, packet.size_bytes))
+            samples = self._transfers[out]
+            # samples are not time-ordered (a later hop enters in the future),
+            # so the head pop bounds memory while link_rate_mbps still filters
+            while samples and samples[0][0] <= cutoff_ns:
+                samples.popleft()
+            samples.append((t_ns, packet.size_bytes))
             t_ns += delay_ns
             cursor = link.other_end(cursor)
         latency_ns = t_ns - ms_to_ns(packet.sent_at_ms)
-        latency_ms = ns_to_ms(latency_ns)
-        record = DeliveryRecord(
+        return DeliveryRecord(
             packet,
             True,
             ns_to_ms(t_ns),
-            latency_ms,
+            ns_to_ms(latency_ns),
             latency_ns > ms_to_ns(packet.deadline_ms),
             tuple(hops),
         )
-        self.delivery_log.append(record)
-        return record
 
     # -- monitoring ------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from .fixtures import (
 )
 from .kmflash import (
     KMAgent,
-    KMAllocationError,
+    KMError,
     collect_stats,
     default_shortest_path,
     mirror_send,
@@ -563,7 +563,7 @@ class SocketStore:
             agent_ids, adapter_ids, allocation = self._execute_nsd(
                 manifest, inputs, self.runtime, PRODUCTION_ENV, ledger, instance_id
             )
-        except (StoreError, KMAllocationError, AgentError) as exc:
+        except (StoreError, KMError, AgentError) as exc:
             failure_k = getattr(getattr(exc, "failure", None), "max_feasible_k", None)
             self.log_action("store", "instantiate", "error",
                             module_id=module_id, reason=str(exc))
@@ -708,7 +708,7 @@ class SocketStore:
                 agent_ids, adapter_ids, _ = self._execute_nsd(
                     manifest, scenario.inputs, runtime, env, ledger, "testbed"
                 )
-            except (StoreError, KMAllocationError, AgentError) as exc:
+            except (StoreError, KMError, AgentError) as exc:
                 failure = str(exc)
                 agent_ids, adapter_ids = (), ()
             if failure is None:

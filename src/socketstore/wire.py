@@ -108,6 +108,10 @@ class StoreProtocol:
     def _on_bind(self, session, message):
         alias = str(message["alias"])
         connectivity = message["connectivity"]
+        if not (isinstance(connectivity, list)
+                and all(isinstance(entry, dict) for entry in connectivity)):
+            return {"kind": "PROTOCOL_ERROR",
+                    "reason": "connectivity must be a list of objects"}
         if connectivity:
             owner = f"{session.app_id or 'anonymous'}@{connectivity[0]['address']}"
             session.bound_aliases[alias] = owner
@@ -239,10 +243,14 @@ class _StoreRequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
         session = self.server.protocol.new_session()
         for raw in self.rfile:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            reply = self.server.protocol.handle_line(session, line)
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                reply = {"kind": "PROTOCOL_ERROR", "reason": f"malformed message: {exc}"}
+            else:
+                if not line:
+                    continue
+                reply = self.server.protocol.handle_line(session, line)
             self.wfile.write(encode(reply).encode("utf-8"))
             self.wfile.flush()
 

@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force and shares no code with the
 implementation under test: latency recomputation from first principles,
-exhaustive simple-path enumeration for disjoint-set feasibility, and a
-plain BFS max-flow for the unit-capacity bound.
+exhaustive simple-path enumeration for disjoint-set feasibility, a plain
+BFS max-flow for the unit-capacity bound, and a duplicate filter that
+rebuilds its seen-set on every new highest seq.
 """
 
 from __future__ import annotations
@@ -58,12 +59,18 @@ def _adjacency(view: TopologyView) -> dict[str, list[LinkView]]:
     return adj
 
 
+def _hosts(view: TopologyView) -> set[str]:
+    return {n.id for n in view.nodes if n.kind is NodeKind.HOST}
+
+
 def enumerate_simple_paths(
     view: TopologyView, src: str, dst: str, min_residual: float = 0.0
 ) -> list[tuple[tuple[str, ...], float]]:
     """All simple paths src->dst as (link-id tuple, total latency), using only
-    links whose residual capacity is >= min_residual."""
+    links whose residual capacity is >= min_residual. Hosts never forward:
+    no path passes through a host other than src and dst."""
     adj = _adjacency(view)
+    hosts = _hosts(view)
     paths: list[tuple[tuple[str, ...], float]] = []
 
     def walk(node, seen_nodes, links_so_far, latency):
@@ -74,7 +81,7 @@ def enumerate_simple_paths(
             if lk.residual_mbps < min_residual:
                 continue
             nxt = lk.endpoints[1] if lk.endpoints[0] == node else lk.endpoints[0]
-            if nxt in seen_nodes:
+            if nxt in seen_nodes or (nxt in hosts and nxt != dst):
                 continue
             links_so_far.append(lk.id)
             walk(nxt, seen_nodes | {nxt}, links_so_far, latency + lk.latency_ms)
@@ -144,8 +151,10 @@ def max_flow_unit(view: TopologyView, src: str, dst: str, min_residual: float = 
     """Unit-capacity max flow over the undirected graph (BFS augmentation).
 
     Each physical link carries at most one unit regardless of direction,
-    modeled by the standard opposite-arc construction.
+    modeled by the standard opposite-arc construction. Links touching a host
+    other than src and dst carry nothing, since hosts never forward.
     """
+    blocked = _hosts(view) - {src, dst}
     arcs: dict[str, list[int]] = {n.id: [] for n in view.nodes}
     cap: list[int] = []
     to: list[str] = []
@@ -162,7 +171,7 @@ def max_flow_unit(view: TopologyView, src: str, dst: str, min_residual: float = 
         rev.append(len(cap) - 2)
 
     for lk in view.links:
-        if lk.residual_mbps < min_residual:
+        if lk.residual_mbps < min_residual or blocked.intersection(lk.endpoints):
             continue
         add_edge(*lk.endpoints)
 
@@ -189,11 +198,11 @@ def max_flow_unit(view: TopologyView, src: str, dst: str, min_residual: float = 
 
 
 def random_connected_view(rng: random.Random, max_nodes: int = 8) -> TopologyView:
-    """Random connected graph as a TopologyView, with latencies in tenths of
-    a millisecond so sums stay exactly comparable."""
+    """Random connected graph of switches as a TopologyView, with latencies
+    in tenths of a millisecond so sums stay exactly comparable."""
     n = rng.randint(2, max_nodes)
     ids = [f"n{i}" for i in range(n)]
-    nodes = tuple(Node(i, NodeKind.HOST, nic_count=1) for i in ids)
+    nodes = tuple(Node(i, NodeKind.SWITCH) for i in ids)
     edges: set[tuple[str, str]] = set()
     order = ids[:]
     rng.shuffle(order)
@@ -216,3 +225,34 @@ def random_connected_view(rng: random.Random, max_nodes: int = 8) -> TopologyVie
         for a, b in sorted(edges)
     )
     return TopologyView(nodes=nodes, links=links, taken_at_ms=0.0)
+
+
+class ReferenceDedupReceiver:
+    """Sliding-window duplicate filter that keeps exactly the seqs inside
+    the window: the seen-set is rebuilt whenever the highest seq moves, so
+    every offer costs O(window)."""
+
+    def __init__(self, window: int):
+        self.window = window
+        self._seen: set[int] = set()
+        self._max_seq = -1
+        self._pending: list[tuple[float, int, object]] = []
+
+    def offer(self, seq: int, arrive_ms: float, payload) -> bool:
+        if seq <= self._max_seq - self.window:
+            return False
+        if seq in self._seen:
+            return False
+        self._seen.add(seq)
+        if seq > self._max_seq:
+            self._max_seq = seq
+            floor = self._max_seq - self.window
+            self._seen = {s for s in self._seen if s > floor}
+        self._pending.append((arrive_ms, seq, payload))
+        return True
+
+    def drain(self) -> list[tuple[int, object]]:
+        self._pending.sort(key=lambda t: (t[0], t[1]))
+        out = [(seq, payload) for _, seq, payload in self._pending]
+        self._pending = []
+        return out

@@ -8,6 +8,8 @@ from socketstore.netsim import Simulator
 from socketstore.store import SocketStore
 from socketstore.wire import FaultyTransport, LocalTransport, StoreProtocol
 
+from .oracles import ReferenceDedupReceiver
+
 AUTHOR = "pathworks-labs"
 MODULE = "flash-delivery"
 
@@ -126,6 +128,26 @@ class TestConnect:
         # the fallback still reaches the peer like a plain socket would
         recs = conn.send(b"x")
         assert len(recs) == 1 and recs[0].delivered
+
+    def test_peer_outside_topology_falls_back_and_leaves_nothing(self):
+        """An alias bound to an address the network does not know makes the
+        allocator reject the request inside the store; connect still returns
+        a fallback connection and the store rolls everything back."""
+        sim, store, protocol = make_world()
+        dsa_a, _ = client_pair(sim, protocol)
+        reply = LocalTransport(protocol).request({
+            "kind": "BIND", "alias": "Device_Z",
+            "connectivity": [{"address": "Z9", "port": 5000, "nic": 0}],
+        })
+        assert reply["kind"] == "BIND_OK"
+        agents_before = set(store.runtime.agents)
+        conn = dsa_a.connect("Device_Z", MODULE, purchased(store))
+        assert conn.mode == "fallback"
+        assert "not in topology" in conn.failure_reason
+        assert set(store.runtime.agents) == agents_before
+        assert sim.all_rules() == []
+        assert all(sim.link_load_mbps(link) == 0.0 for link in sim.topology.links)
+        assert not conn.send(b"x")[0].delivered
 
     def test_invalid_options_raise(self):
         with pytest.raises(DsaError):
@@ -312,3 +334,37 @@ class TestDedupReceiver:
                     rx.offer(seq, seq * 1.0 + copy * 0.1, f"p{seq}")
         got = [seq for seq, _ in rx.drain()]
         assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        window=st.integers(min_value=1, max_value=64),
+        stream=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=300),  # seq
+                st.integers(min_value=0, max_value=50),   # arrival, tenths of ms
+                st.booleans(),                           # drain after this offer
+            ),
+            max_size=300,
+        ),
+    )
+    def test_property_matches_reference_filter(self, window, stream):
+        """Arbitrary seq/arrival streams (duplicates, reordering, seqs older
+        than the window) get the same verdicts and drains as a filter that
+        keeps exactly the in-window seqs."""
+        rx, ref = DedupReceiver(window=window), ReferenceDedupReceiver(window)
+        for seq, arrive, drain in stream:
+            assert rx.offer(seq, arrive / 10, seq) == ref.offer(seq, arrive / 10, seq)
+            if drain:
+                assert rx.drain() == ref.drain()
+        assert rx.drain() == ref.drain()
+
+    def test_memory_bounded_by_window(self):
+        rx = DedupReceiver(window=16)
+        for seq in range(100_000):
+            assert rx.offer(seq, float(seq), None)
+            if seq % 1000 == 0:
+                rx.drain()
+            assert len(rx._seen) <= 2 * 16 + 1
+        assert not rx.offer(99_983, 0.0, None)  # at the floor: too old
+        assert not rx.offer(99_990, 0.0, None)  # inside the window: duplicate
+        assert rx.offer(100_001, 0.0, None)

@@ -43,7 +43,7 @@ def mkview(nodes, edges) -> TopologyView:
         cap = e[3] if len(e) > 3 else 100.0
         links.append(LinkView(f"{a}-{b}", (a, b), cap, lat, 0.0))
     return TopologyView(
-        nodes=tuple(Node(n, NodeKind.HOST, 1) for n in nodes),
+        nodes=tuple(Node(n, NodeKind.SWITCH) for n in nodes),
         links=tuple(links),
         taken_at_ms=0.0,
     )
@@ -115,6 +115,42 @@ class TestAllocate:
             allocate_disjoint_paths(view_of(sim), "A", "A", 1, 10.0, 5.0)
 
 
+def _tie_topology(with_detour: bool = True) -> dict:
+    """A two-NIC host H ties with the switch detour S1-R3-S2 (0.2 ms each)."""
+    nodes = [{"id": h, "kind": "host", "nic_count": n} for h, n in
+             (("A", 1), ("B", 1), ("H", 2))]
+    nodes += [{"id": s, "kind": "switch"} for s in ("R3", "S1", "S2")]
+    pairs = [("A", "S1"), ("S1", "H"), ("H", "S2"), ("S2", "B")]
+    if with_detour:
+        pairs += [("S1", "R3"), ("R3", "S2")]
+    return {"nodes": nodes, "links": [
+        {"endpoints": list(p), "capacity_mbps": 100.0, "latency_ms": 0.1}
+        for p in pairs
+    ]}
+
+
+class TestHostTransit:
+    """Hosts never forward, so neither route may pass through a third host,
+    even when it ties with a switch-only detour."""
+
+    def test_tie_with_a_host_routes_over_switches(self):
+        sim = Simulator(build_topology(_tie_topology()))
+        view = sim.topology_snapshot()
+        allocated = allocate_disjoint_paths(view, "A", "B", 1, 10.0, 5.0)
+        assert not isinstance(allocated, AllocationFailure)
+        default = default_shortest_path(view, "A", "B")
+        for index, path in enumerate([list(allocated.paths[0]), default]):
+            assert path == ["A-S1", "S1-R3", "R3-S2", "S2-B"]
+            sim.deploy_path(FlowId("A", "B", "tie"), path, path_index=index)
+
+    def test_route_only_through_a_host_is_no_route(self):
+        view = Simulator(build_topology(_tie_topology(with_detour=False))).topology_snapshot()
+        got = allocate_disjoint_paths(view, "A", "B", 1, 10.0, 5.0)
+        assert isinstance(got, AllocationFailure)
+        assert got.max_feasible_k == 0
+        assert default_shortest_path(view, "A", "B") is None
+
+
 class TestOracleEquivalence:
     def test_random_graphs_match_brute_force(self):
         rng = random.Random(7)
@@ -136,6 +172,35 @@ class TestOracleEquivalence:
                     used = [lid for p in got.paths for lid in p]
                     assert len(used) == len(set(used)), "paths share a link"
                     assert sum(got.latencies_ms) == pytest.approx(best, abs=1e-9)
+
+    def test_random_graphs_with_hosts_match_brute_force(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            view = random_connected_view(rng)
+            ids = sorted(view.node_ids())
+            src, dst = ids[0], ids[-1]
+            if src == dst:
+                continue
+            kinds = {i: rng.choice([NodeKind.HOST, NodeKind.SWITCH]) for i in ids}
+            view = TopologyView(
+                nodes=tuple(Node(i, kinds[i], 1 if kinds[i] is NodeKind.HOST else None)
+                            for i in ids),
+                links=view.links,
+                taken_at_ms=0.0,
+            )
+            for k in (1, 2):
+                got = allocate_disjoint_paths(view, src, dst, k, 1.0, float("inf"),
+                                              float("inf"))
+                feasible, best = brute_force_disjoint(view, src, dst, k, 1.0)
+                if isinstance(got, AllocationFailure):
+                    assert not feasible, (view, k)
+                    assert got.max_feasible_k == max_flow_unit(view, src, dst, 1.0)
+                else:
+                    assert feasible
+                    assert sum(got.latencies_ms) == pytest.approx(best, abs=1e-9)
+                    for path in got.paths:
+                        ends = {e for lid in path for e in lid.split("-")}
+                        assert all(kinds[n] is NodeKind.SWITCH for n in ends - {src, dst})
 
 
 class TestDefaultPath:

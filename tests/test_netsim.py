@@ -8,12 +8,14 @@ from socketstore.netsim import (
     FlowId,
     FlowRule,
     LatencyInjection,
+    RATE_WINDOW_MS,
     NetsimError,
     Packet,
     RoutingError,
     Simulator,
     TopologyError,
     build_topology,
+    ms_to_ns,
 )
 
 from .conftest import DEFAULT_PATH
@@ -226,6 +228,35 @@ class TestLinkStatsAndSnapshot:
         assert sim.link_rate_mbps("A-R1") == pytest.approx(10.0)
         sim.run_until(500.0)
         assert sim.link_rate_mbps("A-R1") == 0.0
+
+    def test_rate_samples_bounded_and_rate_exact_over_long_stream(self, sim):
+        """Twenty rate windows of traffic keep a bounded number of samples per
+        link, while the rate still equals a sum over every sample ever taken,
+        including later hops whose entry time lies in the future."""
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        # a spike mid-path makes later-hop samples land out of time order
+        sim.inject_latency(LatencyInjection("R1-R3", 30.0, 700.0, 760.0))
+        history = []  # (link, enter_ns, bytes) of every traversal
+        window_ns = ms_to_ns(RATE_WINDOW_MS)
+
+        def reference_rate(link):
+            cutoff = ms_to_ns(sim.now_ms) - window_ns
+            total = sum(b for lk, t, b in history if lk == link and t > cutoff)
+            return total * 8 / (RATE_WINDOW_MS / 1000.0) / 1e6
+
+        for i in range(4000):
+            sim.run_until(i * 0.5)
+            size = 100 + i % 7
+            rec = sim.send_packet(packet(seq=i, sent_at=sim.now_ms, size=size))
+            history.extend((h.link, ms_to_ns(h.enter_ms), size) for h in rec.hops)
+            if i % 37 == 0:
+                for link in DEFAULT_PATH:
+                    assert sim.link_rate_mbps(link) == reference_rate(link)
+                    assert sim.link_stats(link).rate_mbps == reference_rate(link)
+            # one window at a 0.5 ms gap is 200 samples, plus the spike's lag
+            assert max(len(sim._transfers[link]) for link in DEFAULT_PATH) <= 400
+        sim.run_until(sim.now_ms + 2 * RATE_WINDOW_MS)
+        assert all(sim.link_rate_mbps(link) == 0.0 for link in DEFAULT_PATH)
 
     def test_snapshot_counts(self, sim):
         view = sim.topology_snapshot()

@@ -1,3 +1,5 @@
+import json
+import socket
 import threading
 
 import pytest
@@ -120,6 +122,11 @@ class TestBindResolve:
         assert reply["kind"] == "BIND_FAIL"
         assert "alias conflict" in reply["reason"]
 
+    @pytest.mark.parametrize("bad", ["abc", [1, 2], ["B"], {"address": "B"}])
+    def test_connectivity_must_be_a_list_of_objects(self, transport, bad):
+        reply = transport.request({"kind": "BIND", "alias": "x", "connectivity": bad})
+        assert reply["kind"] == "PROTOCOL_ERROR"
+
     def test_release_with_empty_connectivity(self, transport):
         transport.request({"kind": "HELLO", "app_id": "demo"})
         transport.request(
@@ -173,6 +180,22 @@ class TestInstantiateOverWire:
         assert "only 2 disjoint paths" in reply["reason"]
         assert reply["max_feasible_k"] == 2
 
+    @pytest.mark.parametrize("inputs, reason", [
+        (dict(KM_INPUTS, K=0), "k must be >= 1"),
+        (dict(KM_INPUTS, endpointB=KM_INPUTS["endpointA"]), "must differ"),
+        (dict(KM_INPUTS, endpointB={"address": "Z9", "port": 5000, "nic": 0}),
+         "not in topology"),
+    ])
+    def test_allocator_rejection_reported(self, store, transport, inputs, reason):
+        auth_ok(store, transport)
+        agents_before = set(store.runtime.agents)
+        reply = transport.request(
+            {"kind": "INSTANTIATE", "module_id": "flash-delivery", "inputs": inputs}
+        )
+        assert reply["kind"] == "INSTANTIATE_FAIL"
+        assert reason in reply["reason"]
+        assert set(store.runtime.agents) == agents_before
+
     def test_cost_and_teardown(self, store, transport):
         auth_ok(store, transport)
         inst = transport.request(
@@ -211,6 +234,21 @@ class TestTCP:
             reply = client.request({"kind": "RESOLVE", "alias": "nope"})
             assert reply["kind"] == "RESOLVE_FAIL"
             client.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_non_utf8_line_answered_and_session_kept(self, store):
+        server = StoreServer(store, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(server.address, timeout=2.0) as sock:
+                replies = sock.makefile("rb")
+                sock.sendall(b"\xff\xfe{}\n")
+                assert json.loads(replies.readline())["kind"] == "PROTOCOL_ERROR"
+                sock.sendall(encode({"kind": "HELLO", "app_id": "x"}).encode("utf-8"))
+                assert json.loads(replies.readline())["kind"] == "HELLO_OK"
         finally:
             server.shutdown()
             server.server_close()
