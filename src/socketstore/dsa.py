@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .kmflash import default_shortest_path
+from .kmflash import default_shortest_path, send_copies
 from .netsim import DeliveryRecord, FlowId, NodeKind, Packet, Simulator
 from .wire import TransportError, TransportTimeout
 
@@ -128,24 +128,17 @@ class Connection:
         sim = self.client.sim
         seq = self._seq
         self._seq += 1
-        routable = self.flow.dst in sim.topology.nodes
-        records = []
-        for index in range(self.paths):
-            packet = Packet(
-                flow=self.flow,
-                seq=seq,
-                size_bytes=size_bytes,
-                sent_at_ms=sim.now_ms,
-                deadline_ms=self.deadline_ms,
-                path_index=index,
-            )
-            if routable:
-                records.append(sim.send_packet(packet))
-            else:
-                records.append(
-                    DeliveryRecord(packet, False, None, None, False, (),
-                                   drop_reason="unroutable destination")
-                )
+        if self.flow.dst in sim.topology.nodes:
+            records = send_copies(sim, self.flow, self.paths, seq, size_bytes,
+                                  self.deadline_ms)
+        else:
+            records = [
+                DeliveryRecord(Packet(self.flow, seq, size_bytes, sim.now_ms,
+                                      self.deadline_ms, index),
+                               False, None, None, False, (),
+                               drop_reason="unroutable destination")
+                for index in range(self.paths)
+            ]
         for rec in records:
             if rec.delivered:
                 self._rx.offer(seq, rec.arrive_at_ms, payload)
@@ -400,10 +393,8 @@ class DsaClient:
             dst = str(resolved[0]["address"])
         elif fallback_address is not None:
             dst = fallback_address
-        elif alias in self.sim.topology.nodes:
-            dst = alias
         else:
-            dst = alias  # unresolvable: packets will drop as unroutable
+            dst = alias  # a node id, or unresolvable: packets then drop as unroutable
         self._fallback_seq += 1
         flow = FlowId(self.device, dst, f"fallback-{self.device}-{self._fallback_seq}")
         if dst in self.sim.topology.nodes:

@@ -20,11 +20,11 @@ from .fixtures import (
     FLASH_DELIVERY_ID,
     flash_delivery_manifest,
 )
-from .kmflash import DeliveryStats, collect_stats, default_shortest_path
+from .kmflash import DeliveryStats, collect_stats, default_shortest_path, paced, send_copies
 from .netsim import (
+    DeliveryRecord,
     FlowId,
     LatencyInjection,
-    Packet,
     Simulator,
     build_topology,
     load_topology_file,
@@ -126,12 +126,7 @@ class ExperimentReport:
             doc["cost"] = {
                 "raw_total": self.cost.raw_total,
                 "weighted_total": self.cost.weighted_total,
-                "rows": [
-                    {"resource_id": r.resource_id, "kind": r.kind,
-                     "quantity": r.quantity, "unit": r.unit,
-                     "unit_price": r.unit_price, "subtotal": r.subtotal}
-                    for r in self.cost.rows
-                ],
+                "rows": self.cost.rows_doc(),
             }
         return doc
 
@@ -160,22 +155,9 @@ def _run_baseline(sim: Simulator, config: ExperimentConfig) -> ExperimentReport:
     if path is None:
         raise ExperimentError("no route between A and B in this topology")
     sim.deploy_path(flow, path)
-    records = []
-    for seq in range(config.packet_count):
-        sim.run_until(seq * config.gap_ms)
-        records.append(
-            sim.send_packet(
-                Packet(flow, seq, config.payload_size, sim.now_ms, config.deadline_ms)
-            )
-        )
-    grouped = {rec.packet.seq: [rec] for rec in records}
-    rows = _rows_from_records(grouped, config)
-    return ExperimentReport(
-        mode="baseline",
-        rows=rows,
-        stats=collect_stats(records, config.deadline_ms),
-        cost=None,
-    )
+    per_seq = paced(sim, config.packet_count, config.gap_ms, lambda seq: send_copies(
+        sim, flow, 1, seq, config.payload_size, config.deadline_ms))
+    return _report("baseline", per_seq, config, cost=None)
 
 
 def _run_module(sim: Simulator, config: ExperimentConfig,
@@ -197,28 +179,12 @@ def _run_module(sim: Simulator, config: ExperimentConfig,
                        max_latency_ms=config.deadline_ms),
         fallback_address="B",
     )
-
-    grouped: dict[int, list] = {}
-    all_records = []
-    for seq in range(config.packet_count):
-        sim.run_until(seq * config.gap_ms)
-        records = conn.send(b"x" * config.payload_size, size_bytes=config.payload_size)
-        grouped[seq] = records
-        all_records.extend(records)
-    cost = None
-    if conn.mode == "module":
-        instance_id = conn.instance_id
-        conn.close()
-        cost = store.cost(instance_id)
-    else:
-        conn.close()
-    return ExperimentReport(
-        mode=conn.mode,
-        rows=_rows_from_records(grouped, config),
-        stats=collect_stats(all_records, config.deadline_ms),
-        cost=cost,
-        failure_reason=conn.failure_reason,
-    )
+    payload = b"x" * config.payload_size
+    per_seq = paced(sim, config.packet_count, config.gap_ms,
+                    lambda seq: conn.send(payload, size_bytes=config.payload_size))
+    conn.close()
+    cost = store.cost(conn.instance_id) if conn.mode == "module" else None
+    return _report(conn.mode, per_seq, config, cost, conn.failure_reason)
 
 
 def _store_for(sim: Simulator, config: ExperimentConfig,
@@ -240,33 +206,19 @@ def _store_for(sim: Simulator, config: ExperimentConfig,
     return store
 
 
-def _rows_from_records(grouped: dict[int, list], config: ExperimentConfig) -> list[PacketRow]:
+def _report(mode: str, per_seq: list[list[DeliveryRecord]], config: ExperimentConfig,
+            cost: CostReport | None, failure_reason: str | None = None) -> ExperimentReport:
+    """One CSV row per seq from the records of that seq's copies, and the
+    stats over every copy."""
     rows = []
-    for seq in sorted(grouped):
-        records = grouped[seq]
-        by_index = {rec.packet.path_index: rec for rec in records}
-        lat0 = _lat(by_index.get(0))
-        lat1 = _lat(by_index.get(1))
-        delivered = [rec.latency_ms for rec in records if rec.delivered]
-        earliest = min(delivered) if delivered else None
+    for seq, records in enumerate(per_seq):
+        latency = {rec.packet.path_index: rec.latency_ms for rec in records}
+        earliest = min((rec.latency_ms for rec in records if rec.delivered), default=None)
         violated = 0 if (earliest is not None and earliest <= config.deadline_ms) else 1
-        rows.append(
-            PacketRow(
-                seq=seq,
-                sent_at_ms=records[0].packet.sent_at_ms,
-                latency_path0_ms=lat0,
-                latency_path1_ms=lat1,
-                earliest_ms=earliest,
-                violated=violated,
-            )
-        )
-    return rows
-
-
-def _lat(record):
-    if record is None or not record.delivered:
-        return None
-    return record.latency_ms
+        rows.append(PacketRow(seq, records[0].packet.sent_at_ms, latency.get(0),
+                              latency.get(1), earliest, violated))
+    stats = collect_stats((rec for records in per_seq for rec in records), config.deadline_ms)
+    return ExperimentReport(mode, rows, stats, cost, failure_reason)
 
 
 def render_csv(report: ExperimentReport) -> str:

@@ -11,7 +11,7 @@ the resulting K-set has minimum total latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable
 
 from .agents import Agent, AgentKind, AgentTypeDef, AgentTypeLibrary, AgentSpec, ParamSpec
 from .netsim import (
@@ -317,26 +317,31 @@ def mirror_send(
     seq: int,
     size_bytes: int,
     deadline_ms: float,
-    sent_at_ms: float | None = None,
 ) -> list[DeliveryRecord]:
     """Send exactly one copy per live path, all with the same seq. There are
     no ACKs and no retransmissions: one traversal attempt per copy."""
     if not handles.open:
         raise KMError("handles closed")
-    at = sim.now_ms if sent_at_ms is None else sent_at_ms
+    return send_copies(sim, handles.flow, handles.k, seq, size_bytes, deadline_ms)
+
+
+def send_copies(sim: Simulator, flow: FlowId, copies: int, seq: int,
+                size_bytes: int, deadline_ms: float) -> list[DeliveryRecord]:
+    """Send one packet now on each path index 0..copies-1, all with `seq`."""
     return [
-        sim.send_packet(
-            Packet(
-                flow=handles.flow,
-                seq=seq,
-                size_bytes=size_bytes,
-                sent_at_ms=at,
-                deadline_ms=deadline_ms,
-                path_index=index,
-            )
-        )
-        for index in range(handles.k)
+        sim.send_packet(Packet(flow, seq, size_bytes, sim.now_ms, deadline_ms, index))
+        for index in range(copies)
     ]
+
+
+def paced(sim: Simulator, count: int, gap_ms: float, send: Callable[[int], list]) -> list[list]:
+    """The traffic loop: run `send(seq)` at simulated time `seq * gap_ms` for
+    each seq in range(count); returns each call's result, indexed by seq."""
+    out = []
+    for seq in range(count):
+        sim.run_until(seq * gap_ms)
+        out.append(send(seq))
+    return out
 
 
 # -- delivery statistics --------------------------------------------------------
@@ -351,23 +356,28 @@ class DeliveryStats:
     in_deadline_ratio: float
 
 
-def collect_stats(records: Sequence[DeliveryRecord], deadline_ms: float) -> DeliveryStats:
+def earliest_latency(records: Iterable[DeliveryRecord]) -> dict[int, float | None]:
+    """Each seq's earliest arrival latency over all its copies; None when no
+    copy of that seq was delivered."""
+    earliest: dict[int, float | None] = {}
+    for rec in records:
+        seq = rec.packet.seq
+        best = earliest.get(seq)
+        if rec.delivered and (best is None or rec.latency_ms < best):
+            earliest[seq] = rec.latency_ms
+        elif seq not in earliest:
+            earliest[seq] = None
+    return earliest
+
+
+def collect_stats(records: Iterable[DeliveryRecord], deadline_ms: float) -> DeliveryStats:
     """Per-seq statistics over all mirror copies. A seq counts as in-deadline
     iff its earliest arrival latency is within the deadline; zero sends is
     vacuous success (ratio 1.0) so an idle module never ranks as failing."""
-    by_seq: dict[int, list[DeliveryRecord]] = {}
-    for rec in records:
-        by_seq.setdefault(rec.packet.seq, []).append(rec)
-    sent = len(by_seq)
-    delivered = 0
-    in_deadline = 0
-    for recs in by_seq.values():
-        latencies = [r.latency_ms for r in recs if r.delivered]
-        if not latencies:
-            continue
-        delivered += 1
-        if min(latencies) <= deadline_ms:
-            in_deadline += 1
+    latencies = list(earliest_latency(records).values())
+    sent = len(latencies)
+    delivered = sum(1 for lat in latencies if lat is not None)
+    in_deadline = sum(1 for lat in latencies if lat is not None and lat <= deadline_ms)
     return DeliveryStats(
         sent=sent,
         delivered_unique=delivered,
@@ -402,7 +412,6 @@ class KMAgent(Agent):
         super().__init__(agent_id, spec, typedef)
         self.handles: MirrorHandles | None = None
         self.ledger = None
-        self._runtime = None
 
     def setup(self, runtime, env_id: str, flow_tag: str, ledger=None,
               spread_ms: float = DEFAULT_SPREAD_MS) -> dict:
@@ -415,7 +424,6 @@ class KMAgent(Agent):
         rate = float(params["rate"])
         max_latency = float(params["max_latency"])
         sim = runtime.sim
-        self._runtime = runtime
 
         request = AllocationRequest(src, dst, k, rate, max_latency, spread_ms)
         result = allocate_disjoint_paths(
@@ -434,7 +442,7 @@ class KMAgent(Agent):
             for index, path in enumerate(deployed.pathset.paths):
                 ledger.open("link_capacity", f"path-{index}:{'+'.join(path)}",
                             rate, sim.now_ms)
-        self.composed = tuple(self._spawn_composed(runtime, env_id, deployed.pathset))
+        self._spawn_composed(runtime, env_id, deployed.pathset)
         return {
             "k": deployed.k,
             "paths": [list(p) for p in deployed.pathset.paths],
@@ -442,7 +450,10 @@ class KMAgent(Agent):
             "flow": [flow.src, flow.dst, flow.tag],
         }
 
-    def _spawn_composed(self, runtime, env_id, pathset) -> list[str]:
+    def _spawn_composed(self, runtime, env_id, pathset) -> None:
+        """Spawn a LinkAgent per link and a SwitchAgent per switch on the
+        paths. Each id enters `composed` as it is spawned, so a failure
+        partway leaves the ones already spawned there for rollback."""
         link_ids: list[str] = []
         switch_ids: list[str] = []
         for path in pathset.paths:
@@ -453,28 +464,19 @@ class KMAgent(Agent):
                 cursor = runtime.sim.link(lid).other_end(cursor)
                 if cursor != self.handles.flow.dst and cursor not in switch_ids:
                     switch_ids.append(cursor)
-        composed = []
-        for lid in link_ids:
-            composed.append(
-                runtime.spawn_agent(env_id, AgentSpec("LinkAgent", {"link": lid}))
-            )
-        for sw in switch_ids:
-            composed.append(
-                runtime.spawn_agent(env_id, AgentSpec("SwitchAgent", {"switch": sw}))
-            )
-        return composed
+        specs = [AgentSpec("LinkAgent", {"link": lid}) for lid in link_ids]
+        specs += [AgentSpec("SwitchAgent", {"switch": sw}) for sw in switch_ids]
+        for spec in specs:
+            self.composed += (runtime.spawn_agent(env_id, spec),)
 
-    def teardown(self) -> None:
+    def release(self, runtime) -> None:
         """Retract paths, release reservations and stop cost accrual. The
         composed agents are destroyed by the instance manager, which owns
         teardown ordering."""
-        if self.handles is not None and self._runtime is not None:
-            retract_mirror_paths(self._runtime.sim, self.handles)
+        if self.handles is not None:
+            retract_mirror_paths(runtime.sim, self.handles)
             if self.ledger is not None:
-                self.ledger.close_all(self._runtime.sim.now_ms)
-
-    def release(self, runtime) -> None:
-        self.teardown()
+                self.ledger.close_all(runtime.sim.now_ms)
 
     def handle_message(self, runtime, message):
         super().handle_message(runtime, message)

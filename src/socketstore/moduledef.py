@@ -6,6 +6,7 @@ Everything here is pure data plus parsing; operations are side-effect-free.
 
 from __future__ import annotations
 
+import heapq
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
@@ -118,30 +119,33 @@ def validate_nsd(nsd: NSD, library: AgentTypeLibrary) -> list[str]:
         for ref in (frm, to):
             if ref not in ids:
                 violations.append(f"wire references unknown directive {ref!r}")
-    if _wiring_has_cycle(nsd):
+    if len(execution_order(nsd)) < len(ids):
         violations.append("wiring cycle")
     return violations
 
 
-def _wiring_has_cycle(nsd: NSD) -> bool:
-    out: dict[str, list[str]] = {d.directive_id: [] for d in nsd.directives}
+def execution_order(nsd: NSD) -> list[Directive]:
+    """Directives in wiring order by Kahn's algorithm, ties broken by the
+    smallest directive id; wires naming an unknown directive are ignored.
+    Directives on or behind a wiring cycle are left out, so a cyclic NSD
+    yields fewer directives than it declares."""
+    directives = {d.directive_id: d for d in nsd.directives}
+    indegree = dict.fromkeys(directives, 0)
+    out: dict[str, list[str]] = {did: [] for did in directives}
     for frm, to in nsd.wires:
-        if frm in out and to in out:
+        if frm in directives and to in directives:
             out[frm].append(to)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in out}
-
-    def visit(v: str) -> bool:
-        color[v] = GRAY
-        for w in out[v]:
-            if color[w] == GRAY:
-                return True
-            if color[w] == WHITE and visit(w):
-                return True
-        color[v] = BLACK
-        return False
-
-    return any(color[v] == WHITE and visit(v) for v in out)
+            indegree[to] += 1
+    ready = sorted(did for did, deg in indegree.items() if deg == 0)
+    order = []
+    while ready:
+        did = heapq.heappop(ready)
+        order.append(directives[did])
+        for nxt in out[did]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                heapq.heappush(ready, nxt)
+    return order
 
 
 def parse_nsd(document: str, library: AgentTypeLibrary) -> NSD:

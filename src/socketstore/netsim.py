@@ -165,14 +165,6 @@ class TopologyView:
     def node_ids(self) -> set[str]:
         return {n.id for n in self.nodes}
 
-    def adjacency(self) -> dict[str, list[LinkView]]:
-        adj: dict[str, list[LinkView]] = {n.id: [] for n in self.nodes}
-        for lk in self.links:
-            a, b = lk.endpoints
-            adj[a].append(lk)
-            adj[b].append(lk)
-        return adj
-
 
 class Topology:
     """Validated static graph of hosts, switches and links."""

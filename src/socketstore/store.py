@@ -14,9 +14,9 @@ import os
 import secrets
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
-from .agents import AgentError, AgentKind, AgentRuntime, AgentSpec, AgentTypeLibrary
+from .agents import Agent, AgentError, AgentKind, AgentRuntime, AgentSpec, AgentTypeLibrary
 from .fixtures import (
     BUILTIN_METRICS,
     EVALUATION_TOPOLOGY,
@@ -27,7 +27,10 @@ from .kmflash import (
     KMError,
     collect_stats,
     default_shortest_path,
+    earliest_latency,
     mirror_send,
+    paced,
+    send_copies,
 )
 from .moduledef import (
     IllegalTransition,
@@ -36,11 +39,12 @@ from .moduledef import (
     ModuleManifest,
     ModuleState,
     check_transition,
+    execution_order,
     manifest_from_doc,
     manifest_to_doc,
     validate_manifest,
 )
-from .netsim import FlowId, LatencyInjection, Packet, Simulator, build_topology
+from .netsim import FlowId, LatencyInjection, Simulator, build_topology
 
 BASELINE_MODULE_ID = "baseline"
 PRODUCTION_ENV = "production"
@@ -125,16 +129,18 @@ class CostReport:
     instance_id: str
     rows: tuple[CostRow, ...]
     raw_total: float
-    weighted_total: float
 
+    @property
+    def weighted_total(self) -> float:
+        """No weighting is applied: always equal to raw_total."""
+        return self.raw_total
 
-def _identity_weight(rows: Iterable[CostRow]) -> float:
-    return sum(r.subtotal for r in rows)
-
-
-WEIGHT_FUNCTIONS: dict[str, Callable[[Iterable[CostRow]], float]] = {
-    "identity": _identity_weight,
-}
+    def rows_doc(self) -> list[dict]:
+        return [
+            {"resource_id": r.resource_id, "kind": r.kind, "quantity": r.quantity,
+             "unit": r.unit, "unit_price": r.unit_price, "subtotal": r.subtotal}
+            for r in self.rows
+        ]
 
 
 # -- records ------------------------------------------------------------------
@@ -225,13 +231,8 @@ def latency_spike_scenario() -> TestbedScenario:
 
 # metric collectors the testbeds know how to measure
 def _mean_latency(records) -> float | None:
-    per_seq: dict[int, float] = {}
-    for rec in records:
-        if rec.delivered:
-            seq = rec.packet.seq
-            if seq not in per_seq or rec.latency_ms < per_seq[seq]:
-                per_seq[seq] = rec.latency_ms
-    return statistics.fmean(per_seq.values()) if per_seq else None
+    delivered = [lat for lat in earliest_latency(records).values() if lat is not None]
+    return statistics.fmean(delivered) if delivered else None
 
 
 METRIC_COLLECTORS = {
@@ -239,11 +240,6 @@ METRIC_COLLECTORS = {
     "loss_ratio": lambda records, stats: (stats.losses / stats.sent) if stats.sent else 0.0,
     "mean_latency_ms": lambda records, stats: _mean_latency(records),
 }
-
-
-@dataclass
-class _ModuleRecord:
-    manifest: ModuleManifest
 
 
 class SocketStore:
@@ -256,7 +252,6 @@ class SocketStore:
         library: AgentTypeLibrary | None = None,
         data_path: str | None = None,
         token_factory: Callable[[], str] | None = None,
-        weight_function: str = "identity",
     ):
         self.library = library or default_library()
         self.sim = sim
@@ -265,13 +260,10 @@ class SocketStore:
             self.attach_network(sim)
         self.data_path = data_path
         self._token_factory = token_factory or (lambda: secrets.token_hex(16))
-        if weight_function not in WEIGHT_FUNCTIONS:
-            raise StoreError(f"unknown weight function {weight_function!r}")
-        self.weight_function = weight_function
 
         self.specialists: set[str] = set()
         self.metrics: dict[str, MetricDef] = {m.metric_id: m for m in BUILTIN_METRICS}
-        self.modules: dict[str, _ModuleRecord] = {}
+        self.modules: dict[str, ModuleManifest] = {}
         self.licenses: dict[tuple[str, str], License] = {}
         self._tokens: dict[str, License] = {}
         self._revoked_tokens: set[str] = set()
@@ -353,7 +345,7 @@ class SocketStore:
 
     def module(self, module_id: str) -> ModuleManifest:
         try:
-            return self.modules[module_id].manifest
+            return self.modules[module_id]
         except KeyError:
             raise StoreError(f"unknown module {module_id!r}")
 
@@ -369,23 +361,19 @@ class SocketStore:
             )
         if manifest.module_id in self.modules:
             raise StoreError(f"duplicate module {manifest.module_id!r}")
-        for rec in self.modules.values():
-            if rec.manifest.name == manifest.name and rec.manifest.version == manifest.version:
+        for other in self.modules.values():
+            if other.name == manifest.name and other.version == manifest.version:
                 raise StoreError(
                     f"duplicate version: {manifest.name} v{manifest.version} already submitted"
                 )
-        self.modules[manifest.module_id] = _ModuleRecord(
-            manifest.with_state(ModuleState.SUBMITTED)
-        )
+        self.modules[manifest.module_id] = manifest.with_state(ModuleState.SUBMITTED)
         self.log_action(manifest.author, "submit_module", "ok", module_id=manifest.module_id)
         return manifest.module_id
 
     def _transition(self, module_id: str, new_state: ModuleState) -> ModuleState:
-        rec = self.modules.get(module_id)
-        if rec is None:
-            raise StoreError(f"unknown module {module_id!r}")
-        check_transition(rec.manifest.state, new_state)
-        rec.manifest = rec.manifest.with_state(new_state)
+        manifest = self.module(module_id)
+        check_transition(manifest.state, new_state)
+        self.modules[module_id] = manifest.with_state(new_state)
         return new_state
 
     def start_review(self, module_id: str, reviewer: str) -> ModuleState:
@@ -423,7 +411,7 @@ class SocketStore:
         violations = validate_manifest(revised, self.metrics, self.library)
         if violations:
             raise StoreError("; ".join(violations))
-        self.modules[module_id].manifest = revised.with_state(ModuleState.IN_REVIEW)
+        self.modules[module_id] = revised.with_state(ModuleState.IN_REVIEW)
         self.log_action(current.author, "resubmit_revision", "ok",
                         module_id=module_id, version=revised.version)
         return ModuleState.IN_REVIEW
@@ -451,8 +439,7 @@ class SocketStore:
     def search_modules(self, query: str = "") -> list[SearchResult]:
         needle = query.lower()
         results = []
-        for rec in self.modules.values():
-            m = rec.manifest
+        for m in self.modules.values():
             if m.state is not ModuleState.PUBLISHED:
                 continue
             if needle and needle not in (m.name + " " + m.description).lower():
@@ -588,9 +575,10 @@ class SocketStore:
         missing = [i.name for i in nsd.inputs if i.name not in inputs]
         if missing:
             raise StoreError(f"missing input {missing[0]!r}")
-        order = _topological_order(nsd)
-        before = set(runtime.agents)
-        spawned: list[str] = []
+        order = execution_order(nsd)
+        if len(order) < len(nsd.directives):
+            raise StoreError("wiring cycle")
+        spawned: list[Agent] = []
         allocation: dict = {}
         try:
             for directive in order:
@@ -598,29 +586,20 @@ class SocketStore:
                     name: _resolve_param(value, inputs)
                     for name, value in directive.params
                 }
-                agent_id = runtime.spawn_agent(
-                    env_id, AgentSpec(directive.type_name, params)
+                agent = runtime.agent(
+                    runtime.spawn_agent(env_id, AgentSpec(directive.type_name, params))
                 )
-                spawned.append(agent_id)
-                agent = runtime.agent(agent_id)
+                spawned.append(agent)
                 if isinstance(agent, KMAgent):
                     allocation = agent.setup(runtime, env_id, flow_tag, ledger)
         except Exception:
-            self._rollback(runtime, before)
+            _destroy_agents(runtime, _with_composed(spawned))
             raise
-        all_ids = [aid for aid in runtime.agents if aid not in before]
+        ids = _with_composed(spawned)
         adapter_ids = tuple(
-            aid for aid in all_ids
-            if runtime.agent(aid).typedef.kind is AgentKind.ADAPTER
+            aid for aid in ids if runtime.agent(aid).typedef.kind is AgentKind.ADAPTER
         )
-        return tuple(all_ids), adapter_ids, allocation
-
-    def _rollback(self, runtime, before: set[str]) -> None:
-        new_ids = [aid for aid in runtime.agents if aid not in before]
-        adapters = [a for a in new_ids if runtime.agent(a).typedef.kind is AgentKind.ADAPTER]
-        others = [a for a in new_ids if a not in adapters]
-        for aid in adapters + others:
-            runtime.destroy_agent(aid)
+        return ids, adapter_ids, allocation
 
     def teardown_instance(self, instance_id: str) -> None:
         """Destroy the instance's agents, adapters strictly before the
@@ -631,11 +610,7 @@ class SocketStore:
         if instance.torn_down_at_ms is not None:
             return
         if self.runtime is not None:
-            for aid in instance.adapter_ids:
-                self.runtime.destroy_agent(aid)
-            for aid in instance.agent_ids:
-                if aid not in instance.adapter_ids:
-                    self.runtime.destroy_agent(aid)
+            _destroy_agents(self.runtime, instance.agent_ids)
         instance.ledger.close_all(self.now_ms())
         instance.torn_down_at_ms = self.now_ms()
         self.log_action("store", "teardown", "ok", instance_id=instance_id)
@@ -657,9 +632,7 @@ class SocketStore:
             )
             for e in instance.ledger.entries
         )
-        raw_total = sum(r.subtotal for r in rows)
-        weighted = WEIGHT_FUNCTIONS[self.weight_function](rows)
-        return CostReport(instance_id, rows, raw_total, weighted)
+        return CostReport(instance_id, rows, sum(r.subtotal for r in rows))
 
     # -- testbed evaluation -------------------------------------------------------------
 
@@ -681,7 +654,7 @@ class SocketStore:
         sim = Simulator(build_topology(scenario.topology_doc))
         for inj in scenario.injections:
             sim.inject_latency(inj)
-        records = []
+        per_seq: list[list] = []
         failure: str | None = None
         if manifest is None:
             flow = FlowId(
@@ -690,45 +663,31 @@ class SocketStore:
                 "baseline",
             )
             path = default_shortest_path(sim.topology_snapshot(), flow.src, flow.dst)
-            sim.deploy_path(flow, path)
-            for seq in range(scenario.packet_count):
-                sim.run_until(seq * scenario.gap_ms)
-                records.append(
-                    sim.send_packet(
-                        Packet(flow, seq, scenario.size_bytes, sim.now_ms,
-                               scenario.deadline_ms)
-                    )
-                )
+            if path is None:
+                failure = f"no route between {flow.src} and {flow.dst}"
+            else:
+                sim.deploy_path(flow, path)
+                per_seq = paced(sim, scenario.packet_count, scenario.gap_ms,
+                                lambda seq: send_copies(sim, flow, 1, seq, scenario.size_bytes,
+                                                        scenario.deadline_ms))
         else:
             runtime = AgentRuntime(sim, self.library, action_log=self._runtime_log)
             env = f"testbed-{scenario.name}"
             runtime.create_environment(env, f"testbed {scenario.name}")
-            ledger = UsageLedger()
             try:
-                agent_ids, adapter_ids, _ = self._execute_nsd(
-                    manifest, scenario.inputs, runtime, env, ledger, "testbed"
+                agent_ids, _, _ = self._execute_nsd(
+                    manifest, scenario.inputs, runtime, env, UsageLedger(), "testbed"
                 )
             except (StoreError, KMError, AgentError) as exc:
                 failure = str(exc)
-                agent_ids, adapter_ids = (), ()
-            if failure is None:
-                km_agents = [
-                    runtime.agent(aid)
-                    for aid in agent_ids
-                    if isinstance(runtime.agent(aid), KMAgent)
-                ]
-                for seq in range(scenario.packet_count):
-                    sim.run_until(seq * scenario.gap_ms)
-                    for km in km_agents:
-                        records.extend(
-                            mirror_send(sim, km.handles, seq, scenario.size_bytes,
-                                        scenario.deadline_ms)
-                        )
-                for aid in adapter_ids:
-                    runtime.destroy_agent(aid)
-                for aid in agent_ids:
-                    if aid not in adapter_ids:
-                        runtime.destroy_agent(aid)
+            else:
+                kms = [a for a in map(runtime.agent, agent_ids) if isinstance(a, KMAgent)]
+                per_seq = paced(sim, scenario.packet_count, scenario.gap_ms, lambda seq: [
+                    rec for km in kms for rec in mirror_send(
+                        sim, km.handles, seq, scenario.size_bytes, scenario.deadline_ms)
+                ])
+                _destroy_agents(runtime, agent_ids)
+        records = [rec for recs in per_seq for rec in recs]
 
         stats = collect_stats(records, scenario.deadline_ms)
         samples = []
@@ -759,7 +718,7 @@ class SocketStore:
                  "direction": m.direction.value}
                 for m in self.metrics.values()
             ],
-            "modules": [manifest_to_doc(rec.manifest) for rec in self.modules.values()],
+            "modules": [manifest_to_doc(m) for m in self.modules.values()],
             "licenses": [
                 {"app_id": l.app_id, "module_id": l.module_id,
                  "issued_at_ms": l.issued_at_ms, "token": l.token}
@@ -793,7 +752,7 @@ class SocketStore:
             )
         for doc in state.get("modules", []):
             manifest = manifest_from_doc(doc, self.library)
-            self.modules[manifest.module_id] = _ModuleRecord(manifest)
+            self.modules[manifest.module_id] = manifest
         for l in state.get("licenses", []):
             license = License(l["app_id"], l["module_id"], l["issued_at_ms"], l["token"])
             self.licenses[(license.app_id, license.module_id)] = license
@@ -819,23 +778,15 @@ def _resolve_param(value: str, inputs: Mapping):
     return value
 
 
-def _topological_order(nsd):
-    directives = {d.directive_id: d for d in nsd.directives}
-    indegree = {did: 0 for did in directives}
-    out: dict[str, list[str]] = {did: [] for did in directives}
-    for frm, to in nsd.wires:
-        out[frm].append(to)
-        indegree[to] += 1
-    ready = sorted(did for did, deg in indegree.items() if deg == 0)
-    order = []
-    while ready:
-        did = ready.pop(0)
-        order.append(directives[did])
-        for nxt in out[did]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-                ready.sort()
-    if len(order) != len(directives):
-        raise StoreError("wiring cycle")
-    return order
+def _with_composed(agents: list[Agent]) -> tuple[str, ...]:
+    """Agent ids in spawn order, each agent followed by those it composed."""
+    return tuple(aid for a in agents for aid in (a.agent_id, *a.composed))
+
+
+def _destroy_agents(runtime: AgentRuntime, ids) -> None:
+    """Destroy `ids`, adapters strictly before the resource agents they
+    compose; ids that are no longer live are skipped."""
+    live = [runtime.agents[aid] for aid in ids if aid in runtime.agents]
+    adapters = [a for a in live if a.typedef.kind is AgentKind.ADAPTER]
+    for agent in adapters + [a for a in live if a not in adapters]:
+        runtime.destroy_agent(agent.agent_id)

@@ -167,17 +167,7 @@ class StoreProtocol:
         return {
             "kind": "COST_REPORT",
             "instance_id": report.instance_id,
-            "rows": [
-                {
-                    "resource_id": r.resource_id,
-                    "kind": r.kind,
-                    "quantity": r.quantity,
-                    "unit": r.unit,
-                    "unit_price": r.unit_price,
-                    "subtotal": r.subtotal,
-                }
-                for r in report.rows
-            ],
+            "rows": report.rows_doc(),
             "raw_total": report.raw_total,
             "weighted_total": report.weighted_total,
         }

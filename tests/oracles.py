@@ -3,8 +3,9 @@
 Everything here is deliberately brute force and shares no code with the
 implementation under test: latency recomputation from first principles,
 exhaustive simple-path enumeration for disjoint-set feasibility, a plain
-BFS max-flow for the unit-capacity bound, and a duplicate filter that
-rebuilds its seen-set on every new highest seq.
+BFS max-flow for the unit-capacity bound, a duplicate filter that
+rebuilds its seen-set on every new highest seq, and per-seq delivery
+statistics that group every copy by seq before reducing.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
+from socketstore.kmflash import DeliveryStats
 from socketstore.netsim import (
     DeliveryRecord,
     LatencyInjection,
@@ -256,3 +258,28 @@ class ReferenceDedupReceiver:
         out = [(seq, payload) for _, seq, payload in self._pending]
         self._pending = []
         return out
+
+
+def reference_collect_stats(records, deadline_ms: float) -> DeliveryStats:
+    """Group the copies by seq, then judge each seq by its earliest
+    delivered copy; no sends at all is a ratio of 1.0."""
+    by_seq: dict[int, list[DeliveryRecord]] = {}
+    for rec in records:
+        by_seq.setdefault(rec.packet.seq, []).append(rec)
+    sent = len(by_seq)
+    delivered = 0
+    in_deadline = 0
+    for recs in by_seq.values():
+        latencies = [r.latency_ms for r in recs if r.delivered]
+        if not latencies:
+            continue
+        delivered += 1
+        if min(latencies) <= deadline_ms:
+            in_deadline += 1
+    return DeliveryStats(
+        sent=sent,
+        delivered_unique=delivered,
+        deadline_violations=delivered - in_deadline,
+        losses=sent - delivered,
+        in_deadline_ratio=(in_deadline / sent) if sent else 1.0,
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -109,6 +110,31 @@ class TestCSV:
             a = render_csv(run_experiment(ExperimentConfig(module=module, seed=42)))
             b = render_csv(run_experiment(ExperimentConfig(module=module, seed=42)))
             assert a.encode() == b.encode()
+
+    def test_default_outputs_pinned(self):
+        """Repeat runs agree with each other; these pin them across versions."""
+        cost_row = {"kind": "link_capacity", "quantity": 0.99, "subtotal": 0.00099,
+                    "unit": "Mbps-s", "unit_price": 0.001}
+        expected = {
+            "flash-delivery": (
+                "074b718edc6f63bf0c31a2bcd9db4bf342ee3120076c859cd99de7e5905ab974",
+                {"mode": "module", "sent": 100, "delivered_unique": 100, "losses": 0,
+                 "deadline_violations": 0, "in_deadline_ratio": 1.0,
+                 "cost": {"raw_total": 0.00198, "weighted_total": 0.00198, "rows": [
+                     dict(cost_row, resource_id="path-0:A-R1+R1-R3+R3-R4+R4-B"),
+                     dict(cost_row, resource_id="path-1:A-R2+R2-R3+R3-R5+R5-B"),
+                 ]}},
+            ),
+            "baseline": (
+                "21a3efad96273a09049989ae2d7782bafe1477d3f8d9b1d5774ad80551a69203",
+                {"mode": "baseline", "sent": 100, "delivered_unique": 100, "losses": 0,
+                 "deadline_violations": 20, "in_deadline_ratio": 0.8},
+            ),
+        }
+        for module, (csv_sha256, summary) in expected.items():
+            report = run_experiment(ExperimentConfig(module=module))
+            assert hashlib.sha256(render_csv(report).encode()).hexdigest() == csv_sha256
+            assert report.summary_doc() == summary
 
     def test_write_report_files(self, tmp_path):
         report = run_experiment(ExperimentConfig(packet_count=5))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socketstore.fixtures import evaluation_topology
 from socketstore.kmflash import (
@@ -15,18 +17,25 @@ from socketstore.kmflash import (
     retract_mirror_paths,
 )
 from socketstore.netsim import (
+    DeliveryRecord,
     FlowId,
     LatencyInjection,
     LinkView,
     Node,
     NodeKind,
+    Packet,
     Simulator,
     TopologyView,
     build_topology,
 )
 
 from .conftest import DEFAULT_PATH, SECOND_PATH
-from .oracles import brute_force_disjoint, max_flow_unit, random_connected_view
+from .oracles import (
+    brute_force_disjoint,
+    max_flow_unit,
+    random_connected_view,
+    reference_collect_stats,
+)
 
 FLOW = FlowId("A", "B", "mirror")
 
@@ -305,8 +314,6 @@ class TestCollectStats:
             flow = FlowId("A", "B", "baseline")
             path = default_shortest_path(view_of(sim), "A", "B")
             sim.deploy_path(flow, path)
-            from socketstore.netsim import Packet
-
             for seq in range(100):
                 sim.run_until(seq * 1.0)
                 records.append(
@@ -331,6 +338,30 @@ class TestCollectStats:
         stats = collect_stats([], 5.0)
         assert stats.in_deadline_ratio == 1.0
         assert stats.sent == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        copies=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=15),  # seq, repeated across copies
+                st.integers(min_value=0, max_value=2),   # path index
+                # latency in tenths of a ms; None is a lost copy
+                st.none() | st.integers(min_value=0, max_value=100),
+            ),
+            max_size=60,
+        ),
+        deadline=st.integers(min_value=1, max_value=100),
+    )
+    def test_property_matches_reference(self, copies, deadline):
+        """Lost copies, repeated seqs, copies in any order and no sends at
+        all give the same statistics as grouping every copy by seq first."""
+        records = []
+        for seq, index, tenths in copies:
+            latency = None if tenths is None else tenths / 10  # sent at 0: arrival = latency
+            records.append(DeliveryRecord(Packet(FLOW, seq, 512, 0.0, 5.0, index),
+                                          latency is not None, latency, latency, False, ()))
+        assert collect_stats(records, deadline / 10) == reference_collect_stats(
+            records, deadline / 10)
 
     def test_module_beats_baseline(self, sim):
         mirrored = self.run_scenario(sim, mirrored=True)

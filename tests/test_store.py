@@ -1,9 +1,18 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
 
+from socketstore.agents import (
+    LINK_AGENT_TYPE,
+    SWITCH_AGENT_TYPE,
+    AgentTypeLibrary,
+    BindingError,
+    LinkAgent,
+)
 from socketstore.fixtures import evaluation_topology, flash_delivery_manifest
+from socketstore.kmflash import register_km_type
 from socketstore.moduledef import IllegalTransition, ModuleState
 from socketstore.netsim import Simulator
 from socketstore.store import (
@@ -262,6 +271,29 @@ class TestInstantiate:
             store.instantiate(token, "flash-delivery", dict(KM_INPUTS, K=3))
         assert store.runtime.central_view("production") == []
 
+    def test_rollback_when_a_composed_agent_fails_to_spawn(self):
+        spawns = itertools.count(1)
+
+        def flaky_link_agent(agent_id, spec, typedef):
+            if next(spawns) == 3:
+                raise BindingError("resource binding failure: third link")
+            return LinkAgent(agent_id, spec, typedef)
+
+        library = AgentTypeLibrary()
+        library.register(SWITCH_AGENT_TYPE)
+        library.register(dataclasses.replace(LINK_AGENT_TYPE, factory=flaky_link_agent))
+        register_km_type(library)
+        store = fresh_store(library=library)
+        token = purchased_token(store)
+        with pytest.raises(InstantiationError, match="third link"):
+            store.instantiate(token, "flash-delivery", KM_INPUTS)
+        sim = store.sim
+        assert store.runtime.agents == {}
+        assert sim.all_rules() == []
+        assert all(sim.link_load_mbps(lid) == 0 for lid in sim.topology.links)
+        destroys = [e.detail["type_name"] for e in store.log if e.action == "destroy"]
+        assert destroys == ["KMirror", "LinkAgent", "LinkAgent"]
+
     def test_destroying_adapter_leaves_composed_agents_alive(self):
         # composition is non-owning: the instance manager owns teardown
         store = fresh_store()
@@ -399,6 +431,35 @@ class TestTestbedEvaluation:
         store.register_testbed(broken)
         samples = store.run_testbed_evaluation(mid, "broken")
         assert samples[0].value is None
+
+    def test_baseline_without_route_records_absent_value(self):
+        store = fresh_store()
+        scenario = store.testbeds["latency-spike"]
+        topology = dict(scenario.topology_doc, links=[
+            link for link in scenario.topology_doc["links"]
+            if link["endpoints"] in (["A", "R1"], ["R4", "B"])
+        ])
+        store.register_testbed(
+            dataclasses.replace(scenario, name="cut", topology_doc=topology)
+        )
+        samples = store.run_testbed_evaluation("baseline", "cut")
+        assert [s.value for s in samples] == [None]
+        entry = store.log[-1]
+        assert (entry.action, entry.outcome, entry.detail["reason"]) == (
+            "testbed_evaluation", "error", "no route between A and B")
+
+    def test_all_declared_metrics_collected(self):
+        store = fresh_store()
+        manifest = dataclasses.replace(
+            flash_delivery_manifest(store.library),
+            metric_ids=("in_deadline_ratio", "loss_ratio", "mean_latency_ms"),
+        )
+        mid = store.submit_module(manifest)
+        store.start_review(mid, REVIEWER)
+        samples = store.run_testbed_evaluation(mid, "latency-spike")
+        assert {s.metric_id: s.value for s in samples} == {
+            "in_deadline_ratio": 1.0, "loss_ratio": 0.0, "mean_latency_ms": 2.0,
+        }
 
     def test_unreviewed_module_rejected(self):
         store = fresh_store()
