@@ -241,7 +241,7 @@ def default_shortest_path(view: TopologyView, src: str, dst: str) -> list[str] |
 class MirrorHandles:
     flow: FlowId
     pathset: PathSet
-    reservation_handles: list[int]
+    reservation_handles: list[tuple[str, int]]
     open: bool = True
 
     @property
@@ -284,7 +284,7 @@ def deploy_mirror_paths(
 
 
 def _try_deploy(sim, flow, pathset, rate_mbps) -> MirrorHandles | AllocationFailure:
-    reservations: list[int] = []
+    reservations: list[tuple[str, int]] = []
     deployed: list[int] = []
     try:
         for index, path in enumerate(pathset.paths):

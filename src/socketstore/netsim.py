@@ -266,12 +266,12 @@ class Simulator:
         self._now_ns = 0
         self._events: list[tuple[int, int, Callable[[], None]]] = []
         self._event_seq = 0
-        # (switch, flow, path_index) -> FlowRule
-        self._rules: dict[tuple[str, FlowId, int], FlowRule] = {}
-        # first hop out of the source host, per deployed (flow, path_index)
-        self._host_egress: dict[tuple[FlowId, int], str] = {}
-        self._injections: list[LatencyInjection] = []
-        self._reservations: dict[int, tuple[str, float]] = {}
+        # (flow, path_index) -> {node: out_link}; the flow source's entry is
+        # its egress link, every other entry is a switch rule
+        self._routes: dict[tuple[FlowId, int], dict[str, str]] = {}
+        self._injections: dict[str, list[LatencyInjection]] = {}
+        # link -> {seq: mbps}; a reservation handle is (link, seq)
+        self._reservations: dict[str, dict[int, float]] = {}
         self._reservation_seq = 0
         # per-link (t_ns, bytes) samples backing the monitored transfer rate;
         # samples that left the rate window are popped from the head on send
@@ -318,13 +318,12 @@ class Simulator:
         """Tear a link out of the topology, dropping rules and state on it."""
         self.link(link_id)
         del self.topology.links[link_id]
-        self._rules = {k: r for k, r in self._rules.items() if r.out_link != link_id}
-        self._host_egress = {k: l for k, l in self._host_egress.items() if l != link_id}
-        self._injections = [i for i in self._injections if i.link != link_id]
-        self._reservations = {
-            h: (lk, mbps) for h, (lk, mbps) in self._reservations.items() if lk != link_id
+        self._routes = {
+            key: {node: out for node, out in route.items() if out != link_id}
+            for key, route in self._routes.items()
         }
-        self._transfers.pop(link_id, None)
+        for per_link in (self._injections, self._reservations, self._transfers):
+            per_link.pop(link_id, None)
 
     # -- flow rules -------------------------------------------------------
 
@@ -349,22 +348,18 @@ class Simulator:
         for hop_node in nodes_on_path[1:-1]:
             if self.node(hop_node).kind is not NodeKind.SWITCH:
                 raise RoutingError(f"path traverses host {hop_node!r}")
-        rules = []
-        for i, hop_node in enumerate(nodes_on_path[1:-1], start=1):
-            rules.append(FlowRule(hop_node, flow, path_index, links[i].id))
-        # atomic replacement of the old deployment
-        self.retract_path(flow, path_index)
-        for rule in rules:
-            self._rules[(rule.switch, flow, path_index)] = rule
-        self._host_egress[(flow, path_index)] = links[0].id
-        return rules
+        if len(set(nodes_on_path)) != len(nodes_on_path):
+            raise RoutingError("path revisits a node")
+        # atomic replacement of the old deployment; every node on the path
+        # but the destination maps to the link it forwards on
+        self._routes[(flow, path_index)] = dict(zip(nodes_on_path, path))
+        return [FlowRule(node, flow, path_index, out)
+                for node, out in zip(nodes_on_path[1:], path[1:])]
 
     def retract_path(self, flow: FlowId, path_index: int = 0) -> int:
-        keys = [k for k in self._rules if k[1] == flow and k[2] == path_index]
-        for k in keys:
-            del self._rules[k]
-        self._host_egress.pop((flow, path_index), None)
-        return len(keys)
+        """Remove the deployment of (flow, path_index); returns its switch rule count."""
+        route = self._routes.pop((flow, path_index), {})
+        return len(route) - (flow.src in route)
 
     def install_rule(self, rule: FlowRule) -> None:
         """Install a single rule, replacing any rule with the same key."""
@@ -376,16 +371,20 @@ class Simulator:
             raise RoutingError(
                 f"out_link {rule.out_link!r} is not incident to switch {rule.switch!r}"
             )
-        self._rules[(rule.switch, rule.flow, rule.path_index)] = rule
+        if rule.switch == rule.flow.src:
+            raise RoutingError(f"{rule.switch!r} is the flow source; deploy_path sets its egress")
+        self._routes.setdefault((rule.flow, rule.path_index), {})[rule.switch] = rule.out_link
 
     def rules_at(self, switch: str) -> list[FlowRule]:
         self.node(switch)
-        rules = [r for (sw, _, _), r in self._rules.items() if sw == switch]
+        rules = [r for r in self.all_rules() if r.switch == switch]
         rules.sort(key=lambda r: (r.flow.src, r.flow.dst, r.flow.tag, r.path_index))
         return rules
 
     def all_rules(self) -> list[FlowRule]:
-        return list(self._rules.values())
+        """Every switch rule, in no particular order."""
+        return [FlowRule(node, flow, index, out) for (flow, index), route in self._routes.items()
+                for node, out in route.items() if node != flow.src]
 
     # -- latency injection -------------------------------------------------
 
@@ -395,12 +394,12 @@ class Simulator:
             raise NetsimError("non-positive injection")
         if inj.start_ms >= inj.end_ms:
             raise NetsimError("inverted window")
-        self._injections.append(inj)
+        self._injections.setdefault(inj.link, []).append(inj)
 
     def _extra_latency_ns(self, link_id: str, at_ns: int) -> int:
         extra = 0
-        for inj in self._injections:
-            if inj.link == link_id and ms_to_ns(inj.start_ms) <= at_ns < ms_to_ns(inj.end_ms):
+        for inj in self._injections.get(link_id, ()):
+            if ms_to_ns(inj.start_ms) <= at_ns < ms_to_ns(inj.end_ms):
                 extra += ms_to_ns(inj.extra_ms)
         return extra
 
@@ -411,22 +410,22 @@ class Simulator:
 
     # -- capacity reservations ---------------------------------------------
 
-    def reserve_capacity(self, link_id: str, mbps: float) -> int:
+    def reserve_capacity(self, link_id: str, mbps: float) -> tuple[str, int]:
         link = self.link(link_id)
         if mbps <= 0:
             raise CapacityError("reservation must be positive")
         if self.link_load_mbps(link_id) + mbps > link.capacity_mbps + 1e-12:
             raise CapacityError(f"capacity exceeded on link {link_id!r}")
         self._reservation_seq += 1
-        handle = self._reservation_seq
-        self._reservations[handle] = (link_id, mbps)
-        return handle
+        self._reservations.setdefault(link_id, {})[self._reservation_seq] = mbps
+        return (link_id, self._reservation_seq)
 
-    def release_capacity(self, handle: int) -> None:
-        self._reservations.pop(handle, None)
+    def release_capacity(self, handle: tuple[str, int]) -> None:
+        link_id, seq = handle
+        self._reservations.get(link_id, {}).pop(seq, None)
 
     def link_load_mbps(self, link_id: str) -> float:
-        return sum(mbps for lk, mbps in self._reservations.values() if lk == link_id)
+        return sum(self._reservations.get(link_id, {}).values())
 
     # -- packet delivery -----------------------------------------------------
 
@@ -439,15 +438,12 @@ class Simulator:
         self.node(flow.dst)
         t_ns = ms_to_ns(packet.sent_at_ms)
         cutoff_ns = self._now_ns - ms_to_ns(RATE_WINDOW_MS)
+        route = self._routes.get((flow, packet.path_index), {})
         cursor = flow.src
         hops: list[Hop] = []
         max_hops = len(self.topology.links) + 1
         while cursor != flow.dst:
-            if cursor == flow.src:
-                out = self._host_egress.get((flow, packet.path_index))
-            else:
-                rule = self._rules.get((cursor, flow, packet.path_index))
-                out = rule.out_link if rule else None
+            out = route.get(cursor)
             if out is None:
                 return DeliveryRecord(
                     packet, False, None, None, False, tuple(hops),

@@ -9,6 +9,8 @@ object); reads may happen at any point between mutations.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
 import secrets
@@ -303,18 +305,12 @@ class SocketStore:
         since_ms: float | None = None,
         until_ms: float | None = None,
     ) -> list[ActionLogEntry]:
-        out = []
-        for e in self.log:
-            if actor is not None and e.actor != actor:
-                continue
-            if action is not None and e.action != action:
-                continue
-            if since_ms is not None and e.ts_ms < since_ms:
-                continue
-            if until_ms is not None and e.ts_ms > until_ms:
-                continue
-            out.append(e)
-        return out
+        return [
+            e for e in self.log
+            if actor in (None, e.actor) and action in (None, e.action)
+            and not (since_ms is not None and e.ts_ms < since_ms)
+            and not (until_ms is not None and e.ts_ms > until_ms)
+        ]
 
     def _runtime_log(self, actor, action, outcome, **detail):
         self.log.append(ActionLogEntry(self._tick(), actor, action, outcome, detail))
@@ -501,7 +497,7 @@ class SocketStore:
             license.app_id if license else "unknown",
             "authorize",
             "allow" if allow else "deny",
-            token=token,
+            token_sha256=hashlib.sha256(token.encode("utf-8", "surrogatepass")).hexdigest()[:16],
             module_id=module_id,
         )
         return allow
@@ -738,9 +734,16 @@ class SocketStore:
             "logical_ms": self._logical_ms,
         }
         os.makedirs(os.path.dirname(self.data_path) or ".", exist_ok=True)
-        with open(self.data_path, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        tmp_path = f"{self.data_path}.tmp"  # renamed over the data file once complete
+        try:
+            with open(tmp_path, "w", encoding="utf-8") as fh:
+                json.dump(state, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp_path, self.data_path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp_path)
+            raise
 
     def _load(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as fh:

@@ -4,8 +4,9 @@ Everything here is deliberately brute force and shares no code with the
 implementation under test: latency recomputation from first principles,
 exhaustive simple-path enumeration for disjoint-set feasibility, a plain
 BFS max-flow for the unit-capacity bound, a duplicate filter that
-rebuilds its seen-set on every new highest seq, and per-seq delivery
-statistics that group every copy by seq before reducing.
+rebuilds its seen-set on every new highest seq, per-seq delivery
+statistics that group every copy by seq before reducing, and simulator
+route, reservation and injection tables that filter every entry on read.
 """
 
 from __future__ import annotations
@@ -15,12 +16,19 @@ from collections import deque
 
 from socketstore.kmflash import DeliveryStats
 from socketstore.netsim import (
+    CapacityError,
     DeliveryRecord,
+    FlowRule,
+    Hop,
     LatencyInjection,
     LinkView,
+    NetsimError,
     Node,
     NodeKind,
+    Packet,
+    RoutingError,
     Topology,
+    TopologyError,
     TopologyView,
 )
 
@@ -283,3 +291,162 @@ def reference_collect_stats(records, deadline_ms: float) -> DeliveryStats:
         losses=sent - delivered,
         in_deadline_ratio=(in_deadline / sent) if sent else 1.0,
     )
+
+
+class ReferenceSimulator:
+    """Route, reservation and injection bookkeeping over one topology, kept
+    in flat tables that are filtered on every read: switch rules keyed by
+    (switch, flow, path_index), the source's egress link in a second table
+    keyed by (flow, path_index), reservations keyed by an integer handle and
+    one list of every latency injection. It has no clock and no rate
+    samples; `send_packet` returns the same records as the simulator."""
+
+    def __init__(self, topology: Topology):
+        self.topology = topology
+        self._rules: dict[tuple, FlowRule] = {}
+        self._host_egress: dict[tuple, str] = {}
+        self._injections: list[LatencyInjection] = []
+        self._reservations: dict[int, tuple[str, float]] = {}
+        self._reservation_seq = 0
+
+    def _link(self, link_id):
+        if link_id not in self.topology.links:
+            raise TopologyError(f"unknown link {link_id!r}")
+        return self.topology.links[link_id]
+
+    def _node(self, node_id):
+        if node_id not in self.topology.nodes:
+            raise TopologyError(f"unknown node {node_id!r}")
+        return self.topology.nodes[node_id]
+
+    @staticmethod
+    def _other_end(link, node):
+        a, b = link.endpoints
+        if node not in (a, b):
+            raise RoutingError(f"node {node!r} is not an endpoint of link {link.id!r}")
+        return b if node == a else a
+
+    def remove_link(self, link_id):
+        self._link(link_id)
+        del self.topology.links[link_id]
+        self._rules = {k: r for k, r in self._rules.items() if r.out_link != link_id}
+        self._host_egress = {k: lk for k, lk in self._host_egress.items() if lk != link_id}
+        self._injections = [i for i in self._injections if i.link != link_id]
+        self._reservations = {
+            h: (lk, mbps) for h, (lk, mbps) in self._reservations.items() if lk != link_id
+        }
+
+    def deploy_path(self, flow, path, path_index=0):
+        if not path:
+            raise RoutingError("empty path")
+        links = [self._link(lid) for lid in path]
+        cursor = flow.src
+        self._node(cursor)
+        nodes_on_path = [cursor]
+        for lk in links:
+            if cursor not in lk.endpoints:
+                raise RoutingError(f"non-contiguous path: link {lk.id!r} does not touch {cursor!r}")
+            cursor = self._other_end(lk, cursor)
+            nodes_on_path.append(cursor)
+        if cursor != flow.dst:
+            raise RoutingError(f"path ends at {cursor!r}, not flow destination {flow.dst!r}")
+        for hop_node in nodes_on_path[1:-1]:
+            if self._node(hop_node).kind is not NodeKind.SWITCH:
+                raise RoutingError(f"path traverses host {hop_node!r}")
+        rules = [
+            FlowRule(hop_node, flow, path_index, links[i].id)
+            for i, hop_node in enumerate(nodes_on_path[1:-1], start=1)
+        ]
+        self.retract_path(flow, path_index)
+        for rule in rules:
+            self._rules[(rule.switch, flow, path_index)] = rule
+        self._host_egress[(flow, path_index)] = links[0].id
+        return rules
+
+    def retract_path(self, flow, path_index=0):
+        keys = [k for k in self._rules if k[1] == flow and k[2] == path_index]
+        for k in keys:
+            del self._rules[k]
+        self._host_egress.pop((flow, path_index), None)
+        return len(keys)
+
+    def install_rule(self, rule):
+        link = self._link(rule.out_link)
+        if self._node(rule.switch).kind is not NodeKind.SWITCH:
+            raise RoutingError(f"{rule.switch!r} is not a switch")
+        if rule.switch not in link.endpoints:
+            raise RoutingError(
+                f"out_link {rule.out_link!r} is not incident to switch {rule.switch!r}"
+            )
+        self._rules[(rule.switch, rule.flow, rule.path_index)] = rule
+
+    def rules_at(self, switch):
+        self._node(switch)
+        rules = [r for (sw, _, _), r in self._rules.items() if sw == switch]
+        rules.sort(key=lambda r: (r.flow.src, r.flow.dst, r.flow.tag, r.path_index))
+        return rules
+
+    def all_rules(self):
+        return list(self._rules.values())
+
+    def inject_latency(self, inj):
+        self._link(inj.link)
+        if inj.extra_ms <= 0:
+            raise NetsimError("non-positive injection")
+        if inj.start_ms >= inj.end_ms:
+            raise NetsimError("inverted window")
+        self._injections.append(inj)
+
+    def _extra_latency_ns(self, link_id, at_ns):
+        return sum(
+            _ns(inj.extra_ms) for inj in self._injections
+            if inj.link == link_id and _ns(inj.start_ms) <= at_ns < _ns(inj.end_ms)
+        )
+
+    def reserve_capacity(self, link_id, mbps):
+        link = self._link(link_id)
+        if mbps <= 0:
+            raise CapacityError("reservation must be positive")
+        if self.link_load_mbps(link_id) + mbps > link.capacity_mbps + 1e-12:
+            raise CapacityError(f"capacity exceeded on link {link_id!r}")
+        self._reservation_seq += 1
+        self._reservations[self._reservation_seq] = (link_id, mbps)
+        return self._reservation_seq
+
+    def release_capacity(self, handle):
+        self._reservations.pop(handle, None)
+
+    def link_load_mbps(self, link_id):
+        return sum(mbps for lk, mbps in self._reservations.values() if lk == link_id)
+
+    def send_packet(self, packet: Packet) -> DeliveryRecord:
+        flow = packet.flow
+        self._node(flow.src)
+        self._node(flow.dst)
+        t_ns = _ns(packet.sent_at_ms)
+        cursor = flow.src
+        hops: list[Hop] = []
+        while cursor != flow.dst:
+            if cursor == flow.src:
+                out = self._host_egress.get((flow, packet.path_index))
+            else:
+                rule = self._rules.get((cursor, flow, packet.path_index))
+                out = rule.out_link if rule else None
+            if out is None:
+                return DeliveryRecord(packet, False, None, None, False, tuple(hops),
+                                      drop_reason=f"no rule at {cursor}")
+            if len(hops) >= len(self.topology.links) + 1:
+                return DeliveryRecord(packet, False, None, None, False, tuple(hops),
+                                      drop_reason="routing loop")
+            link = self._link(out)
+            delay_ns = _ns(link.base_latency_ms) + self._extra_latency_ns(out, t_ns)
+            hops.append(Hop(out, t_ns / 1_000_000, delay_ns / 1_000_000))
+            t_ns += delay_ns
+            cursor = self._other_end(link, cursor)
+        latency_ns = t_ns - _ns(packet.sent_at_ms)
+        return DeliveryRecord(packet, True, t_ns / 1_000_000, latency_ns / 1_000_000,
+                              latency_ns > _ns(packet.deadline_ms), tuple(hops))
+
+
+def _ns(ms: float) -> int:
+    return round(ms * 1_000_000)

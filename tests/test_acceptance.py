@@ -6,6 +6,7 @@ Every tolerance is pinned here; nothing is deferred to later calibration.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -322,7 +323,8 @@ def test_criterion_7_access_soundness():
                 allows = [
                     i for i, e in enumerate(store.log)
                     if e.action == "authorize" and e.outcome == "allow"
-                    and e.detail.get("token") == token
+                    and e.detail.get("token_sha256")
+                    == hashlib.sha256(token.encode()).hexdigest()[:16]
                     and e.detail.get("module_id") == "flash-delivery"
                 ]
                 success = [

@@ -18,8 +18,8 @@ from socketstore.netsim import (
     ms_to_ns,
 )
 
-from .conftest import DEFAULT_PATH
-from .oracles import recompute_latency_ms
+from .conftest import DEFAULT_PATH, SECOND_PATH
+from .oracles import ReferenceSimulator, recompute_latency_ms
 
 FLOW = FlowId("A", "B", "f")
 
@@ -110,6 +110,16 @@ class TestDeployRetract:
     def test_retract_on_fresh_sim(self, sim):
         assert sim.retract_path(FLOW, 0) == 0
 
+    def test_node_revisiting_path_rejected_and_old_deployment_kept(self, sim):
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        before = sim.all_rules()
+        with pytest.raises(RoutingError, match="revisits a node"):
+            sim.deploy_path(FLOW, ["A-R1", "R1-R3", "R1-R3", "R1-R3", "R3-R4", "R4-B"])
+        assert sim.all_rules() == before
+        rec = sim.send_packet(packet())
+        assert rec.delivered
+        assert [h.link for h in rec.hops] == DEFAULT_PATH
+
 
 class TestInjection:
     def test_delay_inside_window(self, sim):
@@ -157,8 +167,8 @@ class TestSendPacket:
 
     def test_partial_rules_drop_at_switch(self, sim):
         sim.deploy_path(FLOW, DEFAULT_PATH)
-        # remove mid-path rule: packet enters but strands at R3
-        sim._rules.pop(("R3", FLOW, 0))
+        # tearing out R3's out link drops its rule: the packet strands at R3
+        sim.remove_link("R3-R4")
         rec = sim.send_packet(packet())
         assert not rec.delivered
         assert rec.drop_reason == "no rule at R3"
@@ -325,6 +335,16 @@ class TestRuleUniqueness:
         with pytest.raises(RoutingError, match="not incident"):
             sim.install_rule(FlowRule("R1", FLOW, 0, "R4-B"))
 
+    def test_rule_at_flow_source_rejected(self, sim):
+        """A flow may start at a switch; its first hop is the egress that
+        deploy_path sets, not a rule that install_rule can overwrite."""
+        flow = FlowId("R3", "B")
+        sim.deploy_path(flow, ["R3-R4", "R4-B"])
+        with pytest.raises(RoutingError, match="flow source"):
+            sim.install_rule(FlowRule("R3", flow, 0, "R3-R5"))
+        assert sim.all_rules() == [FlowRule("R4", flow, 0, "R4-B")]
+        assert [h.link for h in sim.send_packet(packet(flow=flow)).hops] == ["R3-R4", "R4-B"]
+
 
 @settings(max_examples=30)
 @given(
@@ -343,3 +363,135 @@ def test_property_latency_matches_recomputation(extra, start, width, sent):
     assert rec.latency_ms == pytest.approx(
         recompute_latency_ms(rec, sim.topology, [inj]), abs=1e-9
     )
+
+
+# flows from both hosts and from a switch, on up to three path indexes
+TABLE_FLOWS = (FLOW, FlowId("B", "A", "f"), FlowId("A", "B", "g"), FlowId("R3", "A"))
+TABLE_LINKS = tuple(sorted(evaluation_topology().links))
+TABLE_SWITCHES = ("R1", "R2", "R3", "R4", "R5")
+_flow = st.integers(0, len(TABLE_FLOWS) - 1)
+_index = st.integers(0, 2)
+_link = st.sampled_from(TABLE_LINKS)
+_ms = st.sampled_from([0.0, 9.5, 10.0, 20.0, 32.25, 45.0])
+_deploy = st.tuples(st.just("deploy"), _flow, _index, st.lists(st.integers(0, 7), min_size=1, max_size=6))
+_install = st.tuples(st.just("install"), _flow, _index, st.sampled_from(TABLE_SWITCHES + ("A",)),
+                     st.integers(0, 3))
+# several reservations on one link, in amounts whose float sum depends on order
+_reserve = st.tuples(st.just("reserve"), _link,
+                     st.lists(st.sampled_from([0.1, 0.2, 0.7, 10.0, 33.3]), min_size=1, max_size=4))
+_send = st.tuples(st.just("send"), _ms)
+# deploys, installs, reservations and sends are drawn more often than the rest
+TABLE_OPS = st.one_of(
+    _deploy, _deploy, _deploy, _install, _install, _reserve, _reserve, _send, _send,
+    st.tuples(st.just("deploy_links"), _flow, _index, st.lists(_link, min_size=1, max_size=4)),
+    st.tuples(st.just("retract"), _flow, _index),
+    st.tuples(st.just("release"), st.integers(0, 40)),
+    st.tuples(st.just("inject"), _link, st.sampled_from([0.25, 3.0, 10.0]), _ms,
+              st.sampled_from([0.5, 10.0, 30.0])),
+    st.tuples(st.just("remove"), _link),
+)
+
+
+def _walk(topology, flow, choices):
+    """Link ids of a walk of up to 12 links from the flow source that stops
+    on reaching the destination. Step i takes choice i modulo the choices:
+    it picks the next link by index among the links the walk did not just
+    arrive on, and choice 7 goes back over that link."""
+    cursor, path, nodes = flow.src, [], [flow.src]
+    for step in range(12):
+        choice = choices[step % len(choices)]
+        incident = sorted(lk.id for lk in topology.links.values() if cursor in lk.endpoints)
+        onward = [lk for lk in incident if not path or lk != path[-1]]
+        if not onward or (choice == 7 and path):
+            onward = path[-1:]
+        if not onward:
+            break
+        link = topology.links[onward[choice % len(onward)]]
+        path.append(link.id)
+        cursor = link.other_end(cursor)
+        nodes.append(cursor)
+        if cursor == flow.dst:
+            break
+    return path, len(set(nodes)) != len(nodes)
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except NetsimError as exc:
+        return (type(exc), None)
+
+
+def _assert_same_sends(sim, ref, sent_at):
+    """One packet on every (flow, path index) gets the same record from both."""
+    for flow in TABLE_FLOWS:
+        for index in range(3):
+            pkt = packet(sent_at=sent_at, flow=flow, path_index=index)
+            assert sim.send_packet(pkt) == ref.send_packet(pkt)
+
+
+def _rule_key(rule):
+    return (rule.switch, rule.flow.src, rule.flow.dst, rule.flow.tag, rule.path_index, rule.out_link)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(TABLE_OPS, min_size=4, max_size=40))
+def test_property_tables_match_flat_reference(ops):
+    """Routes, reservations and injections kept per key answer every query
+    exactly as flat tables filtered on read do."""
+    sim = Simulator(evaluation_topology())
+    ref = ReferenceSimulator(evaluation_topology())
+    for target in (sim, ref):  # start from a deployed mirror pair
+        target.deploy_path(FLOW, DEFAULT_PATH, 0)
+        target.deploy_path(FLOW, SECOND_PATH, 1)
+    handles = []  # (simulator handle, reference handle) of each reservation
+    for op in ops:
+        kind = op[0]
+        if kind in ("deploy", "deploy_links"):
+            flow, index = TABLE_FLOWS[op[1]], op[2]
+            path, revisits = _walk(sim.topology, flow, op[3]) if kind == "deploy" else (op[3], False)
+            if revisits:
+                with pytest.raises(RoutingError):
+                    sim.deploy_path(flow, path, index)
+                continue
+            assert _outcome(lambda: sim.deploy_path(flow, path, index)) == _outcome(
+                lambda: ref.deploy_path(flow, path, index))
+        elif kind == "retract":
+            flow, index = TABLE_FLOWS[op[1]], op[2]
+            assert sim.retract_path(flow, index) == ref.retract_path(flow, index)
+        elif kind == "install":
+            # the out link is picked by index among the links at the node
+            incident = sorted(lk.id for lk in sim.topology.links.values() if op[3] in lk.endpoints)
+            out = incident[op[4] % len(incident)] if incident else "R4-B"
+            rule = FlowRule(op[3], TABLE_FLOWS[op[1]], op[2], out)
+            if rule.switch == rule.flow.src:
+                with pytest.raises(NetsimError):
+                    sim.install_rule(rule)
+                continue
+            assert _outcome(lambda: sim.install_rule(rule)) == _outcome(lambda: ref.install_rule(rule))
+        elif kind == "reserve":
+            for mbps in op[2]:
+                got = _outcome(lambda: sim.reserve_capacity(op[1], mbps))
+                want = _outcome(lambda: ref.reserve_capacity(op[1], mbps))
+                assert got[0] == want[0]
+                if got[0] == "ok":
+                    handles.append((got[1], want[1]))
+        elif kind == "release":
+            if handles:
+                got, want = handles[op[1] % len(handles)]
+                sim.release_capacity(got)
+                ref.release_capacity(want)
+        elif kind == "inject":
+            inj = LatencyInjection(op[1], op[2], op[3], op[3] + op[4])
+            assert _outcome(lambda: sim.inject_latency(inj)) == _outcome(lambda: ref.inject_latency(inj))
+        elif kind == "remove":
+            assert _outcome(lambda: sim.remove_link(op[1])) == _outcome(lambda: ref.remove_link(op[1]))
+        else:
+            _assert_same_sends(sim, ref, op[1])
+        assert sorted(sim.all_rules(), key=_rule_key) == sorted(ref.all_rules(), key=_rule_key)
+        for switch in TABLE_SWITCHES:
+            assert sim.rules_at(switch) == ref.rules_at(switch)
+        for link in TABLE_LINKS:
+            assert sim.link_load_mbps(link) == ref.link_load_mbps(link)
+    for sent_at in (0.0, 17.5, 45.0):
+        _assert_same_sends(sim, ref, sent_at)

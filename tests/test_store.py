@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from socketstore.agents import (
 from socketstore.fixtures import evaluation_topology, flash_delivery_manifest
 from socketstore.kmflash import register_km_type
 from socketstore.moduledef import IllegalTransition, ModuleState
+from socketstore import store as store_module
 from socketstore.netsim import Simulator
 from socketstore.store import (
     RATE_CARD,
@@ -225,7 +228,8 @@ class TestPurchaseAuthorize:
         store.authorize("bogus-token", "flash-delivery")
         denies = [
             e for e in store.read_log(action="authorize")
-            if e.outcome == "deny" and e.detail.get("token") == "bogus-token"
+            if e.outcome == "deny"
+            and e.detail.get("token_sha256") == hashlib.sha256(b"bogus-token").hexdigest()[:16]
         ]
         assert len(denies) == 1
 
@@ -324,7 +328,7 @@ class TestInstantiate:
         allow_i = next(
             i for i, e in enumerate(store.log)
             if e.action == "authorize" and e.outcome == "allow"
-            and e.detail.get("token") == token
+            and e.detail.get("token_sha256") == hashlib.sha256(token.encode()).hexdigest()[:16]
         )
         inst_i = next(
             i for i, e in enumerate(store.log)
@@ -351,10 +355,11 @@ class TestInstantiate:
                     except (AuthorizationDenied, InstantiationError):
                         pass
             # every successful instantiate has a prior allow for its token
+            digests = {hashlib.sha256(t.encode()).hexdigest()[:16]: t for t in tokens}
             allows_seen: set[str] = set()
             for e in store.log:
                 if e.action == "authorize" and e.outcome == "allow":
-                    allows_seen.add(e.detail["token"])
+                    allows_seen.add(digests[e.detail["token_sha256"]])
                 if e.action == "instantiate" and e.outcome == "ok":
                     assert allows_seen, "instantiate succeeded with no prior allow"
 
@@ -512,3 +517,60 @@ class TestPersistence:
         token = store.purchase(APP, mid).token
         reloaded = SocketStore(data_path=path)
         assert reloaded.authorize(token, mid) is True
+
+    def test_action_log_never_holds_the_raw_token(self, tmp_path):
+        path = tmp_path / "store.json"
+        store = fresh_store(data_path=str(path))
+        token = purchased_token(store)
+        store.instantiate(token, "flash-delivery", KM_INPUTS)
+        store.authorize("bogus-token", "flash-delivery")
+        authorize = store.read_log(action="authorize")
+        assert [e.detail["token_sha256"] for e in authorize] == [
+            hashlib.sha256(token.encode()).hexdigest()[:16],
+            hashlib.sha256(b"bogus-token").hexdigest()[:16],
+        ]
+        logged = json.dumps(json.loads(path.read_text())["log"])
+        assert token not in logged and "bogus-token" not in logged
+
+    def test_token_that_is_not_utf8_encodable_is_denied_and_logged(self, tmp_path):
+        """A JSON string may carry a lone surrogate; authorize digests its
+        code points instead of raising."""
+        path = str(tmp_path / "store.json")
+        store = fresh_store(with_sim=False, data_path=path)
+        assert store.authorize("\udc80", "flash-delivery") is False
+        digest = hashlib.sha256("\udc80".encode("utf-8", "surrogatepass")).hexdigest()[:16]
+        assert store.log[-1].detail == {"token_sha256": digest, "module_id": "flash-delivery"}
+        assert SocketStore(data_path=path).log[-1].detail == store.log[-1].detail
+
+    def test_store_file_with_raw_token_entries_loads_unchanged(self, tmp_path):
+        path = tmp_path / "store.json"
+        store = fresh_store(with_sim=False, data_path=str(path))
+        token = purchased_token(store)
+        store.authorize(token, "flash-delivery")
+        state = json.loads(path.read_text())
+        entry = state["log"][-1]
+        entry["detail"] = {"module_id": "flash-delivery", "token": token}
+        path.write_text(json.dumps(state))
+        reloaded = SocketStore(data_path=str(path))
+        assert reloaded.log[-1].detail == {"module_id": "flash-delivery", "token": token}
+        assert len(reloaded.log) == len(store.log)
+        assert reloaded.authorize(token, "flash-delivery") is True
+
+    def test_crash_while_writing_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+        store = fresh_store(with_sim=False, data_path=str(path))
+        mid = publish_flash(store)
+        before = path.read_bytes()
+        logged = len(store.log)
+
+        def torn_dump(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:100])
+            raise OSError("disk gone mid-write")
+
+        monkeypatch.setattr(store_module.json, "dump", torn_dump)
+        with pytest.raises(OSError, match="mid-write"):
+            store.purchase(APP, mid)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
+        assert len(SocketStore(data_path=str(path)).log) == logged
