@@ -85,16 +85,11 @@ class AgentTypeLibrary:
         except KeyError:
             raise UnknownTypeError(f"unknown type {type_name!r}")
 
-    def names(self) -> list[str]:
-        return sorted(self._types)
-
 
 @dataclass(frozen=True)
 class AgentSpec:
     type_name: str
     params: dict[str, Any] = field(default_factory=dict)
-    objective: str = ""
-    metric_id: str | None = None
 
 
 @dataclass
@@ -262,7 +257,6 @@ class AgentRuntime:
         self._agent_seq = 0
         self._queue: list[Message] = []
         self._draining = False
-        self.delivered: list[Message] = []
         self.store_inbox: list[Message] = []
         self._action_log = action_log
 
@@ -390,14 +384,12 @@ class AgentRuntime:
                 msg = self._queue.pop(0)
                 if msg.to == STORE_ADDRESS:
                     self.store_inbox.append(msg)
-                    self.delivered.append(msg)
                     continue
                 agent = self.agents.get(msg.to)
                 if agent is None or agent.state is not LifecycleState.RUNNING:
                     self.log(msg.to, "drop_message", "ok", from_=msg.from_,
                              kind=msg.payload.get("kind"))
                     continue
-                self.delivered.append(msg)
                 agent.handle_message(self, msg)
         finally:
             self._draining = False

@@ -18,8 +18,8 @@ from .kmflash import default_shortest_path, send_copies
 from .netsim import DeliveryRecord, FlowId, NodeKind, Packet, Simulator
 from .wire import TransportError, TransportTimeout
 
-DEFAULT_REFRESH_INTERVAL_MS = 1000.0
-DEFAULT_HANDSHAKE_TIMEOUT_MS = 200.0
+REFRESH_INTERVAL_MS = 1000.0
+HANDSHAKE_TIMEOUT_MS = 200.0
 DEDUP_WINDOW = 1 << 16
 
 
@@ -190,11 +190,11 @@ class BoundHandle:
         except TransportError:
             reply = None
         if reply is not None and reply.get("kind") == "BIND_FAIL":
-            # conflict: stop retrying, surface on next explicit bind
+            # conflict: stop refreshing, surface on next explicit bind
             self.open = False
             raise DsaError(reply.get("reason", "alias conflict"))
         self.registered = reply is not None and reply.get("kind") == "BIND_OK"
-        self.client.sim.schedule_in(self.client.refresh_interval_ms, self._tick)
+        self.client.sim.schedule_in(REFRESH_INTERVAL_MS, self._tick)
 
     def _tick(self) -> None:
         if not self.open:
@@ -227,8 +227,6 @@ class DsaClient:
         transport,
         app_id: str | None = None,
         base_port: int = 5000,
-        refresh_interval_ms: float = DEFAULT_REFRESH_INTERVAL_MS,
-        handshake_timeout_ms: float = DEFAULT_HANDSHAKE_TIMEOUT_MS,
     ):
         node = sim.node(device)
         if node.kind is not NodeKind.HOST:
@@ -238,8 +236,6 @@ class DsaClient:
         self.transport = transport
         self.app_id = app_id or f"app-{device}"
         self.base_port = base_port
-        self.refresh_interval_ms = refresh_interval_ms
-        self.handshake_timeout_ms = handshake_timeout_ms
         self._nic_count = node.nic_count or 1
         self._failure_callback: Callable[[FailureEvent], None] | None = None
         self._fallback_seq = 0
@@ -297,8 +293,7 @@ class DsaClient:
         the handshake timeout) or relay the failure to the application
         callback, per opts.on_failure."""
         opts = opts or ConnectOptions()
-        start_ms = self.sim.now_ms
-        deadline_ms = start_ms + self.handshake_timeout_ms
+        deadline_ms = self.sim.now_ms + HANDSHAKE_TIMEOUT_MS
         resolved: list[dict] | None = None
 
         def fail(reason: str, max_k: int | None = None) -> Connection | None:

@@ -32,20 +32,9 @@ class KMError(Exception):
 
 
 @dataclass(frozen=True)
-class AllocationRequest:
-    src: str
-    dst: str
-    k: int
-    rate_mbps: float
-    max_latency_ms: float
-    spread_ms: float = DEFAULT_SPREAD_MS
-
-
-@dataclass(frozen=True)
 class PathSet:
     paths: tuple[tuple[str, ...], ...]
     latencies_ms: tuple[float, ...]
-    residuals_mbps: tuple[float, ...]
 
     @property
     def spread_ms(self) -> float:
@@ -109,8 +98,7 @@ def allocate_disjoint_paths(
 
     paths = _decompose(used, links, src, dst, k)
     latencies = tuple(sum(links[lid].latency_ms for lid in p) for p in paths)
-    residuals = tuple(min(links[lid].residual_mbps for lid in p) for p in paths)
-    pathset = PathSet(paths=paths, latencies_ms=latencies, residuals_mbps=residuals)
+    pathset = PathSet(paths=paths, latencies_ms=latencies)
     worst = max(latencies)
     if worst > max_latency_ms + 1e-12:
         return AllocationFailure(
@@ -254,51 +242,26 @@ def deploy_mirror_paths(
     flow: FlowId,
     pathset: PathSet,
     rate_mbps: float,
-    retry: AllocationRequest | None = None,
 ) -> MirrorHandles | AllocationFailure:
     """Deploy one rule set per mirror path (distinct path_index) and reserve
     the transfer rate on every link for cost accounting.
 
-    A deployment conflict against a stale snapshot is retried once with a
-    fresh snapshot before being surfaced as an AllocationFailure.
+    A deployment conflict undoes what was deployed and is surfaced as an
+    AllocationFailure. The flow is the caller's own, so retracting an index
+    that was never deployed touches no other deployment.
     """
     if not pathset.paths:
         raise KMError("empty path set")
-    attempt = _try_deploy(sim, flow, pathset, rate_mbps)
-    if isinstance(attempt, MirrorHandles):
-        return attempt
-    if retry is None:
-        return attempt
-    fresh = allocate_disjoint_paths(
-        sim.topology_snapshot(),
-        retry.src,
-        retry.dst,
-        retry.k,
-        retry.rate_mbps,
-        retry.max_latency_ms,
-        retry.spread_ms,
-    )
-    if isinstance(fresh, AllocationFailure):
-        return fresh
-    return _try_deploy(sim, flow, fresh, rate_mbps)
-
-
-def _try_deploy(sim, flow, pathset, rate_mbps) -> MirrorHandles | AllocationFailure:
-    reservations: list[tuple[str, int]] = []
-    deployed: list[int] = []
+    handles = MirrorHandles(flow=flow, pathset=pathset, reservation_handles=[])
     try:
         for index, path in enumerate(pathset.paths):
             sim.deploy_path(flow, list(path), path_index=index)
-            deployed.append(index)
             for lid in path:
-                reservations.append(sim.reserve_capacity(lid, rate_mbps))
+                handles.reservation_handles.append(sim.reserve_capacity(lid, rate_mbps))
     except NetsimError as exc:
-        for index in deployed:
-            sim.retract_path(flow, index)
-        for handle in reservations:
-            sim.release_capacity(handle)
+        retract_mirror_paths(sim, handles)
         return AllocationFailure(f"deployment conflict: {exc}", pathset.k)
-    return MirrorHandles(flow=flow, pathset=pathset, reservation_handles=reservations)
+    return handles
 
 
 def retract_mirror_paths(sim: Simulator, handles: MirrorHandles) -> None:
@@ -413,8 +376,7 @@ class KMAgent(Agent):
         self.handles: MirrorHandles | None = None
         self.ledger = None
 
-    def setup(self, runtime, env_id: str, flow_tag: str, ledger=None,
-              spread_ms: float = DEFAULT_SPREAD_MS) -> dict:
+    def setup(self, runtime, env_id: str, flow_tag: str, ledger=None) -> dict:
         """Allocate and deploy; raises KMAllocationError on failure. Returns
         the allocation summary relayed to the device side."""
         params = self.spec.params
@@ -425,14 +387,11 @@ class KMAgent(Agent):
         max_latency = float(params["max_latency"])
         sim = runtime.sim
 
-        request = AllocationRequest(src, dst, k, rate, max_latency, spread_ms)
-        result = allocate_disjoint_paths(
-            sim.topology_snapshot(), src, dst, k, rate, max_latency, spread_ms
-        )
+        result = allocate_disjoint_paths(sim.topology_snapshot(), src, dst, k, rate, max_latency)
         if isinstance(result, AllocationFailure):
             raise KMAllocationError(result)
         flow = FlowId(src, dst, tag=flow_tag)
-        deployed = deploy_mirror_paths(sim, flow, result, rate, retry=request)
+        deployed = deploy_mirror_paths(sim, flow, result, rate)
         if isinstance(deployed, AllocationFailure):
             raise KMAllocationError(deployed)
         self.handles = deployed

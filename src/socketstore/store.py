@@ -256,30 +256,18 @@ class SocketStore:
         token_factory: Callable[[], str] | None = None,
     ):
         self.library = library or default_library()
+        self.data_path = data_path
+        self._token_factory = token_factory or (lambda: secrets.token_hex(16))
+        self._load()
         self.sim = sim
         self.runtime: AgentRuntime | None = None
         if sim is not None:
             self.attach_network(sim)
-        self.data_path = data_path
-        self._token_factory = token_factory or (lambda: secrets.token_hex(16))
-
-        self.specialists: set[str] = set()
-        self.metrics: dict[str, MetricDef] = {m.metric_id: m for m in BUILTIN_METRICS}
-        self.modules: dict[str, ModuleManifest] = {}
-        self.licenses: dict[tuple[str, str], License] = {}
-        self._tokens: dict[str, License] = {}
-        self._revoked_tokens: set[str] = set()
-        self.samples: list[MetricSample] = []
-        self.log: list[ActionLogEntry] = []
         self.instances: dict[str, ModuleInstance] = {}
         self.aliases: dict[str, dict] = {}
         self.testbeds: dict[str, TestbedScenario] = {}
         self.register_testbed(latency_spike_scenario())
         self._instance_seq = 0
-        self._logical_ms = 0.0
-
-        if data_path and os.path.exists(data_path):
-            self._load(data_path)
 
     # -- time and logging ------------------------------------------------------
 
@@ -329,10 +317,6 @@ class SocketStore:
             raise StoreError("empty specialist id")
         self.specialists.add(specialist_id)
         self.log_action(specialist_id, "register_specialist", "ok")
-
-    def register_metric(self, metric: MetricDef) -> None:
-        self.metrics[metric.metric_id] = metric
-        self._persist()
 
     def register_testbed(self, scenario: TestbedScenario) -> None:
         self.testbeds[scenario.name] = scenario
@@ -546,7 +530,7 @@ class SocketStore:
             agent_ids, adapter_ids, allocation = self._execute_nsd(
                 manifest, inputs, self.runtime, PRODUCTION_ENV, ledger, instance_id
             )
-        except (StoreError, KMError, AgentError) as exc:
+        except (StoreError, KMError, AgentError, OverflowError) as exc:
             failure_k = getattr(getattr(exc, "failure", None), "max_feasible_k", None)
             self.log_action("store", "instantiate", "error",
                             module_id=module_id, reason=str(exc))
@@ -571,13 +555,10 @@ class SocketStore:
         missing = [i.name for i in nsd.inputs if i.name not in inputs]
         if missing:
             raise StoreError(f"missing input {missing[0]!r}")
-        order = execution_order(nsd)
-        if len(order) < len(nsd.directives):
-            raise StoreError("wiring cycle")
         spawned: list[Agent] = []
         allocation: dict = {}
         try:
-            for directive in order:
+            for directive in execution_order(nsd):
                 params = {
                     name: _resolve_param(value, inputs)
                     for name, value in directive.params
@@ -733,9 +714,9 @@ class SocketStore:
             ],
             "logical_ms": self._logical_ms,
         }
-        os.makedirs(os.path.dirname(self.data_path) or ".", exist_ok=True)
         tmp_path = f"{self.data_path}.tmp"  # renamed over the data file once complete
         try:
+            os.makedirs(os.path.dirname(self.data_path) or ".", exist_ok=True)
             with open(tmp_path, "w", encoding="utf-8") as fh:
                 json.dump(state, fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -743,19 +724,29 @@ class SocketStore:
         except BaseException:
             with contextlib.suppress(OSError):
                 os.remove(tmp_path)
+            self._load()  # memory goes back to what the file holds
             raise
 
-    def _load(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-        self.specialists = set(state.get("specialists", []))
+    def _load(self) -> None:
+        """Set every persisted field from `data_path`, or to an empty store's
+        when there is no file. State that is not persisted (agents, rules,
+        instances, aliases) is left as it is."""
+        state: dict = {}
+        if self.data_path and os.path.exists(self.data_path):
+            with open(self.data_path, "r", encoding="utf-8") as fh:
+                state = json.load(fh)
+        self.specialists: set[str] = set(state.get("specialists", []))
+        self.metrics: dict[str, MetricDef] = {m.metric_id: m for m in BUILTIN_METRICS}
         for m in state.get("metrics", []):
             self.metrics[m["metric_id"]] = MetricDef(
                 m["metric_id"], m["name"], m["unit"], MetricDirection(m["direction"])
             )
+        self.modules: dict[str, ModuleManifest] = {}
         for doc in state.get("modules", []):
             manifest = manifest_from_doc(doc, self.library)
             self.modules[manifest.module_id] = manifest
+        self.licenses: dict[tuple[str, str], License] = {}
+        self._tokens: dict[str, License] = {}
         for l in state.get("licenses", []):
             license = License(l["app_id"], l["module_id"], l["issued_at_ms"], l["token"])
             self.licenses[(license.app_id, license.module_id)] = license

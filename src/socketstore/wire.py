@@ -135,6 +135,8 @@ class StoreProtocol:
     def _on_instantiate(self, session, message):
         module_id = str(message["module_id"])
         inputs = message["inputs"]
+        if not isinstance(inputs, dict):
+            return {"kind": "PROTOCOL_ERROR", "reason": "inputs must be an object"}
         token = session.authorized.get(module_id)
         if token is None:
             return {

@@ -112,7 +112,8 @@ class TestMessaging:
             rt.send_message(frm, to, {"kind": "read", "n": n})
             sent.setdefault((frm, to), []).append(n)
         # exactly-once: every sent message delivered exactly once
-        delivered_ns = [m.payload["n"] for m in rt.delivered if "n" in m.payload]
+        delivered_ns = [m.payload["n"] for agent in rt.agents.values()
+                        for m in agent.inbox if "n" in m.payload]
         assert sorted(delivered_ns) == list(range(len(plan)))
         for (frm, to), ns in sent.items():
             got = [

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from socketstore.fixtures import evaluation_topology
 from socketstore.kmflash import (
     AllocationFailure,
-    AllocationRequest,
     KMError,
     allocate_disjoint_paths,
     collect_stats,
@@ -231,45 +230,22 @@ class TestDeploy:
         assert sim.all_rules() == []
         assert sim.link_stats("A-R1").load_mbps == 0.0
 
-    def test_stale_snapshot_retry_then_failure(self, sim):
+    def test_stale_pathset_rolls_back(self, sim):
+        # path 1 crosses R3-R5: path 0 is deployed and reserved before it fails
         pathset = allocate_disjoint_paths(view_of(sim), "A", "B", 2, 10.0, 5.0)
-        request = AllocationRequest("A", "B", 2, 10.0, 5.0, 1.0)
         sim.remove_link("R3-R5")
-        result = deploy_mirror_paths(sim, FLOW, pathset, 10.0, retry=request)
+        result = deploy_mirror_paths(sim, FLOW, pathset, 10.0)
         assert isinstance(result, AllocationFailure)
-        assert result.max_feasible_k == 1
+        assert result.reason.startswith("deployment conflict: ")
+        assert result.max_feasible_k == 2
         assert sim.all_rules() == []
-
-    def test_stale_snapshot_retry_succeeds_when_refeasible(self):
-        # three parallel 2-hop routes: losing one still leaves two disjoint
-        spec = {
-            "nodes": [
-                {"id": "A", "kind": "host", "nic_count": 3},
-                {"id": "B", "kind": "host", "nic_count": 3},
-                {"id": "S1", "kind": "switch"},
-                {"id": "S2", "kind": "switch"},
-                {"id": "S3", "kind": "switch"},
-            ],
-            "links": [
-                {"endpoints": [a, b], "capacity_mbps": 100, "latency_ms": 0.5}
-                for a, b in [("A", "S1"), ("S1", "B"), ("A", "S2"), ("S2", "B"),
-                             ("A", "S3"), ("S3", "B")]
-            ],
-        }
-        sim = Simulator(build_topology(spec))
-        pathset = allocate_disjoint_paths(view_of(sim), "A", "B", 2, 10.0, 5.0)
-        stale_links = {lid for p in pathset.paths for lid in p}
-        request = AllocationRequest("A", "B", 2, 10.0, 5.0, 1.0)
-        sim.remove_link(sorted(stale_links)[0])
-        result = deploy_mirror_paths(sim, FLOW, pathset, 10.0, retry=request)
-        assert not isinstance(result, AllocationFailure)
-        assert len(sim.all_rules()) == 2  # one switch per 2-hop path
+        assert all(sim.link_load_mbps(lid) == 0.0 for lid in sim.topology.links)
 
     def test_deploy_empty_pathset_rejected(self, sim):
         from socketstore.kmflash import PathSet
 
         with pytest.raises(KMError, match="empty path set"):
-            deploy_mirror_paths(sim, FLOW, PathSet((), (), ()), 10.0)
+            deploy_mirror_paths(sim, FLOW, PathSet((), ()), 10.0)
 
 
 def deployed_handles(sim, k=2, rate=10.0):

@@ -58,6 +58,10 @@ def purchased_token(store: SocketStore, app=APP) -> str:
     return store.purchase(app, mid).token
 
 
+def failing_dump(obj, fh, **kwargs):
+    raise OSError("disk full")
+
+
 class TestSubmit:
     def test_valid_manifest_submitted(self):
         store = fresh_store(with_sim=False)
@@ -574,3 +578,26 @@ class TestPersistence:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
         assert len(SocketStore(data_path=str(path)).log) == logged
+
+    def test_failed_write_restores_memory_from_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+        store = fresh_store(with_sim=False, data_path=str(path),
+                            token_factory=lambda: "lost-token")
+        mid = publish_flash(store)
+        logged = len(store.log)
+        monkeypatch.setattr(store_module.json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            store.purchase(APP, mid)
+        monkeypatch.undo()
+        assert store.licenses == {} and len(store.log) == logged
+        assert store.authorize("lost-token", mid) is False
+        assert json.loads(path.read_text())["licenses"] == []
+
+    def test_failed_first_write_leaves_an_empty_store(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+        store = SocketStore(data_path=str(path))
+        monkeypatch.setattr(store_module.json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            store.register_specialist(AUTHOR)
+        assert store.specialists == set() and store.log == []
+        assert not path.exists()

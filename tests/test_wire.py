@@ -3,6 +3,8 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socketstore.fixtures import evaluation_topology, flash_delivery_manifest
 from socketstore.netsim import Simulator
@@ -26,14 +28,18 @@ KM_INPUTS = {
 }
 
 
-@pytest.fixture
-def store():
-    s = SocketStore(sim=Simulator(evaluation_topology()))
+def published_store(**kwargs):
+    s = SocketStore(sim=Simulator(evaluation_topology()), **kwargs)
     s.register_specialist(AUTHOR)
     mid = s.submit_module(flash_delivery_manifest(s.library))
     s.start_review(mid, "review-board")
     s.review_decision(mid, "accept", "review-board")
     return s
+
+
+@pytest.fixture
+def store():
+    return published_store()
 
 
 @pytest.fixture
@@ -185,6 +191,8 @@ class TestInstantiateOverWire:
         (dict(KM_INPUTS, endpointB=KM_INPUTS["endpointA"]), "must differ"),
         (dict(KM_INPUTS, endpointB={"address": "Z9", "port": 5000, "nic": 0}),
          "not in topology"),
+        (dict(KM_INPUTS, rate=10**400), "too large"),
+        (dict(KM_INPUTS, max_latency=-10**400), "too large"),
     ])
     def test_allocator_rejection_reported(self, store, transport, inputs, reason):
         auth_ok(store, transport)
@@ -195,6 +203,15 @@ class TestInstantiateOverWire:
         assert reply["kind"] == "INSTANTIATE_FAIL"
         assert reason in reply["reason"]
         assert set(store.runtime.agents) == agents_before
+
+    @pytest.mark.parametrize("inputs", [5, None, True, [], "K"])
+    def test_inputs_must_be_an_object(self, store, transport, inputs):
+        auth_ok(store, transport)
+        reply = transport.request(
+            {"kind": "INSTANTIATE", "module_id": "flash-delivery", "inputs": inputs}
+        )
+        assert reply == {"kind": "PROTOCOL_ERROR", "reason": "inputs must be an object"}
+        assert store.runtime.agents == {}
 
     def test_cost_and_teardown(self, store, transport):
         auth_ok(store, transport)
@@ -253,6 +270,24 @@ class TestTCP:
             server.shutdown()
             server.server_close()
 
+    def test_non_object_inputs_answered_and_session_kept(self, store):
+        server = StoreServer(store, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = TCPTransport(*server.address)
+            token = store.purchase("tcp-app", "flash-delivery").token
+            auth = {"kind": "AUTH", "token": token, "module_id": "flash-delivery"}
+            assert client.request(auth)["kind"] == "AUTH_OK"
+            bad = {"kind": "INSTANTIATE", "module_id": "flash-delivery", "inputs": None}
+            assert client.request(bad)["kind"] == "PROTOCOL_ERROR"
+            good = dict(bad, inputs=KM_INPUTS)
+            assert client.request(good)["kind"] == "INSTANTIATE_OK"
+            client.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_unreachable_raises_transport_error(self):
         client = TCPTransport("127.0.0.1", 1)  # nothing listens on port 1
         with pytest.raises(TransportError):
@@ -262,3 +297,62 @@ class TestTCP:
         line = encode({"kind": "HELLO", "app_id": "x"})
         assert line.endswith("\n")
         assert "\n" not in line[:-1]
+
+
+MISSING = object()
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+ENDPOINT = st.sampled_from(["A", "B"]).map(lambda a: {"address": a, "port": 5000, "nic": 0})
+INSTANCE = st.sampled_from(["inst-0001", "inst-0002", "inst-0003", "ghost"])
+
+
+def fields(**valid):
+    """An object whose every field is drawn valid, as arbitrary JSON or missing."""
+    return st.fixed_dictionaries(
+        {name: st.one_of(value, JSON, st.just(MISSING)) for name, value in valid.items()}
+    ).map(lambda doc: {k: v for k, v in doc.items() if v is not MISSING})
+
+
+MESSAGES = {
+    "HELLO": fields(app_id=st.just("prop-app")),
+    "AUTH": fields(token=st.sampled_from(["prop-token", "forged"]),
+                   module_id=st.just("flash-delivery")),
+    "BIND": fields(alias=st.sampled_from(["peer", "self"]),
+                   connectivity=st.lists(ENDPOINT, max_size=2)),
+    "RESOLVE": fields(alias=st.sampled_from(["peer", "nope"])),
+    "INSTANTIATE": fields(
+        module_id=st.just("flash-delivery"),
+        inputs=fields(endpointA=ENDPOINT, endpointB=ENDPOINT, K=st.integers(1, 3),
+                      rate=st.sampled_from([10.0, 60.0]), max_latency=st.sampled_from([1.0, 5.0])),
+    ),
+    "COST": fields(instance_id=INSTANCE),
+    "TEARDOWN": fields(instance_id=INSTANCE),
+    "SHUTDOWN": fields(instance_id=INSTANCE),
+}
+MESSAGE = st.sampled_from(sorted(MESSAGES)).flatmap(
+    lambda kind: MESSAGES[kind].map(lambda doc: dict(doc, kind=kind))
+)
+
+
+def network_state(store):
+    sim = store.sim
+    return (dict(store.runtime.agents), sorted(map(repr, sim.all_rules())),
+            [sim.link_load_mbps(lid) for lid in sim.topology.links])
+
+
+@settings(max_examples=300, deadline=None)
+@given(messages=st.lists(MESSAGE, max_size=12))
+def test_property_every_reply_has_a_kind_and_failures_change_nothing(messages):
+    store = published_store(token_factory=lambda: "prop-token")
+    transport = LocalTransport(StoreProtocol(store))
+    auth_ok(store, transport)
+    for message in messages:
+        before = network_state(store)
+        reply = transport.request(message)
+        assert isinstance(reply, dict) and isinstance(reply.get("kind"), str)
+        if reply["kind"] not in ("INSTANTIATE_OK", "TEARDOWN_OK"):
+            assert network_state(store) == before, (message, reply)
