@@ -52,7 +52,6 @@ class LifecycleState(str, Enum):
 class ParamSpec:
     name: str
     semantic_type: str
-    required: bool = True
 
 
 @dataclass(frozen=True)
@@ -305,14 +304,13 @@ class AgentRuntime:
                 f"unknown params for {typedef.type_name}: {sorted(unknown)}"
             )
         for p in typedef.params:
-            if p.required and p.name not in params:
+            if p.name not in params:
                 raise SchemaViolation(f"missing param {p.name!r} for {typedef.type_name}")
-            if p.name in params:
-                value = params[p.name]
-                if p.semantic_type == "int" and not isinstance(value, int):
-                    raise SchemaViolation(f"param {p.name!r} must be an integer")
-                if p.semantic_type in ("mbps", "ms") and not isinstance(value, (int, float)):
-                    raise SchemaViolation(f"param {p.name!r} must be a number")
+            value = params[p.name]
+            if p.semantic_type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise SchemaViolation(f"param {p.name!r} must be an integer")
+            if p.semantic_type in ("mbps", "ms") and not isinstance(value, (int, float)):
+                raise SchemaViolation(f"param {p.name!r} must be a number")
 
     def agent(self, agent_id: str) -> Agent:
         try:

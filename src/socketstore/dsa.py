@@ -52,9 +52,9 @@ class ConnectOptions:
     def __post_init__(self):
         if self.k < 1:
             raise DsaError("K must be >= 1")
-        if self.rate_mbps <= 0:
+        if not self.rate_mbps > 0:
             raise DsaError("rate must be positive")
-        if self.max_latency_ms <= 0:
+        if not self.max_latency_ms > 0:
             raise DsaError("max_latency must be positive")
         if self.on_failure not in ("fallback", "negotiate"):
             raise DsaError(f"unknown on_failure mode {self.on_failure!r}")

@@ -100,11 +100,11 @@ def allocate_disjoint_paths(
     latencies = tuple(sum(links[lid].latency_ms for lid in p) for p in paths)
     pathset = PathSet(paths=paths, latencies_ms=latencies)
     worst = max(latencies)
-    if worst > max_latency_ms + 1e-12:
+    if not worst <= max_latency_ms + 1e-12:
         return AllocationFailure(
             f"path latency {worst} ms exceeds max latency {max_latency_ms} ms", k
         )
-    if pathset.spread_ms > spread_ms + 1e-12:
+    if not pathset.spread_ms <= spread_ms + 1e-12:
         return AllocationFailure(
             f"latency spread {pathset.spread_ms} ms exceeds tolerance {spread_ms} ms", k
         )
@@ -359,7 +359,7 @@ KM_TYPE_NAME = "KMirror"
 def _address_of(endpoint_value) -> str:
     if isinstance(endpoint_value, str):
         return endpoint_value
-    if isinstance(endpoint_value, dict):
+    if isinstance(endpoint_value, dict) and "address" in endpoint_value:
         return str(endpoint_value["address"])
     if isinstance(endpoint_value, (list, tuple)) and endpoint_value:
         return _address_of(endpoint_value[0])

@@ -95,9 +95,6 @@ class NSD:
     directives: tuple[Directive, ...] = ()
     wires: tuple[tuple[str, str], ...] = ()
 
-    def input_names(self) -> list[str]:
-        return [i.name for i in self.inputs]
-
 
 def validate_nsd(nsd: NSD, library: AgentTypeLibrary) -> list[str]:
     """Structural validation; returns the full violation list instead of

@@ -178,10 +178,8 @@ class ActionLogEntry:
 class ModuleInstance:
     instance_id: str
     module_id: str
-    inputs: dict
     agent_ids: tuple[str, ...]
     adapter_ids: tuple[str, ...]
-    started_at_ms: float
     ledger: UsageLedger
     allocation: dict
     torn_down_at_ms: float | None = None
@@ -491,21 +489,16 @@ class SocketStore:
     def bind_alias(self, alias: str, connectivity: list[dict], owner: str) -> None:
         if not alias:
             raise StoreError("empty alias")
+        existing = self.aliases.get(alias)
         if not connectivity:
-            existing = self.aliases.get(alias)
             if existing is not None and existing["owner"] == owner:
                 del self.aliases[alias]
                 self.log_action(owner, "unbind_alias", "ok", alias=alias)
             return
-        existing = self.aliases.get(alias)
         if existing is not None and existing["owner"] != owner:
             self.log_action(owner, "bind_alias", "error", alias=alias, reason="alias conflict")
             raise StoreError(f"alias conflict: {alias!r} is bound by another live device")
-        self.aliases[alias] = {
-            "owner": owner,
-            "connectivity": connectivity,
-            "bound_at_ms": self.now_ms(),
-        }
+        self.aliases[alias] = {"owner": owner, "connectivity": connectivity}
         self.log_action(owner, "bind_alias", "ok", alias=alias,
                         endpoints=len(connectivity))
 
@@ -538,10 +531,8 @@ class SocketStore:
         instance = ModuleInstance(
             instance_id=instance_id,
             module_id=module_id,
-            inputs=dict(inputs),
             agent_ids=agent_ids,
             adapter_ids=adapter_ids,
-            started_at_ms=self.now_ms(),
             ledger=ledger,
             allocation=allocation,
         )

@@ -1,36 +1,53 @@
 """Device-to-store wire protocol: newline-delimited JSON messages over a
 reliable stream.
 
-Request kinds and their replies:
+Request kinds (their fields are in SCHEMA) and their replies:
 
-    HELLO{app_id}                 -> HELLO_OK{app_id}
-    AUTH{token, module_id}        -> AUTH_OK{module_id} | AUTH_DENY{reason}
-    BIND{alias, connectivity}     -> BIND_OK{alias} | BIND_FAIL{reason}
-    RESOLVE{alias}                -> RESOLVE_OK{connectivity} | RESOLVE_FAIL{reason}
-    INSTANTIATE{module_id, inputs}-> INSTANTIATE_OK{instance_id, allocation}
-                                     | INSTANTIATE_FAIL{reason[, max_feasible_k]}
-    COST{instance_id}             -> COST_REPORT{...} | COST_FAIL{reason}
-    TEARDOWN{instance_id}         -> TEARDOWN_OK{instance_id} | TEARDOWN_FAIL{reason}
+    HELLO        -> HELLO_OK{app_id}
+    AUTH         -> AUTH_OK{module_id} | AUTH_DENY{reason}
+    BIND         -> BIND_OK{alias} | BIND_FAIL{reason}
+    RESOLVE      -> RESOLVE_OK{connectivity} | RESOLVE_FAIL{reason}
+    INSTANTIATE  -> INSTANTIATE_OK{instance_id, allocation}
+                    | INSTANTIATE_FAIL{reason[, max_feasible_k]}
+    COST         -> COST_REPORT{...} | COST_FAIL{reason}
+    TEARDOWN     -> TEARDOWN_OK{instance_id} | TEARDOWN_FAIL{reason}
 
-Unknown kinds and malformed messages are answered with
-PROTOCOL_ERROR{reason}. Binding with an empty connectivity list releases the
-alias. Control-plane only: no payload-bearing message kind exists.
+Each request is checked against its SCHEMA row before dispatch: unknown kinds,
+missing or mistyped fields and malformed lines (non-finite numbers included)
+are answered with PROTOCOL_ERROR{reason}. An empty connectivity list releases
+a bound alias. Control-plane only: no payload-bearing kind exists.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import threading
 from dataclasses import dataclass, field
 
-from .store import (
-    AuthorizationDenied,
-    InstantiationError,
-    SocketStore,
-    StoreError,
-)
+from .store import InstantiationError, SocketStore, StoreError
+
+# The JSON types of request fields, each named as a PROTOCOL_ERROR names it.
+STRING, OBJECT = "a string", "an object"
+ENDPOINTS = "a list of objects with a string 'address'"
+_IS = {
+    STRING: lambda value: isinstance(value, str),
+    OBJECT: lambda value: isinstance(value, dict),
+    ENDPOINTS: lambda value: isinstance(value, list) and all(
+        isinstance(e, dict) and isinstance(e.get("address"), str) for e in value),
+}
+# The fields of each request kind and their types; no other code states them.
+SCHEMA: dict[str, dict[str, str]] = {
+    "HELLO": {"app_id": STRING},
+    "AUTH": {"token": STRING, "module_id": STRING},
+    "BIND": {"alias": STRING, "connectivity": ENDPOINTS},
+    "RESOLVE": {"alias": STRING},
+    "INSTANTIATE": {"module_id": STRING, "inputs": OBJECT},
+    "COST": {"instance_id": STRING},
+    "TEARDOWN": {"instance_id": STRING},
+}
 
 
 class TransportError(Exception):
@@ -52,11 +69,30 @@ def encode(message: dict) -> str:
     return json.dumps(message, sort_keys=True) + "\n"
 
 
-def decode(line: str) -> dict:
-    message = json.loads(line)
-    if not isinstance(message, dict) or "kind" not in message:
-        raise ValueError("message must be an object with a 'kind' field")
-    return message
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+# built once: json.loads with parse_float builds a new decoder on every call
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+
+
+def _violation(message) -> str | None:
+    """Why `message` does not match its SCHEMA row, or None if it does."""
+    if not isinstance(message, dict):
+        return "message must be an object"
+    kind = message.get("kind")
+    if not isinstance(kind, str) or kind not in SCHEMA:
+        return f"unknown message kind {kind!r}"
+    for name, json_type in SCHEMA[kind].items():
+        if name not in message:
+            return f"{kind} missing field {name!r}"
+        if not _IS[json_type](message[name]):
+            return f"{name} must be {json_type}"
+    return None
 
 
 class StoreProtocol:
@@ -72,71 +108,51 @@ class StoreProtocol:
 
     def handle_line(self, session: Session, line: str) -> dict:
         try:
-            message = decode(line)
-        except ValueError as exc:
+            message = _DECODER.decode(line)
+        except (ValueError, RecursionError) as exc:  # nesting too deep to decode
             return {"kind": "PROTOCOL_ERROR", "reason": f"malformed message: {exc}"}
         return self.handle(session, message)
 
     def handle(self, session: Session, message: dict) -> dict:
-        kind = message.get("kind")
-        handler = getattr(self, f"_on_{str(kind).lower()}", None)
-        if handler is None:
-            return {"kind": "PROTOCOL_ERROR", "reason": f"unknown message kind {kind!r}"}
+        reason = _violation(message)
+        if reason is not None:
+            return {"kind": "PROTOCOL_ERROR", "reason": reason}
+        row = SCHEMA[message["kind"]]
+        handler = getattr(self, f"_on_{message['kind'].lower()}")
         with self._lock:
-            try:
-                return handler(session, message)
-            except KeyError as exc:
-                return {
-                    "kind": "PROTOCOL_ERROR",
-                    "reason": f"{kind} missing field {exc.args[0]!r}",
-                }
+            return handler(session, **{name: message[name] for name in row})
 
     # -- handlers ---------------------------------------------------------
 
-    def _on_hello(self, session, message):
-        session.app_id = str(message["app_id"])
-        return {"kind": "HELLO_OK", "app_id": session.app_id}
+    def _on_hello(self, session, app_id):
+        session.app_id = app_id
+        return {"kind": "HELLO_OK", "app_id": app_id}
 
-    def _on_auth(self, session, message):
-        token = str(message["token"])
-        module_id = str(message["module_id"])
+    def _on_auth(self, session, token, module_id):
         if self.store.authorize(token, module_id):
             session.authorized[module_id] = token
             return {"kind": "AUTH_OK", "module_id": module_id}
         return {"kind": "AUTH_DENY", "reason": "no license binds this token to the module"}
 
-    def _on_bind(self, session, message):
-        alias = str(message["alias"])
-        connectivity = message["connectivity"]
-        if not (isinstance(connectivity, list)
-                and all(isinstance(entry, dict) for entry in connectivity)):
-            return {"kind": "PROTOCOL_ERROR",
-                    "reason": "connectivity must be a list of objects"}
+    def _on_bind(self, session, alias, connectivity):
         if connectivity:
             owner = f"{session.app_id or 'anonymous'}@{connectivity[0]['address']}"
             session.bound_aliases[alias] = owner
         else:
             owner = session.bound_aliases.get(alias, "")
-            if not owner:
-                return {"kind": "BIND_OK", "alias": alias}
         try:
             self.store.bind_alias(alias, connectivity, owner)
         except StoreError as exc:
             return {"kind": "BIND_FAIL", "reason": str(exc)}
         return {"kind": "BIND_OK", "alias": alias}
 
-    def _on_resolve(self, session, message):
-        alias = str(message["alias"])
+    def _on_resolve(self, session, alias):
         connectivity = self.store.resolve_alias(alias)
         if connectivity is None:
             return {"kind": "RESOLVE_FAIL", "reason": f"unknown alias {alias!r}"}
         return {"kind": "RESOLVE_OK", "connectivity": connectivity}
 
-    def _on_instantiate(self, session, message):
-        module_id = str(message["module_id"])
-        inputs = message["inputs"]
-        if not isinstance(inputs, dict):
-            return {"kind": "PROTOCOL_ERROR", "reason": "inputs must be an object"}
+    def _on_instantiate(self, session, module_id, inputs):
         token = session.authorized.get(module_id)
         if token is None:
             return {
@@ -145,8 +161,6 @@ class StoreProtocol:
             }
         try:
             instance = self.store.instantiate(token, module_id, inputs)
-        except AuthorizationDenied:
-            return {"kind": "INSTANTIATE_FAIL", "reason": "authorization denied"}
         except InstantiationError as exc:
             reply = {"kind": "INSTANTIATE_FAIL", "reason": exc.reason}
             if exc.max_feasible_k is not None:
@@ -160,8 +174,7 @@ class StoreProtocol:
             "allocation": instance.allocation,
         }
 
-    def _on_cost(self, session, message):
-        instance_id = str(message["instance_id"])
+    def _on_cost(self, session, instance_id):
         try:
             report = self.store.cost(instance_id)
         except StoreError as exc:
@@ -174,8 +187,7 @@ class StoreProtocol:
             "weighted_total": report.weighted_total,
         }
 
-    def _on_teardown(self, session, message):
-        instance_id = str(message["instance_id"])
+    def _on_teardown(self, session, instance_id):
         try:
             self.store.teardown_instance(instance_id)
         except StoreError as exc:
@@ -193,10 +205,8 @@ class LocalTransport:
     def __init__(self, protocol: StoreProtocol):
         self.protocol = protocol
         self.session = protocol.new_session()
-        self.sent: list[dict] = []
 
     def request(self, message: dict) -> dict:
-        self.sent.append(message)
         # round-trip through the line encoding to keep both sides honest
         return self.protocol.handle_line(self.session, encode(message))
 

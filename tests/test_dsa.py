@@ -155,6 +155,10 @@ class TestConnect:
         with pytest.raises(DsaError):
             ConnectOptions(rate_mbps=0)
         with pytest.raises(DsaError):
+            ConnectOptions(rate_mbps=float("nan"))
+        with pytest.raises(DsaError):
+            ConnectOptions(max_latency_ms=float("nan"))
+        with pytest.raises(DsaError):
             ConnectOptions(on_failure="explode")
 
     def test_negotiate_mode_invokes_callback_and_opens_nothing(self):
@@ -241,11 +245,12 @@ class TestClose:
         sim, store, protocol = make_world()
         dsa_a, dsa_b = client_pair(sim, protocol)
         dsa_b.bind("Device_B")
-        transport = dsa_a.transport
         conn = dsa_a.connect("Device_B", MODULE, "junk")
-        sent_before = len(transport.sent)
+        requests = []
+        inner = dsa_a.transport.request
+        dsa_a.transport.request = lambda message: requests.append(message) or inner(message)
         conn.close()
-        assert len(transport.sent) == sent_before
+        assert requests == []
 
 
 FAULTS = ["down", "timeout", "cut_after_1", "cut_after_2", "deny", "instantiate_fail"]

@@ -105,6 +105,11 @@ class TestAllocate:
         assert isinstance(result, AllocationFailure)
         assert "spread" in result.reason
 
+    @pytest.mark.parametrize("max_latency, spread", [(float("nan"), 1.0), (5.0, float("nan"))])
+    def test_nan_bound_admits_no_path(self, sim, max_latency, spread):
+        result = allocate_disjoint_paths(view_of(sim), "A", "B", 2, 10.0, max_latency, spread)
+        assert isinstance(result, AllocationFailure)
+
     def test_capacity_filter_excludes_thin_links(self):
         view = mkview(
             ["A", "M", "B"],

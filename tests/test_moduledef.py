@@ -35,7 +35,7 @@ class TestParseNSD:
         assert len(nsd.directives) == 1
         assert len(nsd.inputs) == 5
         assert nsd.directives[0].type_name == "KMirror"
-        assert nsd.input_names() == ["endpointA", "endpointB", "K", "rate", "max_latency"]
+        assert [i.name for i in nsd.inputs] == ["endpointA", "endpointB", "K", "rate", "max_latency"]
 
     def test_unknown_agent_type_rejected(self, library):
         doc = '<nsd><agent id="x" type="CustomExfilAgent" /></nsd>'

@@ -272,6 +272,13 @@ class TestInstantiate:
             store.instantiate(token, "flash-delivery", inputs)
         assert err.value.max_feasible_k == 2
 
+    def test_nan_max_latency_rejected(self):
+        store = fresh_store()
+        token = purchased_token(store)
+        with pytest.raises(InstantiationError, match="exceeds max latency nan"):
+            store.instantiate(token, "flash-delivery", dict(KM_INPUTS, max_latency=float("nan")))
+        assert store.runtime.agents == {}
+
     def test_rollback_leaves_no_agents(self):
         store = fresh_store()
         token = purchased_token(store)

@@ -10,6 +10,7 @@ from socketstore.fixtures import evaluation_topology, flash_delivery_manifest
 from socketstore.netsim import Simulator
 from socketstore.store import SocketStore
 from socketstore.wire import (
+    SCHEMA,
     LocalTransport,
     StoreProtocol,
     StoreServer,
@@ -74,8 +75,21 @@ class TestHandshake:
 
     def test_malformed_line(self, protocol):
         session = protocol.new_session()
-        reply = protocol.handle_line(session, "{not json")
-        assert reply["kind"] == "PROTOCOL_ERROR"
+        for line in ("{not json", "[" * 100_000):
+            reply = protocol.handle_line(session, line)
+            assert reply["kind"] == "PROTOCOL_ERROR"
+            assert reply["reason"].startswith("malformed message: ")
+
+    @pytest.mark.parametrize("line, reason", [
+        ('{"kind": "hello", "app_id": "x"}', "unknown message kind 'hello'"),
+        ('{"kind": ["HELLO"], "app_id": "x"}', "unknown message kind ['HELLO']"),
+        ('{"kind": "HELLO", "app_id": 5}', "app_id must be a string"),
+        ('{"kind": "RESOLVE", "alias": null}', "alias must be a string"),
+        ('["HELLO"]', "message must be an object"),
+    ])
+    def test_kinds_and_field_types_are_strict(self, protocol, line, reason):
+        reply = protocol.handle_line(protocol.new_session(), line)
+        assert reply == {"kind": "PROTOCOL_ERROR", "reason": reason}
 
     def test_missing_field(self, transport):
         reply = transport.request({"kind": "AUTH", "token": "x"})
@@ -128,7 +142,8 @@ class TestBindResolve:
         assert reply["kind"] == "BIND_FAIL"
         assert "alias conflict" in reply["reason"]
 
-    @pytest.mark.parametrize("bad", ["abc", [1, 2], ["B"], {"address": "B"}])
+    @pytest.mark.parametrize("bad", ["abc", [1, 2], ["B"], {"address": "B"}, [{}],
+                                     [{"address": 5}]])
     def test_connectivity_must_be_a_list_of_objects(self, transport, bad):
         reply = transport.request({"kind": "BIND", "alias": "x", "connectivity": bad})
         assert reply["kind"] == "PROTOCOL_ERROR"
@@ -193,6 +208,7 @@ class TestInstantiateOverWire:
          "not in topology"),
         (dict(KM_INPUTS, rate=10**400), "too large"),
         (dict(KM_INPUTS, max_latency=-10**400), "too large"),
+        (dict(KM_INPUTS, K=True), "must be an integer"),
     ])
     def test_allocator_rejection_reported(self, store, transport, inputs, reason):
         auth_ok(store, transport)
@@ -203,6 +219,28 @@ class TestInstantiateOverWire:
         assert reply["kind"] == "INSTANTIATE_FAIL"
         assert reason in reply["reason"]
         assert set(store.runtime.agents) == agents_before
+
+    @pytest.mark.parametrize("endpoint", [{}, [{}]])
+    def test_addressless_endpoint_fails_and_is_rolled_back(self, store, transport, endpoint):
+        auth_ok(store, transport)
+        before = network_state(store)
+        reply = transport.request({"kind": "INSTANTIATE", "module_id": "flash-delivery",
+                                   "inputs": dict(KM_INPUTS, endpointA=endpoint)})
+        assert reply["kind"] == "INSTANTIATE_FAIL"
+        assert "cannot extract an address" in reply["reason"]
+        assert (store.log[-1].action, store.log[-1].outcome) == ("instantiate", "error")
+        assert network_state(store) == before
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_is_a_protocol_error(self, store, transport, literal):
+        auth_ok(store, transport)
+        message = {"kind": "INSTANTIATE", "module_id": "flash-delivery",
+                   "inputs": dict(KM_INPUTS, max_latency="LITERAL")}
+        line = encode(message).replace('"LITERAL"', literal)
+        reply = transport.protocol.handle_line(transport.session, line)
+        assert reply == {"kind": "PROTOCOL_ERROR",
+                         "reason": f"malformed message: non-finite number {literal}"}
+        assert store.runtime.agents == {}
 
     @pytest.mark.parametrize("inputs", [5, None, True, [], "K"])
     def test_inputs_must_be_an_object(self, store, transport, inputs):
@@ -231,62 +269,54 @@ class TestInstantiateOverWire:
 
 
 class TestControlPlaneOnly:
-    def test_no_payload_bearing_kind_exists(self, store, transport):
+    def test_no_payload_bearing_kind_exists(self):
         """The protocol vocabulary has no way to carry application payload."""
-        auth_ok(store, transport)
-        for msg in transport.sent:
-            assert "payload" not in msg
-            assert "data" not in msg
+        for kind, row in SCHEMA.items():
+            assert not {"payload", "data"} & set(row), kind
+
+
+@pytest.fixture
+def server(store):
+    server = StoreServer(store, "127.0.0.1", 0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield server
+    server.shutdown()
+    server.server_close()
 
 
 class TestTCP:
-    def test_round_trip_over_sockets(self, store):
-        server = StoreServer(store, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = server.address
-            client = TCPTransport(host, port)
-            assert client.request({"kind": "HELLO", "app_id": "tcp-app"})["kind"] == "HELLO_OK"
-            reply = client.request({"kind": "RESOLVE", "alias": "nope"})
-            assert reply["kind"] == "RESOLVE_FAIL"
-            client.close()
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_round_trip_over_sockets(self, server):
+        client = TCPTransport(*server.address)
+        assert client.request({"kind": "HELLO", "app_id": "tcp-app"})["kind"] == "HELLO_OK"
+        reply = client.request({"kind": "RESOLVE", "alias": "nope"})
+        assert reply["kind"] == "RESOLVE_FAIL"
+        client.close()
 
-    def test_non_utf8_line_answered_and_session_kept(self, store):
-        server = StoreServer(store, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with socket.create_connection(server.address, timeout=2.0) as sock:
-                replies = sock.makefile("rb")
-                sock.sendall(b"\xff\xfe{}\n")
-                assert json.loads(replies.readline())["kind"] == "PROTOCOL_ERROR"
-                sock.sendall(encode({"kind": "HELLO", "app_id": "x"}).encode("utf-8"))
-                assert json.loads(replies.readline())["kind"] == "HELLO_OK"
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_non_utf8_line_answered_and_session_kept(self, server):
+        with socket.create_connection(server.address, timeout=2.0) as sock:
+            replies = sock.makefile("rb")
+            sock.sendall(b"\xff\xfe{}\n")
+            assert json.loads(replies.readline())["kind"] == "PROTOCOL_ERROR"
+            sock.sendall(encode({"kind": "HELLO", "app_id": "x"}).encode("utf-8"))
+            assert json.loads(replies.readline())["kind"] == "HELLO_OK"
 
-    def test_non_object_inputs_answered_and_session_kept(self, store):
-        server = StoreServer(store, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            client = TCPTransport(*server.address)
-            token = store.purchase("tcp-app", "flash-delivery").token
-            auth = {"kind": "AUTH", "token": token, "module_id": "flash-delivery"}
-            assert client.request(auth)["kind"] == "AUTH_OK"
-            bad = {"kind": "INSTANTIATE", "module_id": "flash-delivery", "inputs": None}
-            assert client.request(bad)["kind"] == "PROTOCOL_ERROR"
-            good = dict(bad, inputs=KM_INPUTS)
-            assert client.request(good)["kind"] == "INSTANTIATE_OK"
-            client.close()
-        finally:
-            server.shutdown()
-            server.server_close()
+    @staticmethod
+    def bad_inputs_answered_and_session_kept(store, server, bad_inputs):
+        client = TCPTransport(*server.address)
+        token = store.purchase("tcp-app", "flash-delivery").token
+        auth = {"kind": "AUTH", "token": token, "module_id": "flash-delivery"}
+        assert client.request(auth)["kind"] == "AUTH_OK"
+        bad = {"kind": "INSTANTIATE", "module_id": "flash-delivery", "inputs": bad_inputs}
+        assert client.request(bad)["kind"] == "PROTOCOL_ERROR"
+        assert client.request(dict(bad, inputs=KM_INPUTS))["kind"] == "INSTANTIATE_OK"
+        client.close()
+
+    def test_non_object_inputs_answered_and_session_kept(self, store, server):
+        self.bad_inputs_answered_and_session_kept(store, server, None)
+
+    def test_non_finite_number_answered_and_session_kept(self, store, server):
+        nan = dict(KM_INPUTS, max_latency=float("nan"))
+        self.bad_inputs_answered_and_session_kept(store, server, nan)
 
     def test_unreachable_raises_transport_error(self):
         client = TCPTransport("127.0.0.1", 1)  # nothing listens on port 1
@@ -301,8 +331,7 @@ class TestTCP:
 
 MISSING = object()
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
-    | st.floats(allow_nan=False, allow_infinity=False),
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6) | st.floats(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
@@ -317,22 +346,26 @@ def fields(**valid):
     ).map(lambda doc: {k: v for k, v in doc.items() if v is not MISSING})
 
 
-MESSAGES = {
-    "HELLO": fields(app_id=st.just("prop-app")),
-    "AUTH": fields(token=st.sampled_from(["prop-token", "forged"]),
-                   module_id=st.just("flash-delivery")),
-    "BIND": fields(alias=st.sampled_from(["peer", "self"]),
-                   connectivity=st.lists(ENDPOINT, max_size=2)),
-    "RESOLVE": fields(alias=st.sampled_from(["peer", "nope"])),
-    "INSTANTIATE": fields(
-        module_id=st.just("flash-delivery"),
-        inputs=fields(endpointA=ENDPOINT, endpointB=ENDPOINT, K=st.integers(1, 3),
-                      rate=st.sampled_from([10.0, 60.0]), max_latency=st.sampled_from([1.0, 5.0])),
-    ),
-    "COST": fields(instance_id=INSTANCE),
-    "TEARDOWN": fields(instance_id=INSTANCE),
-    "SHUTDOWN": fields(instance_id=INSTANCE),
+# One valid-value strategy per request field name in SCHEMA.
+VALID = {
+    "app_id": st.just("prop-app"),
+    "token": st.sampled_from(["prop-token", "forged"]),
+    "module_id": st.just("flash-delivery"),
+    "alias": st.sampled_from(["peer", "self", "nope", ""]),
+    "connectivity": st.lists(ENDPOINT, max_size=2),
+    "inputs": fields(endpointA=ENDPOINT, endpointB=ENDPOINT, K=st.integers(1, 3),
+                     rate=st.sampled_from([10.0, 60.0]), max_latency=st.sampled_from([1.0, 5.0])),
+    "instance_id": INSTANCE,
 }
+MESSAGES = {kind: fields(**{name: VALID.get(name, st.nothing()) for name in row})
+            for kind, row in SCHEMA.items()}
+MESSAGES["SHUTDOWN"] = fields(instance_id=INSTANCE)  # a kind the protocol does not know
+
+
+def test_every_schema_field_is_fuzzed():
+    assert {name for row in SCHEMA.values() for name in row} <= set(VALID)
+
+
 MESSAGE = st.sampled_from(sorted(MESSAGES)).flatmap(
     lambda kind: MESSAGES[kind].map(lambda doc: dict(doc, kind=kind))
 )
