@@ -9,6 +9,7 @@ direct resource bindings.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
@@ -60,7 +61,6 @@ class AgentTypeDef:
     kind: AgentKind
     params: tuple[ParamSpec, ...]
     message_kinds: tuple[str, ...]
-    doc: str = ""
     factory: Callable[..., "Agent"] | None = None
 
 
@@ -103,7 +103,6 @@ class Message:
     from_: str
     to: str
     payload: dict
-    ts_ms: float
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,6 @@ class AgentView:
     agent_id: str
     kind: AgentKind
     type_name: str
-    state: LifecycleState
     bound_resources: tuple[str, ...]
     composed: tuple[str, ...]
 
@@ -128,7 +126,6 @@ class Agent:
         self.env_id: str | None = None
         self.bound_resources: tuple[str, ...] = ()
         self.composed: tuple[str, ...] = ()
-        self.inbox: list[Message] = []
 
     def bind(self, runtime: "AgentRuntime") -> None:
         pass
@@ -137,7 +134,7 @@ class Agent:
         pass
 
     def handle_message(self, runtime: "AgentRuntime", message: Message) -> None:
-        self.inbox.append(message)
+        pass
 
 
 class SwitchAgent(Agent):
@@ -164,9 +161,7 @@ class SwitchAgent(Agent):
         runtime.sim.install_rule(rule)
 
     def handle_message(self, runtime, message):
-        super().handle_message(runtime, message)
-        kind = message.payload.get("kind")
-        if kind == "read_rules":
+        if message.payload.get("kind") == "read_rules":
             rules = [
                 {"flow": [r.flow.src, r.flow.dst, r.flow.tag],
                  "path_index": r.path_index, "out_link": r.out_link}
@@ -192,7 +187,6 @@ class LinkAgent(Agent):
         return runtime.sim.link_stats(self.link)
 
     def handle_message(self, runtime, message):
-        super().handle_message(runtime, message)
         if message.payload.get("kind") == "read":
             stats = self.read(runtime)
             runtime.reply(self, message, {
@@ -211,7 +205,6 @@ SWITCH_AGENT_TYPE = AgentTypeDef(
     kind=AgentKind.RESOURCE,
     params=(ParamSpec("switch", "switch_id"),),
     message_kinds=("read_rules",),
-    doc="Routing-table view and editor for one switch.",
     factory=SwitchAgent,
 )
 
@@ -220,7 +213,6 @@ LINK_AGENT_TYPE = AgentTypeDef(
     kind=AgentKind.RESOURCE,
     params=(ParamSpec("link", "link_id"),),
     message_kinds=("read",),
-    doc="Read-only static and monitored attributes of one link.",
     factory=LinkAgent,
 )
 
@@ -254,9 +246,8 @@ class AgentRuntime:
         self.environments: dict[str, Environment] = {}
         self.agents: dict[str, Agent] = {}
         self._agent_seq = 0
-        self._queue: list[Message] = []
+        self._queue: deque[Message] = deque()
         self._draining = False
-        self.store_inbox: list[Message] = []
         self._action_log = action_log
 
     def log(self, actor: str, action: str, outcome: str, **detail) -> None:
@@ -326,7 +317,7 @@ class AgentRuntime:
         if agent is None:
             return 0
         dropped = [m for m in self._queue if m.to == agent_id]
-        self._queue = [m for m in self._queue if m.to != agent_id]
+        self._queue = deque(m for m in self._queue if m.to != agent_id)
         for msg in dropped:
             self.log(agent_id, "drop_message", "ok", from_=msg.from_, kind=msg.payload.get("kind"))
         agent.release(self)
@@ -349,10 +340,11 @@ class AgentRuntime:
 
     # -- messaging ------------------------------------------------------------
 
-    def send_message(self, from_: str, to: str, payload: dict) -> None:
-        """Enqueue a message; raises MessageRejected when the destination is
-        unknown/destroyed or the payload kind is outside the destination
-        type's declared message schema."""
+    def send_message(self, from_: str, to: str, payload: dict) -> list[Message]:
+        """Deliver a message and every message it sets off; returns those
+        addressed to the store, in delivery order. Raises MessageRejected
+        when the destination is unknown/destroyed or the payload kind is
+        outside the destination type's declared message schema."""
         if to != STORE_ADDRESS:
             agent = self.agents.get(to)
             if agent is None or agent.state is not LifecycleState.RUNNING:
@@ -362,26 +354,25 @@ class AgentRuntime:
                 raise MessageRejected(
                     f"{agent.typedef.type_name} does not accept payload kind {kind!r}"
                 )
-        self._queue.append(Message(from_, to, payload, self.sim.now_ms))
-        self._drain()
+        self._queue.append(Message(from_, to, payload))
+        return self._drain()
 
     def reply(self, agent: Agent, original: Message, payload: dict) -> None:
-        """Reply path used by agents; replies to the store land in
-        store_inbox, replies to agents skip the schema check (they are
-        responses, not directives)."""
-        msg = Message(agent.agent_id, original.from_, payload, self.sim.now_ms)
-        self._queue.append(msg)
-        self._drain()
+        """Reply path agents use from `handle_message`; the reply is
+        delivered by the drain in progress. Replies skip the schema check
+        (they are responses, not directives)."""
+        self._queue.append(Message(agent.agent_id, original.from_, payload))
 
-    def _drain(self) -> None:
+    def _drain(self) -> list[Message]:
         if self._draining:
-            return
+            return []  # the outer drain delivers it
         self._draining = True
+        to_store = []
         try:
             while self._queue:
-                msg = self._queue.pop(0)
+                msg = self._queue.popleft()
                 if msg.to == STORE_ADDRESS:
-                    self.store_inbox.append(msg)
+                    to_store.append(msg)
                     continue
                 agent = self.agents.get(msg.to)
                 if agent is None or agent.state is not LifecycleState.RUNNING:
@@ -391,6 +382,7 @@ class AgentRuntime:
                 agent.handle_message(self, msg)
         finally:
             self._draining = False
+        return to_store
 
     # -- central view ------------------------------------------------------------
 
@@ -398,15 +390,12 @@ class AgentRuntime:
         env = self.environment(env_id)
         views = []
         for agent_id in sorted(env.agent_ids):
-            agent = self.agents.get(agent_id)
-            if agent is None or agent.state is not LifecycleState.RUNNING:
-                continue
+            agent = self.agents[agent_id]
             views.append(
                 AgentView(
                     agent_id=agent_id,
                     kind=agent.typedef.kind,
                     type_name=agent.typedef.type_name,
-                    state=agent.state,
                     bound_resources=agent.bound_resources,
                     composed=agent.composed,
                 )

@@ -68,9 +68,9 @@ class FailureEvent:
 
 class DedupReceiver:
     """Sliding-window duplicate filter: each seq is deliverable at most once;
-    duplicates and packets older than the window are discarded. Seen seqs
-    below the window are never looked up again; they are pruned once the set
-    outgrows twice the window, so offer is amortized O(1), memory O(window)."""
+    duplicates, packets older than the window and undrained payloads whose seq
+    fell out of it are discarded. What lies below the window is pruned once the
+    seen-set outgrows twice the window: offer is amortized O(1), memory O(window)."""
 
     def __init__(self, window: int = DEDUP_WINDOW):
         self.window = window
@@ -89,12 +89,14 @@ class DedupReceiver:
         if len(self._seen) > 2 * self.window:
             floor = self._max_seq - self.window
             self._seen = {s for s in self._seen if s > floor}
+            self._pending = [p for p in self._pending if p[1] > floor]
         self._pending.append((arrive_ms, seq, payload))
         return True
 
     def drain(self) -> list[tuple[int, object]]:
+        floor = self._max_seq - self.window
         self._pending.sort(key=lambda t: (t[0], t[1]))
-        out = [(seq, payload) for _, seq, payload in self._pending]
+        out = [(seq, payload) for _, seq, payload in self._pending if seq > floor]
         self._pending = []
         return out
 
@@ -145,7 +147,8 @@ class Connection:
         return records
 
     def recv(self) -> list[tuple[int, object]]:
-        """Deduplicated payloads in arrival order, each seq exactly once."""
+        """Deduplicated payloads in arrival order, each seq exactly once;
+        a payload whose seq fell out of the window before this call is gone."""
         if self.closed:
             raise DsaError("connection closed")
         return self._rx.drain()

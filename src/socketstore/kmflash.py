@@ -438,7 +438,6 @@ class KMAgent(Agent):
                 self.ledger.close_all(runtime.sim.now_ms)
 
     def handle_message(self, runtime, message):
-        super().handle_message(runtime, message)
         if message.payload.get("kind") == "describe" and self.handles is not None:
             runtime.reply(self, message, {
                 "kind": "km_description",
@@ -464,7 +463,6 @@ KM_AGENT_TYPE = AgentTypeDef(
         ParamSpec("max_latency", "ms"),
     ),
     message_kinds=("describe",),
-    doc="Mirrors one connection over K link-disjoint paths with near-identical latency.",
     factory=KMAgent,
 )
 

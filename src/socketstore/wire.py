@@ -14,8 +14,9 @@ Request kinds (their fields are in SCHEMA) and their replies:
 
 Each request is checked against its SCHEMA row before dispatch: unknown kinds,
 missing or mistyped fields and malformed lines (non-finite numbers included)
-are answered with PROTOCOL_ERROR{reason}. An empty connectivity list releases
-a bound alias. Control-plane only: no payload-bearing kind exists.
+are answered with PROTOCOL_ERROR{reason}; so is a served line longer than
+MAX_LINE_BYTES, which also closes its connection. An empty connectivity list
+releases a bound alias. Control-plane only: no payload-bearing kind exists.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import threading
 from dataclasses import dataclass, field
 
 from .store import InstantiationError, SocketStore, StoreError
+
+MAX_LINE_BYTES = 1 << 20  # newline included; far above any DSA request
 
 # The JSON types of request fields, each named as a PROTOCOL_ERROR names it.
 STRING, OBJECT = "a string", "an object"
@@ -137,13 +140,14 @@ class StoreProtocol:
     def _on_bind(self, session, alias, connectivity):
         if connectivity:
             owner = f"{session.app_id or 'anonymous'}@{connectivity[0]['address']}"
-            session.bound_aliases[alias] = owner
         else:
-            owner = session.bound_aliases.get(alias, "")
+            owner = session.bound_aliases.pop(alias, "")
         try:
             self.store.bind_alias(alias, connectivity, owner)
         except StoreError as exc:
             return {"kind": "BIND_FAIL", "reason": str(exc)}
+        if connectivity:
+            session.bound_aliases[alias] = owner
         return {"kind": "BIND_OK", "alias": alias}
 
     def _on_resolve(self, session, alias):
@@ -244,7 +248,12 @@ class FaultyTransport:
 class _StoreRequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
         session = self.server.protocol.new_session()
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+            if len(raw) > MAX_LINE_BYTES:
+                # the rest of the line cannot be told from the next request
+                reply = {"kind": "PROTOCOL_ERROR", "reason": "line too long"}
+                self.wfile.write(encode(reply).encode("utf-8"))
+                return
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:

@@ -240,7 +240,8 @@ def random_connected_view(rng: random.Random, max_nodes: int = 8) -> TopologyVie
 class ReferenceDedupReceiver:
     """Sliding-window duplicate filter that keeps exactly the seqs inside
     the window: the seen-set is rebuilt whenever the highest seq moves, so
-    every offer costs O(window)."""
+    every offer costs O(window). Pending payloads are kept in full and
+    filtered to the window when drained."""
 
     def __init__(self, window: int):
         self.window = window
@@ -262,8 +263,9 @@ class ReferenceDedupReceiver:
         return True
 
     def drain(self) -> list[tuple[int, object]]:
+        floor = self._max_seq - self.window
         self._pending.sort(key=lambda t: (t[0], t[1]))
-        out = [(seq, payload) for _, seq, payload in self._pending]
+        out = [(seq, payload) for _, seq, payload in self._pending if seq > floor]
         self._pending = []
         return out
 

@@ -3,9 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socketstore.agents import (
+    STORE_ADDRESS,
+    Agent,
     AgentKind,
     AgentRuntime,
     AgentSpec,
+    AgentTypeDef,
     BindingError,
     LifecycleState,
     MessageRejected,
@@ -18,6 +21,38 @@ from socketstore.netsim import FlowId, FlowRule, LatencyInjection, Simulator
 from .conftest import DEFAULT_PATH
 
 FLOW = FlowId("A", "B", "f")
+
+
+class RecordingAgent(Agent):
+    """Test-only agent: keeps every message it is handed and acknowledges
+    each note to its sender, so delivery order is observable without any
+    production state."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.received = []
+
+    def handle_message(self, runtime, message):
+        self.received.append(message)
+        if message.payload["kind"] == "note":
+            runtime.reply(self, message, {"kind": "ack", "n": message.payload["n"]})
+
+
+RECORDING_TYPE = AgentTypeDef("Recording", AgentKind.ADAPTER, (), ("note",),
+                              factory=RecordingAgent)
+
+
+def recording_runtime(count):
+    library = default_library()
+    library.register(RECORDING_TYPE)
+    rt = AgentRuntime(Simulator(evaluation_topology()), library)
+    rt.create_environment("e", "x")
+    return rt, [rt.spawn_agent("e", AgentSpec("Recording")) for _ in range(count)]
+
+
+def received(rt, to, kind, from_=None):
+    return [m.payload["n"] for m in rt.agents[to].received
+            if m.payload["kind"] == kind and from_ in (None, m.from_)]
 
 
 @pytest.fixture
@@ -78,13 +113,18 @@ class TestDestroy:
 
 
 class TestMessaging:
-    def test_per_pair_fifo(self, runtime):
-        a = spawn_link(runtime, "A-R1")
-        b = spawn_link(runtime, "A-R2")
-        runtime.send_message(a, b, {"kind": "read", "n": 1})
-        runtime.send_message(a, b, {"kind": "read", "n": 2})
-        got = [m.payload["n"] for m in runtime.agent(b).inbox]
-        assert got == [1, 2]
+    def test_per_pair_fifo(self):
+        rt, (a, b) = recording_runtime(2)
+        rt.send_message(a, b, {"kind": "note", "n": 1})
+        rt.send_message(a, b, {"kind": "note", "n": 2})
+        assert received(rt, b, "note") == [1, 2]
+        assert received(rt, a, "ack") == [1, 2]
+
+    def test_send_returns_only_what_reaches_the_store(self):
+        rt, (a, b) = recording_runtime(2)
+        assert rt.send_message(a, b, {"kind": "note", "n": 1}) == []
+        (ack,) = rt.send_message(STORE_ADDRESS, b, {"kind": "note", "n": 2})
+        assert (ack.from_, ack.to, ack.payload) == (b, STORE_ADDRESS, {"kind": "ack", "n": 2})
 
     def test_message_to_destroyed_rejected(self, runtime):
         a = spawn_link(runtime, "A-R1")
@@ -99,29 +139,28 @@ class TestMessaging:
             runtime.send_message("store", a, {"kind": "explode"})
 
     @settings(max_examples=20, deadline=None)
-    @given(plan=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=60))
+    @given(plan=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=60))
     def test_property_per_pair_order_preserved(self, plan):
-        sim = Simulator(evaluation_topology())
-        rt = AgentRuntime(sim, default_library())
-        rt.create_environment("e", "x")
-        links = ["A-R1", "A-R2", "R1-R3", "R2-R3", "R3-R4"]
-        ids = [rt.spawn_agent("e", AgentSpec("LinkAgent", {"link": l})) for l in links]
+        """Senders 0-4 are agents and sender 5 is the store; every note is
+        delivered exactly once and in order per pair, and so is its ack."""
+        rt, ids = recording_runtime(5)
+        senders = ids + [STORE_ADDRESS]
         sent: dict[tuple[str, str], list[int]] = {}
+        acks_to_store = []
         for n, (i, j) in enumerate(plan):
-            frm, to = ids[i], ids[j]
-            rt.send_message(frm, to, {"kind": "read", "n": n})
+            frm, to = senders[i], ids[j]
+            replies = rt.send_message(frm, to, {"kind": "note", "n": n})
+            acks_to_store += [m.payload["n"] for m in replies]
             sent.setdefault((frm, to), []).append(n)
-        # exactly-once: every sent message delivered exactly once
-        delivered_ns = [m.payload["n"] for agent in rt.agents.values()
-                        for m in agent.inbox if "n" in m.payload]
-        assert sorted(delivered_ns) == list(range(len(plan)))
+        notes = [n for to in ids for n in received(rt, to, "note")]
+        acks = [n for to in ids for n in received(rt, to, "ack")] + acks_to_store
+        assert sorted(notes) == sorted(acks) == list(range(len(plan)))
         for (frm, to), ns in sent.items():
-            got = [
-                m.payload["n"]
-                for m in rt.agents[to].inbox
-                if m.from_ == frm and "n" in m.payload
-            ]
-            assert got == ns
+            assert received(rt, to, "note", frm) == ns
+            if frm == STORE_ADDRESS:
+                assert [n for n in acks_to_store if n in ns] == ns
+            else:
+                assert received(rt, frm, "ack", to) == ns
 
 
 class TestCentralView:
@@ -167,6 +206,14 @@ class TestSwitchAgent:
         with pytest.raises(Exception, match="not incident"):
             runtime.agent(aid).write_rule(runtime, FlowRule("R3", FLOW, 0, "R4-B"))
 
+    def test_read_rules_via_message(self, runtime, sim):
+        aid = runtime.spawn_agent("testbed", AgentSpec("SwitchAgent", {"switch": "R3"}))
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        (reply,) = runtime.send_message("store", aid, {"kind": "read_rules"})
+        assert reply.from_ == aid
+        assert reply.payload == {"kind": "rules", "switch": "R3", "rules": [
+            {"flow": ["A", "B", "f"], "path_index": 0, "out_link": "R3-R4"}]}
+
     def test_write_rule_replaces(self, runtime, sim):
         aid = runtime.spawn_agent("testbed", AgentSpec("SwitchAgent", {"switch": "R3"}))
         agent = runtime.agent(aid)
@@ -198,8 +245,7 @@ class TestLinkAgent:
 
     def test_read_via_message(self, runtime):
         aid = spawn_link(runtime)
-        runtime.send_message("store", aid, {"kind": "read"})
-        reply = runtime.store_inbox[-1]
+        (reply,) = runtime.send_message("store", aid, {"kind": "read"})
         assert reply.payload["kind"] == "link_stats"
         assert reply.payload["capacity_mbps"] == 100.0
 

@@ -53,6 +53,16 @@ def publish_flash(store: SocketStore) -> str:
     return mid
 
 
+def publish_variant(store: SocketStore, module_id: str, **changes) -> str:
+    """Publish a copy of flash-delivery under another id and name."""
+    manifest = dataclasses.replace(flash_delivery_manifest(store.library),
+                                   module_id=module_id, name=module_id, **changes)
+    store.submit_module(manifest)
+    store.start_review(module_id, REVIEWER)
+    store.review_decision(module_id, "accept", REVIEWER)
+    return module_id
+
+
 def purchased_token(store: SocketStore, app=APP) -> str:
     mid = publish_flash(store)
     return store.purchase(app, mid).token
@@ -170,6 +180,17 @@ class TestSearch:
         results = store.search_modules("delivery")
         assert [r.module_id for r in results] == ["flash-delivery", "slower-delivery"]
         assert results[0].aggregate == 1.0
+
+    def test_ranking_lower_better_metric(self):
+        # names sort the other way, and so would a higher-better ranking
+        store = fresh_store(with_sim=False)
+        for mid, latency in (("lagging-delivery", 12.0), ("quick-delivery", 2.0)):
+            publish_variant(store, mid, metric_ids=("mean_latency_ms",))
+            store.samples.append(
+                store_module.MetricSample(mid, "mean_latency_ms", latency, 0.0, "testbed"))
+        results = store.search_modules("delivery")
+        assert [(r.module_id, r.aggregate) for r in results] == [
+            ("quick-delivery", 2.0), ("lagging-delivery", 12.0)]
 
     def test_ranking_deterministic(self):
         store = fresh_store(with_sim=False)
@@ -308,6 +329,16 @@ class TestInstantiate:
         assert all(sim.link_load_mbps(lid) == 0 for lid in sim.topology.links)
         destroys = [e.detail["type_name"] for e in store.log if e.action == "destroy"]
         assert destroys == ["KMirror", "LinkAgent", "LinkAgent"]
+
+    def test_describe_via_message(self):
+        store = fresh_store()
+        token = purchased_token(store)
+        instance = store.instantiate(token, "flash-delivery", KM_INPUTS)
+        adapter_id = instance.adapter_ids[0]
+        (reply,) = store.runtime.send_message("store", adapter_id, {"kind": "describe"})
+        assert reply.from_ == adapter_id
+        assert reply.payload == {"kind": "km_description", "k": 2,
+                                 "paths": instance.allocation["paths"]}
 
     def test_destroying_adapter_leaves_composed_agents_alive(self):
         # composition is non-owning: the instance manager owns teardown
@@ -520,6 +551,26 @@ class TestPersistence:
         assert (APP, mid) in reloaded.licenses
         assert reloaded.specialists == store.specialists
         assert len(reloaded.log) == len(store.log)
+
+    def test_testbed_samples_survive_reload(self, tmp_path):
+        path = str(tmp_path / "store.json")
+        store = fresh_store(with_sim=False, data_path=path)
+        publish_flash(store)
+        publish_variant(store, "backup-delivery")
+        scenario = store.testbeds["latency-spike"]
+        store.register_testbed(dataclasses.replace(
+            scenario, name="one-path", inputs=dict(scenario.inputs, K=1)))
+        store.run_testbed_evaluation("flash-delivery", "latency-spike")
+        store.run_testbed_evaluation("backup-delivery", "one-path")
+        ranked = store.search_modules("delivery")
+        assert [(r.module_id, r.aggregate) for r in ranked] == [
+            ("flash-delivery", 1.0), ("backup-delivery", pytest.approx(0.8))]
+        reloaded = SocketStore(data_path=path)
+        assert reloaded.samples == store.samples
+        for mid in ("flash-delivery", "backup-delivery"):
+            assert (reloaded.metric_aggregate(mid, "in_deadline_ratio")
+                    == store.metric_aggregate(mid, "in_deadline_ratio"))
+        assert reloaded.search_modules("delivery") == ranked
 
     def test_reloaded_license_still_authorizes(self, tmp_path):
         path = str(tmp_path / "store.json")

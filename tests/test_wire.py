@@ -142,6 +142,16 @@ class TestBindResolve:
         assert reply["kind"] == "BIND_FAIL"
         assert "alias conflict" in reply["reason"]
 
+    def test_failed_bind_leaves_nothing_to_release(self, protocol):
+        owner, rival = LocalTransport(protocol), LocalTransport(protocol)
+        bind = {"kind": "BIND", "alias": "shared", "connectivity": self.CONNECTIVITY}
+        assert owner.request(bind)["kind"] == "BIND_OK"
+        rival.request({"kind": "HELLO", "app_id": "rival"})
+        assert rival.request(bind)["kind"] == "BIND_FAIL"
+        assert rival.session.bound_aliases == {}
+        assert rival.request(dict(bind, connectivity=[]))["kind"] == "BIND_OK"
+        assert protocol.store.resolve_alias("shared") == self.CONNECTIVITY
+
     @pytest.mark.parametrize("bad", ["abc", [1, 2], ["B"], {"address": "B"}, [{}],
                                      [{"address": 5}]])
     def test_connectivity_must_be_a_list_of_objects(self, transport, bad):
