@@ -137,7 +137,7 @@ class Connection:
             records = [
                 DeliveryRecord(Packet(self.flow, seq, size_bytes, sim.now_ms,
                                       self.deadline_ms, index),
-                               False, None, None, False, (),
+                               False, None, None, False, (), (),
                                drop_reason="unroutable destination")
                 for index in range(self.paths)
             ]

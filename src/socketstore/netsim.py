@@ -12,12 +12,14 @@ import json
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Iterable
 
 NS_PER_MS = 1_000_000
 
 # window used for the monitored "transfer rate" attribute
 RATE_WINDOW_MS = 100.0
+RATE_WINDOW_NS = round(RATE_WINDOW_MS * NS_PER_MS)
 
 
 def ms_to_ns(ms: float) -> int:
@@ -126,8 +128,16 @@ class DeliveryRecord:
     arrive_at_ms: float | None
     latency_ms: float | None
     violated_deadline: bool
-    hops: tuple[Hop, ...]
+    hop_links: tuple[str, ...]  # the links walked, in order; shared between records
+    hop_delays_ns: tuple[int, ...]  # each walked link's delay, injections included
     drop_reason: str | None = None
+
+    @property
+    def hops(self) -> tuple[Hop, ...]:
+        """Per-hop trace: each hop enters at the send time plus the delays before it."""
+        enter_ns = accumulate(self.hop_delays_ns, initial=ms_to_ns(self.packet.sent_at_ms))
+        return tuple(Hop(link, ns_to_ms(t_ns), ns_to_ms(delay_ns))
+                     for link, t_ns, delay_ns in zip(self.hop_links, enter_ns, self.hop_delays_ns))
 
 
 @dataclass(frozen=True)
@@ -269,7 +279,10 @@ class Simulator:
         # (flow, path_index) -> {node: out_link}; the flow source's entry is
         # its egress link, every other entry is a switch rule
         self._routes: dict[tuple[FlowId, int], dict[str, str]] = {}
-        self._injections: dict[str, list[LatencyInjection]] = {}
+        # the _compile form of each _routes key sent on since its last change
+        self._compiled: dict[tuple[FlowId, int], tuple] = {}
+        # link -> [(start_ns, end_ns, extra_ns)] of its latency injections
+        self._injections: dict[str, list[tuple[int, int, int]]] = {}
         # link -> {seq: mbps}; a reservation handle is (link, seq)
         self._reservations: dict[str, dict[int, float]] = {}
         self._reservation_seq = 0
@@ -322,6 +335,7 @@ class Simulator:
             key: {node: out for node, out in route.items() if out != link_id}
             for key, route in self._routes.items()
         }
+        self._compiled.clear()  # the loop bound of every walk counts links
         for per_link in (self._injections, self._reservations, self._transfers):
             per_link.pop(link_id, None)
 
@@ -353,12 +367,14 @@ class Simulator:
         # atomic replacement of the old deployment; every node on the path
         # but the destination maps to the link it forwards on
         self._routes[(flow, path_index)] = dict(zip(nodes_on_path, path))
+        self._compiled.pop((flow, path_index), None)
         return [FlowRule(node, flow, path_index, out)
                 for node, out in zip(nodes_on_path[1:], path[1:])]
 
     def retract_path(self, flow: FlowId, path_index: int = 0) -> int:
         """Remove the deployment of (flow, path_index); returns its switch rule count."""
         route = self._routes.pop((flow, path_index), {})
+        self._compiled.pop((flow, path_index), None)
         return len(route) - (flow.src in route)
 
     def install_rule(self, rule: FlowRule) -> None:
@@ -374,6 +390,7 @@ class Simulator:
         if rule.switch == rule.flow.src:
             raise RoutingError(f"{rule.switch!r} is the flow source; deploy_path sets its egress")
         self._routes.setdefault((rule.flow, rule.path_index), {})[rule.switch] = rule.out_link
+        self._compiled.pop((rule.flow, rule.path_index), None)
 
     def rules_at(self, switch: str) -> list[FlowRule]:
         self.node(switch)
@@ -394,19 +411,15 @@ class Simulator:
             raise NetsimError("non-positive injection")
         if inj.start_ms >= inj.end_ms:
             raise NetsimError("inverted window")
-        self._injections.setdefault(inj.link, []).append(inj)
-
-    def _extra_latency_ns(self, link_id: str, at_ns: int) -> int:
-        extra = 0
-        for inj in self._injections.get(link_id, ()):
-            if ms_to_ns(inj.start_ms) <= at_ns < ms_to_ns(inj.end_ms):
-                extra += ms_to_ns(inj.extra_ms)
-        return extra
+        self._injections.setdefault(inj.link, []).append(
+            (ms_to_ns(inj.start_ms), ms_to_ns(inj.end_ms), ms_to_ns(inj.extra_ms)))
 
     def link_delay_ms(self, link_id: str, at_ms: float) -> float:
         """Delay the link contributes to a packet entering it at `at_ms`."""
-        link = self.link(link_id)
-        return ns_to_ms(ms_to_ns(link.base_latency_ms) + self._extra_latency_ns(link_id, ms_to_ns(at_ms)))
+        delay_ns, at_ns = ms_to_ns(self.link(link_id).base_latency_ms), ms_to_ns(at_ms)
+        for start, end, extra in self._injections.get(link_id, ()):
+            delay_ns += extra if start <= at_ns < end else 0
+        return ns_to_ms(delay_ns)
 
     # -- capacity reservations ---------------------------------------------
 
@@ -429,33 +442,40 @@ class Simulator:
 
     # -- packet delivery -----------------------------------------------------
 
-    def send_packet(self, packet: Packet) -> DeliveryRecord:
-        """Walk the packet along its deployed path, sampling each link's
-        delay at the traversal instant. No retransmission ever happens;
-        packets that hit a switch without a matching rule are dropped."""
-        flow = packet.flow
+    def _compile(self, key: tuple[FlowId, int]) -> tuple:
+        """Walk the route of `key` once: the links it forwards on, their base
+        delays, and why a packet on it is dropped (None if it arrives)."""
+        flow = key[0]
         self.node(flow.src)
         self.node(flow.dst)
-        t_ns = ms_to_ns(packet.sent_at_ms)
-        cutoff_ns = self._now_ns - ms_to_ns(RATE_WINDOW_MS)
-        route = self._routes.get((flow, packet.path_index), {})
-        cursor = flow.src
-        hops: list[Hop] = []
-        max_hops = len(self.topology.links) + 1
+        route, cursor, links, drop_reason = self._routes.get(key, {}), flow.src, [], None
         while cursor != flow.dst:
             out = route.get(cursor)
-            if out is None:
-                return DeliveryRecord(
-                    packet, False, None, None, False, tuple(hops),
-                    drop_reason=f"no rule at {cursor}",
-                )
-            if len(hops) >= max_hops:
-                return DeliveryRecord(
-                    packet, False, None, None, False, tuple(hops), drop_reason="routing loop",
-                )
-            link = self.link(out)
-            delay_ns = ms_to_ns(link.base_latency_ms) + self._extra_latency_ns(out, t_ns)
-            hops.append(Hop(out, ns_to_ms(t_ns), ns_to_ms(delay_ns)))
+            if out is None or len(links) > len(self.topology.links):
+                drop_reason = f"no rule at {cursor}" if out is None else "routing loop"
+                break
+            links.append(self.link(out))
+            cursor = links[-1].other_end(cursor)
+        compiled = (tuple(lk.id for lk in links),
+                    tuple(ms_to_ns(lk.base_latency_ms) for lk in links), drop_reason)
+        if key in self._routes:
+            self._compiled[key] = compiled
+        return compiled
+
+    def send_packet(self, packet: Packet) -> DeliveryRecord:
+        """Send the packet along its deployed path, sampling each link's
+        delay at the traversal instant. No retransmission ever happens;
+        packets that hit a switch without a matching rule are dropped."""
+        key = (packet.flow, packet.path_index)
+        links, base_ns, drop_reason = self._compiled.get(key) or self._compile(key)
+        sent_ns = t_ns = ms_to_ns(packet.sent_at_ms)
+        cutoff_ns = self._now_ns - RATE_WINDOW_NS
+        delays = []
+        for out, delay_ns in zip(links, base_ns):
+            for start, end, extra in self._injections.get(out, ()):
+                if start <= t_ns < end:
+                    delay_ns += extra
+            delays.append(delay_ns)
             samples = self._transfers[out]
             # samples are not time-ordered (a later hop enters in the future),
             # so the head pop bounds memory while link_rate_mbps still filters
@@ -463,23 +483,18 @@ class Simulator:
                 samples.popleft()
             samples.append((t_ns, packet.size_bytes))
             t_ns += delay_ns
-            cursor = link.other_end(cursor)
-        latency_ns = t_ns - ms_to_ns(packet.sent_at_ms)
-        return DeliveryRecord(
-            packet,
-            True,
-            ns_to_ms(t_ns),
-            ns_to_ms(latency_ns),
-            latency_ns > ms_to_ns(packet.deadline_ms),
-            tuple(hops),
-        )
+        if drop_reason is not None:
+            return DeliveryRecord(packet, False, None, None, False, links, tuple(delays),
+                                  drop_reason)
+        latency_ns = t_ns - sent_ns
+        return DeliveryRecord(packet, True, ns_to_ms(t_ns), ns_to_ms(latency_ns),
+                              latency_ns > ms_to_ns(packet.deadline_ms), links, tuple(delays))
 
     # -- monitoring ------------------------------------------------------------
 
     def link_rate_mbps(self, link_id: str) -> float:
         samples = self._transfers.get(link_id, ())
-        window_ns = ms_to_ns(RATE_WINDOW_MS)
-        cutoff = self._now_ns - window_ns
+        cutoff = self._now_ns - RATE_WINDOW_NS
         total_bytes = sum(b for t, b in samples if t > cutoff)
         return total_bytes * 8 / (RATE_WINDOW_MS / 1000.0) / 1e6
 

@@ -26,6 +26,7 @@ import math
 import socket
 import socketserver
 import threading
+import time
 from dataclasses import dataclass, field
 
 from .store import InstantiationError, SocketStore, StoreError
@@ -287,7 +288,6 @@ class TCPTransport:
         self.port = port
         self.timeout_s = timeout_s
         self._sock: socket.socket | None = None
-        self._file = None
 
     def _ensure(self):
         if self._sock is None:
@@ -297,20 +297,30 @@ class TCPTransport:
                 )
             except OSError as exc:
                 raise TransportError(f"store unreachable: {exc}")
-            self._file = self._sock.makefile("rb")
 
     def request(self, message: dict) -> dict:
+        """Send one request and read its reply line within `timeout_s` of wall
+        time, at most MAX_LINE_BYTES of it; any failure closes the socket."""
         self._ensure()
+        deadline, line = time.monotonic() + self.timeout_s, bytearray()
         try:
+            self._sock.settimeout(self.timeout_s)
             self._sock.sendall(encode(message).encode("utf-8"))
-            line = self._file.readline()
-        except socket.timeout as exc:
-            raise TransportTimeout(str(exc))
-        except OSError as exc:
-            raise TransportError(str(exc))
-        if not line:
-            raise TransportError("connection closed by store")
-        return json.loads(line.decode("utf-8"))
+            while not line.endswith(b"\n"):
+                if len(line) >= MAX_LINE_BYTES:
+                    raise ValueError(f"reply longer than {MAX_LINE_BYTES} bytes")
+                if (remaining := deadline - time.monotonic()) <= 0:
+                    raise TimeoutError(f"no full reply within {self.timeout_s} s")
+                self._sock.settimeout(remaining)
+                if not (chunk := self._sock.recv(min(1 << 16, MAX_LINE_BYTES - len(line)))):
+                    raise ConnectionError("connection closed by store")
+                line += chunk
+            if not isinstance(reply := json.loads(line.decode("utf-8")), dict):
+                raise ValueError(f"reply is not a JSON object: {bytes(line[:80])!r}")
+            return reply
+        except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 is a ValueError
+            self.close()  # a partly read reply cannot be told from the next one
+            raise (TransportTimeout if isinstance(exc, TimeoutError) else TransportError)(str(exc))
 
     def close(self) -> None:
         if self._sock is not None:
@@ -318,4 +328,3 @@ class TCPTransport:
                 self._sock.close()
             finally:
                 self._sock = None
-                self._file = None

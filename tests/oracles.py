@@ -301,7 +301,8 @@ class ReferenceSimulator:
     (switch, flow, path_index), the source's egress link in a second table
     keyed by (flow, path_index), reservations keyed by an integer handle and
     one list of every latency injection. It has no clock and no rate
-    samples; `send_packet` returns the same records as the simulator."""
+    samples; `send_packet` returns the same records as the simulator and keeps
+    the per-hop trace it built in `last_hops`."""
 
     def __init__(self, topology: Topology):
         self.topology = topology
@@ -428,6 +429,7 @@ class ReferenceSimulator:
         t_ns = _ns(packet.sent_at_ms)
         cursor = flow.src
         hops: list[Hop] = []
+        delays: list[int] = []
         while cursor != flow.dst:
             if cursor == flow.src:
                 out = self._host_egress.get((flow, packet.path_index))
@@ -435,19 +437,26 @@ class ReferenceSimulator:
                 rule = self._rules.get((cursor, flow, packet.path_index))
                 out = rule.out_link if rule else None
             if out is None:
-                return DeliveryRecord(packet, False, None, None, False, tuple(hops),
-                                      drop_reason=f"no rule at {cursor}")
+                return self._record(packet, False, None, None, False, hops, delays,
+                                    drop_reason=f"no rule at {cursor}")
             if len(hops) >= len(self.topology.links) + 1:
-                return DeliveryRecord(packet, False, None, None, False, tuple(hops),
-                                      drop_reason="routing loop")
+                return self._record(packet, False, None, None, False, hops, delays,
+                                    drop_reason="routing loop")
             link = self._link(out)
             delay_ns = _ns(link.base_latency_ms) + self._extra_latency_ns(out, t_ns)
             hops.append(Hop(out, t_ns / 1_000_000, delay_ns / 1_000_000))
+            delays.append(delay_ns)
             t_ns += delay_ns
             cursor = self._other_end(link, cursor)
         latency_ns = t_ns - _ns(packet.sent_at_ms)
-        return DeliveryRecord(packet, True, t_ns / 1_000_000, latency_ns / 1_000_000,
-                              latency_ns > _ns(packet.deadline_ms), tuple(hops))
+        return self._record(packet, True, t_ns / 1_000_000, latency_ns / 1_000_000,
+                            latency_ns > _ns(packet.deadline_ms), hops, delays)
+
+    def _record(self, packet, delivered, arrive_at_ms, latency_ms, violated, hops, delays,
+                drop_reason=None):
+        self.last_hops = tuple(hops)
+        return DeliveryRecord(packet, delivered, arrive_at_ms, latency_ms, violated,
+                              tuple(hop.link for hop in hops), tuple(delays), drop_reason)
 
 
 def _ns(ms: float) -> int:

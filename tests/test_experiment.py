@@ -136,6 +136,19 @@ class TestCSV:
             assert hashlib.sha256(render_csv(report).encode()).hexdigest() == csv_sha256
             assert report.summary_doc() == summary
 
+    @pytest.mark.parametrize("module, csv_sha256, violations", [
+        ("flash-delivery", "f617d6c13155c529f997271cd23dee19bfbec067c04f822be278b1437ec914f3", 0),
+        ("baseline", "043f62a0c849423105cec1bb830b318f82d04a630c38fa078a8a9f636ba59837", 28),
+    ])
+    def test_long_stream_outputs_pinned(self, module, csv_sha256, violations):
+        """5,000 packets at a fractional gap with a spike in mid-stream: every
+        send time and window edge rounds to whole nanoseconds as pinned here."""
+        config = ExperimentConfig(module=module, packet_count=5000, gap_ms=0.37,
+                                  injection=InjectionConfig("R4-B", 10.0, 1000.05, 1010.2))
+        report = run_experiment(config)
+        assert hashlib.sha256(render_csv(report).encode()).hexdigest() == csv_sha256
+        assert report.stats.deadline_violations == violations
+
     def test_write_report_files(self, tmp_path):
         report = run_experiment(ExperimentConfig(packet_count=5))
         paths = write_report(report, str(tmp_path), prefix="demo")

@@ -340,7 +340,7 @@ class TestCollectStats:
         for seq, index, tenths in copies:
             latency = None if tenths is None else tenths / 10  # sent at 0: arrival = latency
             records.append(DeliveryRecord(Packet(FLOW, seq, 512, 0.0, 5.0, index),
-                                          latency is not None, latency, latency, False, ()))
+                                          latency is not None, latency, latency, False, (), ()))
         assert collect_stats(records, deadline / 10) == reference_collect_stats(
             records, deadline / 10)
 

@@ -213,6 +213,66 @@ class TestSendPacket:
         assert base.latency_ms == raised.latency_ms
 
 
+class TestRouteChangesAfterSend:
+    """Each table change made after a first send shows in the next send."""
+
+    def test_redeploy_to_another_path(self, sim):
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        assert [h.link for h in sim.send_packet(packet()).hops] == DEFAULT_PATH
+        sim.deploy_path(FLOW, SECOND_PATH)
+        rec = sim.send_packet(packet(seq=1))
+        assert rec.delivered
+        assert [h.link for h in rec.hops] == SECOND_PATH
+
+    def test_retract(self, sim):
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        assert sim.send_packet(packet()).delivered
+        sim.retract_path(FLOW)
+        rec = sim.send_packet(packet(seq=1))
+        assert (rec.delivered, rec.drop_reason, rec.hops) == (False, "no rule at A", ())
+
+    def test_install_rule(self, sim):
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        assert sim.send_packet(packet()).delivered
+        sim.install_rule(FlowRule("R3", FLOW, 0, "R3-R5"))
+        rec = sim.send_packet(packet(seq=1))
+        assert rec.drop_reason == "no rule at R5"
+        assert [h.link for h in rec.hops] == ["A-R1", "R1-R3", "R3-R5"]
+        assert sim.link_rate_mbps("R3-R5") > 0  # hops walked before a drop are sampled
+        sim.install_rule(FlowRule("R5", FLOW, 0, "R5-B"))
+        rec = sim.send_packet(packet(seq=2))
+        assert rec.delivered
+        assert [h.link for h in rec.hops] == ["A-R1", "R1-R3", "R3-R5", "R5-B"]
+
+    def test_remove_link(self, sim):
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        assert sim.send_packet(packet()).delivered
+        sim.remove_link("R3-R4")
+        rec = sim.send_packet(packet(seq=1))
+        assert rec.drop_reason == "no rule at R3"
+        assert [h.link for h in rec.hops] == ["A-R1", "R1-R3"]
+
+    def test_remove_link_shortens_the_loop_bound(self, sim):
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        sim.install_rule(FlowRule("R3", FLOW, 0, "R1-R3"))  # R1 and R3 bounce the packet
+        rec = sim.send_packet(packet())
+        assert rec.drop_reason == "routing loop"
+        assert len(rec.hops) == len(sim.topology.links) + 1
+        sim.remove_link("R2-R3")  # off the loop; the hop bound counts links
+        rec = sim.send_packet(packet(seq=1))
+        assert rec.drop_reason == "routing loop"
+        assert len(rec.hops) == len(sim.topology.links) + 1
+
+    def test_compiled_routes_only_for_deployed_keys(self, sim):
+        sim.deploy_path(FLOW, DEFAULT_PATH, 0)
+        sim.deploy_path(FLOW, SECOND_PATH, 1)
+        for seq in range(2):
+            for index in range(4):  # 2 and 3 are never deployed
+                sim.send_packet(packet(seq=seq, path_index=index))
+            sim.retract_path(FLOW, 1)
+        assert set(sim._compiled) <= set(sim._routes)
+
+
 class TestLinkStatsAndSnapshot:
     def test_latency_now_during_window(self, sim):
         sim.inject_latency(LatencyInjection("R4-B", 10.0, 40.0, 60.0))
@@ -427,7 +487,9 @@ def _assert_same_sends(sim, ref, sent_at):
     for flow in TABLE_FLOWS:
         for index in range(3):
             pkt = packet(sent_at=sent_at, flow=flow, path_index=index)
-            assert sim.send_packet(pkt) == ref.send_packet(pkt)
+            sim_record = sim.send_packet(pkt)
+            assert sim_record == ref.send_packet(pkt)
+            assert sim_record.hops == ref.last_hops
 
 
 def _rule_key(rule):

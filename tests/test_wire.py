@@ -1,11 +1,15 @@
+import contextlib
 import json
 import socket
 import threading
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socketstore.dsa import DsaClient
 from socketstore.fixtures import evaluation_topology, flash_delivery_manifest
 from socketstore.netsim import Simulator
 from socketstore.store import SocketStore
@@ -16,6 +20,7 @@ from socketstore.wire import (
     StoreServer,
     TCPTransport,
     TransportError,
+    TransportTimeout,
     encode,
 )
 
@@ -292,6 +297,86 @@ def server(store):
     yield server
     server.shutdown()
     server.server_close()
+
+
+@contextlib.contextmanager
+def fake_store(answer):
+    """A localhost listener standing in for a store: `answer(conn)` runs once
+    for every request line a client sends; yields the (host, port) to dial."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with conn, conn.makefile("rb") as requests:
+                try:
+                    while requests.readline():
+                        answer(conn)
+                except OSError:  # the client hung up mid-answer
+                    pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        stop.set()
+        thread.join(timeout=10.0)
+        listener.close()
+        assert not thread.is_alive()
+
+
+class TestTCPHostileStore:
+    """`TCPTransport.request` against a peer that does not speak the protocol."""
+
+    @pytest.mark.parametrize("reply", [b"not json\n", b"5\n", b"[]\n", b"\xff\xfe\n"])
+    def test_connect_falls_back_on_a_reply_that_is_no_json_object(self, reply):
+        with fake_store(lambda conn: conn.sendall(reply)) as address:
+            transport = TCPTransport(*address)
+            client = DsaClient("A", Simulator(evaluation_topology()), transport, app_id="demo")
+            conn = client.connect("Device_B", "flash-delivery", "tok", fallback_address="B")
+            transport.close()
+        assert conn.mode == "fallback"
+        assert conn.failure_reason.startswith("store unreachable")
+
+    def test_endless_line_is_cut_at_the_line_limit(self):
+        chunk = b"x" * (1 << 16)  # allocated before tracing: only the client is measured
+
+        def flood(conn):
+            for _ in range(512):  # 32 MiB, no newline
+                conn.sendall(chunk)
+
+        with fake_store(flood) as address:
+            client = TCPTransport(*address)
+            tracemalloc.start()
+            try:
+                with pytest.raises(TransportError, match="longer than"):
+                    client.request({"kind": "HELLO", "app_id": "x"})
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert client._sock is None  # the rest of the flood is never read
+        assert peak < 4 * 1024 * 1024
+
+    def test_trickled_reply_is_bounded_by_one_deadline(self):
+        def trickle(conn):
+            for byte in encode({"kind": "HELLO_OK", "app_id": "x"}).encode("utf-8"):
+                conn.sendall(bytes([byte]))
+                time.sleep(0.1)
+
+        with fake_store(trickle) as address:
+            client = TCPTransport(*address, timeout_s=0.5)
+            start = time.monotonic()
+            with pytest.raises(TransportTimeout):
+                client.request({"kind": "HELLO", "app_id": "x"})
+            elapsed = time.monotonic() - start
+            assert client._sock is None
+        assert elapsed < 1.0
 
 
 class TestTCP:
