@@ -317,7 +317,8 @@ class AgentRuntime:
         if agent is None:
             return 0
         dropped = [m for m in self._queue if m.to == agent_id]
-        self._queue = deque(m for m in self._queue if m.to != agent_id)
+        if dropped:
+            self._queue = deque(m for m in self._queue if m.to != agent_id)
         for msg in dropped:
             self.log(agent_id, "drop_message", "ok", from_=msg.from_, kind=msg.payload.get("kind"))
         agent.release(self)

@@ -5,11 +5,14 @@ behind the flash-delivery module.
 Allocation runs K rounds of successive shortest paths with edge reversal
 (negative-arc Bellman-Ford on the residual graph). Unlike naive iterative
 edge removal this cannot produce false negatives on trap topologies, and
-the resulting K-set has minimum total latency.
+the resulting K-set has minimum total latency. Bellman-Ford rescans only
+the sources whose distance changed since their last scan (exact: the arcs
+it skips could not fire), over links given in id order.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -22,6 +25,7 @@ from .netsim import (
     Packet,
     Simulator,
     TopologyView,
+    ms_to_ns,
 )
 
 DEFAULT_SPREAD_MS = 1.0
@@ -84,8 +88,7 @@ def allocate_disjoint_paths(
     }
     used: dict[str, tuple[str, str]] = {}  # link id -> direction of flow (u, v)
 
-    found = 0
-    while found < k:
+    for found in range(k):
         path_arcs = _shortest_residual_path(node_ids, links, used, src, dst)
         if path_arcs is None:
             return AllocationFailure(f"only {found} disjoint paths", found)
@@ -94,7 +97,6 @@ def allocate_disjoint_paths(
                 del used[lid]  # opposite traversal cancels the earlier one
             else:
                 used[lid] = (u, v)
-        found += 1
 
     paths = _decompose(used, links, src, dst, k)
     latencies = tuple(sum(links[lid].latency_ms for lid in p) for p in paths)
@@ -121,33 +123,35 @@ def _routable_links(view: TopologyView, src: str, dst: str) -> list:
 def _shortest_residual_path(node_ids, links, used, src, dst):
     """Bellman-Ford over the residual arcs: unused links are traversable in
     both directions at +latency, links used by earlier rounds only against
-    their flow direction at -latency."""
-    arcs: list[tuple[str, str, float, str]] = []
+    their flow direction at -latency; `links` arrive in id order. A pass skips
+    a source whose dist is unchanged since its last scan: its candidates are
+    the same and the dists they face can only have fallen, so none fires."""
+    out: dict[str, list[tuple[str, float, str]]] = {n: [] for n in sorted(node_ids)}
     for lid, lk in links.items():
         a, b = lk.endpoints
         if lid in used:
             u, v = used[lid]
-            arcs.append((v, u, -lk.latency_ms, lid))
+            out[v].append((u, -lk.latency_ms, lid))
         else:
-            arcs.append((a, b, lk.latency_ms, lid))
-            arcs.append((b, a, lk.latency_ms, lid))
-    arcs.sort(key=lambda arc: (arc[0], arc[3], arc[1]))
+            out[a].append((b, lk.latency_ms, lid))
+            out[b].append((a, lk.latency_ms, lid))
 
     dist: dict[str, float] = {src: 0.0}
     pred: dict[str, tuple[str, str]] = {}
+    dirty = {src}
     for _ in range(max(len(node_ids) - 1, 1)):
-        changed = False
-        for u, v, w, lid in arcs:
-            du = dist.get(u)
-            if du is None:
-                continue
-            cand = du + w
-            if cand < dist.get(v, float("inf")) - 1e-15:
-                dist[v] = cand
-                pred[v] = (u, lid)
-                changed = True
-        if not changed:
+        if not dirty:
             break
+        for u, arcs in out.items():
+            if u in dirty:
+                dirty.discard(u)
+                du = dist[u]
+                for v, w, lid in arcs:
+                    cand = du + w
+                    if cand < dist.get(v, float("inf")) - 1e-15:
+                        dist[v] = cand
+                        pred[v] = (u, lid)
+                        dirty.add(v)
     if dst not in dist:
         return None
     path: list[tuple[str, str, str]] = []
@@ -198,15 +202,14 @@ def _decompose(used, links, src, dst, k):
 
 def default_shortest_path(view: TopologyView, src: str, dst: str) -> list[str] | None:
     """Minimum-latency path with ties broken by the lexicographically
-    smallest node sequence; the deterministic baseline route."""
-    import heapq
-
+    smallest node sequence; the deterministic baseline route. Latencies add
+    up in whole nanoseconds, so equal sums tie exactly."""
     adj: dict[str, list] = {n.id: [] for n in view.nodes}
     for lk in _routable_links(view, src, dst):
         a, b = lk.endpoints
-        adj[a].append((lk.latency_ms, b, lk.id))
-        adj[b].append((lk.latency_ms, a, lk.id))
-    heap: list[tuple[float, tuple[str, ...], tuple[str, ...]]] = [(0.0, (src,), ())]
+        adj[a].append((ms_to_ns(lk.latency_ms), b, lk.id))
+        adj[b].append((ms_to_ns(lk.latency_ms), a, lk.id))
+    heap: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = [(0, (src,), ())]
     done: set[str] = set()
     while heap:
         dist, nodes, linkids = heapq.heappop(heap)

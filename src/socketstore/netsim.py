@@ -286,6 +286,8 @@ class Simulator:
         # link -> {seq: mbps}; a reservation handle is (link, seq)
         self._reservations: dict[str, dict[int, float]] = {}
         self._reservation_seq = 0
+        # link -> its LinkView while it has no injection and no reservation change
+        self._views: dict[str, LinkView] = {}
         # per-link (t_ns, bytes) samples backing the monitored transfer rate;
         # samples that left the rate window are popped from the head on send
         self._transfers: defaultdict[str, deque[tuple[int, int]]] = defaultdict(deque)
@@ -336,7 +338,7 @@ class Simulator:
             for key, route in self._routes.items()
         }
         self._compiled.clear()  # the loop bound of every walk counts links
-        for per_link in (self._injections, self._reservations, self._transfers):
+        for per_link in (self._injections, self._reservations, self._transfers, self._views):
             per_link.pop(link_id, None)
 
     # -- flow rules -------------------------------------------------------
@@ -411,6 +413,7 @@ class Simulator:
             raise NetsimError("non-positive injection")
         if inj.start_ms >= inj.end_ms:
             raise NetsimError("inverted window")
+        self._views.pop(inj.link, None)
         self._injections.setdefault(inj.link, []).append(
             (ms_to_ns(inj.start_ms), ms_to_ns(inj.end_ms), ms_to_ns(inj.extra_ms)))
 
@@ -430,11 +433,13 @@ class Simulator:
         if self.link_load_mbps(link_id) + mbps > link.capacity_mbps + 1e-12:
             raise CapacityError(f"capacity exceeded on link {link_id!r}")
         self._reservation_seq += 1
+        self._views.pop(link_id, None)
         self._reservations.setdefault(link_id, {})[self._reservation_seq] = mbps
         return (link_id, self._reservation_seq)
 
     def release_capacity(self, handle: tuple[str, int]) -> None:
         link_id, seq = handle
+        self._views.pop(link_id, None)
         self._reservations.get(link_id, {}).pop(seq, None)
 
     def link_load_mbps(self, link_id: str) -> float:
@@ -510,19 +515,19 @@ class Simulator:
         )
 
     def topology_snapshot(self) -> TopologyView:
-        """Consistent immutable snapshot at the current simulated instant."""
+        """Consistent immutable snapshot at the current simulated instant; the
+        view of a link without injections is reused until its load changes."""
         now = self.now_ms
         return TopologyView(
             nodes=tuple(self.topology.nodes.values()),
-            links=tuple(
-                LinkView(
-                    id=lk.id,
-                    endpoints=lk.endpoints,
-                    capacity_mbps=lk.capacity_mbps,
-                    latency_ms=self.link_delay_ms(lk.id, now),
-                    load_mbps=self.link_load_mbps(lk.id),
-                )
-                for lk in self.topology.links.values()
-            ),
+            links=tuple(self._views.get(lid) or self._view(lk, now)
+                        for lid, lk in self.topology.links.items()),
             taken_at_ms=now,
         )
+
+    def _view(self, lk: Link, now: float) -> LinkView:
+        view = LinkView(lk.id, lk.endpoints, lk.capacity_mbps,
+                        self.link_delay_ms(lk.id, now), self.link_load_mbps(lk.id))
+        if lk.id not in self._injections:
+            self._views[lk.id] = view
+        return view

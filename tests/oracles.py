@@ -5,8 +5,9 @@ implementation under test: latency recomputation from first principles,
 exhaustive simple-path enumeration for disjoint-set feasibility, a plain
 BFS max-flow for the unit-capacity bound, a duplicate filter that
 rebuilds its seen-set on every new highest seq, per-seq delivery
-statistics that group every copy by seq before reducing, and simulator
-route, reservation and injection tables that filter every entry on read.
+statistics that group every copy by seq before reducing, simulator
+route, reservation and injection tables that filter every entry on read,
+and a residual Bellman-Ford that relaxes every arc on every pass.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from socketstore.kmflash import DeliveryStats
+from socketstore.kmflash import DeliveryStats, KMError
 from socketstore.netsim import (
     CapacityError,
     DeliveryRecord,
@@ -237,6 +238,52 @@ def random_connected_view(rng: random.Random, max_nodes: int = 8) -> TopologyVie
     return TopologyView(nodes=nodes, links=links, taken_at_ms=0.0)
 
 
+def reference_shortest_residual_path(node_ids, links, used, src, dst):
+    """Bellman-Ford over the residual arcs: unused links are traversable in
+    both directions at +latency, links used by earlier rounds only against
+    their flow direction at -latency."""
+    arcs: list[tuple[str, str, float, str]] = []
+    for lid, lk in links.items():
+        a, b = lk.endpoints
+        if lid in used:
+            u, v = used[lid]
+            arcs.append((v, u, -lk.latency_ms, lid))
+        else:
+            arcs.append((a, b, lk.latency_ms, lid))
+            arcs.append((b, a, lk.latency_ms, lid))
+    arcs.sort(key=lambda arc: (arc[0], arc[3], arc[1]))
+
+    dist: dict[str, float] = {src: 0.0}
+    pred: dict[str, tuple[str, str]] = {}
+    for _ in range(max(len(node_ids) - 1, 1)):
+        changed = False
+        for u, v, w, lid in arcs:
+            du = dist.get(u)
+            if du is None:
+                continue
+            cand = du + w
+            if cand < dist.get(v, float("inf")) - 1e-15:
+                dist[v] = cand
+                pred[v] = (u, lid)
+                changed = True
+        if not changed:
+            break
+    if dst not in dist:
+        return None
+    path: list[tuple[str, str, str]] = []
+    cursor = dst
+    hops = 0
+    while cursor != src:
+        u, lid = pred[cursor]
+        path.append((u, cursor, lid))
+        cursor = u
+        hops += 1
+        if hops > len(node_ids):
+            raise KMError("predecessor cycle during path reconstruction")
+    path.reverse()
+    return path
+
+
 class ReferenceDedupReceiver:
     """Sliding-window duplicate filter that keeps exactly the seqs inside
     the window: the seen-set is rebuilt whenever the highest seq moves, so
@@ -300,12 +347,14 @@ class ReferenceSimulator:
     in flat tables that are filtered on every read: switch rules keyed by
     (switch, flow, path_index), the source's egress link in a second table
     keyed by (flow, path_index), reservations keyed by an integer handle and
-    one list of every latency injection. It has no clock and no rate
-    samples; `send_packet` returns the same records as the simulator and keeps
-    the per-hop trace it built in `last_hops`."""
+    one list of every latency injection. Its clock only moves on
+    `run_until`, and it keeps no rate samples; `send_packet` returns the same
+    records as the simulator and keeps the per-hop trace it built in
+    `last_hops`, and `topology_snapshot` views every link afresh."""
 
     def __init__(self, topology: Topology):
         self.topology = topology
+        self.now_ns = 0
         self._rules: dict[tuple, FlowRule] = {}
         self._host_egress: dict[tuple, str] = {}
         self._injections: list[LatencyInjection] = []
@@ -421,6 +470,22 @@ class ReferenceSimulator:
 
     def link_load_mbps(self, link_id):
         return sum(mbps for lk, mbps in self._reservations.values() if lk == link_id)
+
+    def run_until(self, until_ms):
+        self.now_ns = max(self.now_ns, _ns(until_ms))
+
+    def topology_snapshot(self) -> TopologyView:
+        return TopologyView(
+            nodes=tuple(self.topology.nodes.values()),
+            links=tuple(
+                LinkView(lk.id, lk.endpoints, lk.capacity_mbps,
+                         (_ns(lk.base_latency_ms) + self._extra_latency_ns(lk.id, self.now_ns))
+                         / 1_000_000,
+                         self.link_load_mbps(lk.id))
+                for lk in self.topology.links.values()
+            ),
+            taken_at_ms=self.now_ns / 1_000_000,
+        )
 
     def send_packet(self, packet: Packet) -> DeliveryRecord:
         flow = packet.flow

@@ -42,10 +42,27 @@ RECORDING_TYPE = AgentTypeDef("Recording", AgentKind.ADAPTER, (), ("note",),
                               factory=RecordingAgent)
 
 
-def recording_runtime(count):
+class CourierAgent(Agent):
+    """Test-only agent: on a note, queues a note to each agent in `to`, then
+    destroys the agent `destroy` while those notes are still queued."""
+
+    def handle_message(self, runtime, message):
+        if message.payload["kind"] != "note":
+            return
+        for to in message.payload["to"]:
+            runtime.send_message(self.agent_id, to, {"kind": "note", "n": message.payload["n"]})
+        self.queue_before = runtime._queue
+        self.dropped = runtime.destroy_agent(message.payload["destroy"])
+
+
+COURIER_TYPE = AgentTypeDef("Courier", AgentKind.ADAPTER, (), ("note",), factory=CourierAgent)
+
+
+def recording_runtime(count, action_log=None):
     library = default_library()
     library.register(RECORDING_TYPE)
-    rt = AgentRuntime(Simulator(evaluation_topology()), library)
+    library.register(COURIER_TYPE)
+    rt = AgentRuntime(Simulator(evaluation_topology()), library, action_log)
     rt.create_environment("e", "x")
     return rt, [rt.spawn_agent("e", AgentSpec("Recording")) for _ in range(count)]
 
@@ -104,6 +121,31 @@ class TestDestroy:
         aid = spawn_link(runtime)
         runtime.destroy_agent(aid)
         assert runtime.destroy_agent(aid) == 0
+
+    def test_destroy_drops_the_messages_queued_for_it(self):
+        log = []
+        rt, (b, c) = recording_runtime(2, lambda *entry, **detail: log.append((*entry, detail)))
+        courier = rt.spawn_agent("e", AgentSpec("Courier"))
+        rt.send_message(STORE_ADDRESS, courier, {"kind": "note", "n": 7, "to": [b, c, b],
+                                                 "destroy": b})
+        assert rt.agents[courier].dropped == 2
+        drops = [entry for entry in log if entry[1] == "drop_message"]
+        assert drops == [(b, "drop_message", "ok", {"from_": courier, "kind": "note"})] * 2
+        assert log.index(drops[0]) < log.index((b, "destroy", "ok", {"type_name": "Recording"}))
+        assert received(rt, c, "note") == [7]
+
+    def test_destroy_with_nothing_queued_for_it_keeps_the_queue(self):
+        log = []
+        rt, (b, c) = recording_runtime(2, lambda *entry, **detail: log.append((*entry, detail)))
+        courier = rt.spawn_agent("e", AgentSpec("Courier"))
+        rt.send_message(STORE_ADDRESS, courier, {"kind": "note", "n": 7, "to": [c],
+                                                 "destroy": b})
+        agent = rt.agents[courier]
+        assert agent.dropped == 0
+        assert rt._queue is agent.queue_before
+        assert all(entry[1] != "drop_message" for entry in log)
+        assert received(rt, c, "note") == [7]
+        assert b not in rt.agents
 
     def test_rebind_after_destroy(self, runtime):
         aid = spawn_link(runtime)

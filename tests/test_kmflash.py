@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socketstore import kmflash
 from socketstore.fixtures import evaluation_topology
 from socketstore.kmflash import (
     AllocationFailure,
@@ -34,6 +36,7 @@ from .oracles import (
     max_flow_unit,
     random_connected_view,
     reference_collect_stats,
+    reference_shortest_residual_path,
 )
 
 FLOW = FlowId("A", "B", "mirror")
@@ -216,9 +219,138 @@ class TestOracleEquivalence:
                         assert all(kinds[n] is NodeKind.SWITCH for n in ends - {src, dst})
 
 
+def allocate_against_reference(view, src, dst, k, rate=1.0, max_latency=float("inf"),
+                               spread=float("inf")):
+    """Allocate with the shipped Bellman-Ford, then again with the reference
+    that relaxes every arc on every pass; each search and the result must be
+    identical. Returns the shipped result."""
+    got = allocate_disjoint_paths(view, src, dst, k, rate, max_latency, spread)
+    shipped, calls = kmflash._shortest_residual_path, []
+
+    def reference(*args):
+        want = reference_shortest_residual_path(*args)
+        assert shipped(*args) == want
+        calls.append(want)
+        return want
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kmflash, "_shortest_residual_path", reference)
+        assert allocate_disjoint_paths(view, src, dst, k, rate, max_latency, spread) == got
+    assert calls
+    return got
+
+
+def _hosts_view(rng, view):
+    """`view` with about a third of its nodes made two-NIC hosts, and about a
+    third of its links doubled by a parallel link of the same latency."""
+    nodes = tuple(Node(n.id, NodeKind.HOST, 2) if rng.random() < 0.3 else n for n in view.nodes)
+    twins = tuple(dataclasses.replace(lk, id="{1}-{0}".format(*lk.endpoints))
+                  for lk in view.links if rng.random() < 0.3)
+    return dataclasses.replace(view, nodes=nodes, links=view.links + twins)
+
+
+def _churn_grid(rng, access_ms, capacity_mbps, side=8, hosts=16):
+    """The instance-churn topology: a side x side switch grid of 0.1 ms links
+    and two-NIC hosts spread evenly around its border, each wired to two
+    neighbouring border switches, moved on by a step picked by `rng`."""
+    nodes = [{"id": f"S{r}-{c}", "kind": "switch"} for r in range(side) for c in range(side)]
+    pairs = []
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                pairs.append((f"S{r}-{c}", f"S{r}-{c + 1}", 0.1))
+            if r + 1 < side:
+                pairs.append((f"S{r}-{c}", f"S{r + 1}-{c}", 0.1))
+    last = side - 1
+    border = ([(0, c) for c in range(side)] + [(r, last) for r in range(1, side)]
+              + [(last, c) for c in range(last - 1, -1, -1)]
+              + [(r, 0) for r in range(last - 1, 0, -1)])
+    for h in range(hosts):
+        host = f"H{h:02d}"
+        nodes.append({"id": host, "kind": "host", "nic_count": 2})
+        i = (h * len(border) // hosts + rng.randrange(2)) % len(border)
+        for r, c in (border[i], border[(i + 1) % len(border)]):
+            pairs.append((host, f"S{r}-{c}", access_ms))
+    return build_topology({"nodes": nodes, "links": [
+        {"endpoints": [a, b], "capacity_mbps": capacity_mbps, "latency_ms": lat}
+        for a, b, lat in pairs]})
+
+
+class TestReferenceAllocator:
+    """The shipped allocator returns exactly what the pass-based Bellman-Ford
+    it replaced returns: same paths, same latencies, same failures."""
+
+    def test_random_views_k1_to_k4(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            view = random_connected_view(rng, max_nodes=10)
+            src, dst = rng.sample(sorted(view.node_ids()), 2)
+            for k in (1, 2, 3, 4):
+                allocate_against_reference(view, src, dst, k)
+
+    def test_two_nic_hosts_parallel_links_and_tenth_ms_ties(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            view = _hosts_view(rng, random_connected_view(rng, max_nodes=10))
+            src, dst = rng.sample(sorted(view.node_ids()), 2)
+            for k in (1, 2, 3):
+                allocate_against_reference(view, src, dst, k, max_latency=3.0, spread=0.5)
+        tie = Simulator(build_topology(_tie_topology())).topology_snapshot()
+        for k in (1, 2, 3):
+            allocate_against_reference(tie, "A", "B", k)
+
+    def test_loaded_view_where_the_capacity_filter_drops_links(self):
+        rng = random.Random(31)
+        dropped = 0
+        for _ in range(150):
+            view = random_connected_view(rng, max_nodes=10)
+            links = tuple(dataclasses.replace(lk, load_mbps=rng.choice([0.0, 0.0, 50.0, 95.0]))
+                          for lk in view.links)
+            view = dataclasses.replace(view, links=links)
+            dropped += sum(lk.residual_mbps < 10.0 for lk in links)
+            src, dst = rng.sample(sorted(view.node_ids()), 2)
+            for k in (1, 2, 3):
+                allocate_against_reference(view, src, dst, k, rate=10.0)
+        assert dropped > 100
+
+    @pytest.mark.parametrize("access_ms, capacity_mbps", [(0.5, 100_000.0), (0.1, 100_000.0),
+                                                          (0.5, 100.0)])
+    def test_churn_grid(self, access_ms, capacity_mbps):
+        """Connects and closes on the 8x8 grid, each allocation made from a
+        fresh snapshot of the loaded simulator."""
+        rng = random.Random(f"grid/{access_ms}/{capacity_mbps}")
+        sim = Simulator(_churn_grid(rng, access_ms, capacity_mbps))
+        hosts = sorted(n.id for n in sim.topology.nodes.values() if n.kind is NodeKind.HOST)
+        live, failures = [], 0
+        for step in range(80):
+            if live and rng.random() < 0.3:
+                retract_mirror_paths(sim, live.pop(rng.randrange(len(live))))
+                continue
+            src, dst = rng.sample(hosts, 2)
+            got = allocate_against_reference(sim.topology_snapshot(), src, dst,
+                                             rng.choice([1, 2, 2, 3]), 10.0, 5.0)
+            if isinstance(got, AllocationFailure):
+                failures += 1
+                continue
+            handles = deploy_mirror_paths(sim, FlowId(src, dst, f"c{step}"), got, 10.0)
+            assert not isinstance(handles, AllocationFailure)
+            live.append(handles)
+        assert len(live) > 10
+        if capacity_mbps == 100.0:
+            assert failures > 0
+
+
 class TestDefaultPath:
     def test_lexicographic_tie_break(self, sim):
         assert default_shortest_path(view_of(sim), "A", "B") == DEFAULT_PATH
+
+    def test_tie_break_on_equal_sums_of_unequal_floats(self):
+        """0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ as floats but are both
+        0.6 ms, so the lexicographically smaller S-a-b-D wins."""
+        view = mkview(["S", "a", "b", "c", "e", "D"],
+                      [("S", "a", 0.1), ("a", "b", 0.2), ("b", "D", 0.3),
+                       ("S", "c", 0.3), ("c", "e", 0.2), ("e", "D", 0.1)])
+        assert default_shortest_path(view, "S", "D") == ["S-a", "a-b", "b-D"]
 
     def test_unreachable_returns_none(self):
         view = mkview(["A", "B", "C"], [("A", "B", 1.0)])

@@ -341,6 +341,20 @@ class TestLinkStatsAndSnapshot:
         assert by_id["R4-B"].latency_ms == pytest.approx(10.5)
         assert by_id["R3-R4"].latency_ms == pytest.approx(0.5)
 
+    def test_snapshot_through_an_injection_window(self, sim):
+        """A snapshot inside the window shows the extra latency and one after
+        it the base latency; the other links keep their cached views."""
+        before = {lk.id: lk for lk in sim.topology_snapshot().links}
+        sim.inject_latency(LatencyInjection("R4-B", 10.0, 40.0, 60.0))
+        sim.run_until(45.0)
+        inside = {lk.id: lk for lk in sim.topology_snapshot().links}
+        sim.run_until(60.0)
+        after = {lk.id: lk for lk in sim.topology_snapshot().links}
+        assert inside["R4-B"].latency_ms == 10.5
+        assert after["R4-B"].latency_ms == 0.5 == before["R4-B"].latency_ms
+        for link in before.keys() - {"R4-B"}:
+            assert before[link] is inside[link] is after[link]
+
     def test_single_node_topology_snapshot(self):
         s = Simulator(build_topology({"nodes": [{"id": "A", "kind": "host", "nic_count": 1}]}))
         view = s.topology_snapshot()
@@ -443,6 +457,7 @@ _send = st.tuples(st.just("send"), _ms)
 # deploys, installs, reservations and sends are drawn more often than the rest
 TABLE_OPS = st.one_of(
     _deploy, _deploy, _deploy, _install, _install, _reserve, _reserve, _send, _send,
+    st.tuples(st.just("run_until"), _ms),
     st.tuples(st.just("deploy_links"), _flow, _index, st.lists(_link, min_size=1, max_size=4)),
     st.tuples(st.just("retract"), _flow, _index),
     st.tuples(st.just("release"), st.integers(0, 40)),
@@ -500,7 +515,8 @@ def _rule_key(rule):
 @given(ops=st.lists(TABLE_OPS, min_size=4, max_size=40))
 def test_property_tables_match_flat_reference(ops):
     """Routes, reservations and injections kept per key answer every query
-    exactly as flat tables filtered on read do."""
+    exactly as flat tables filtered on read do, and the snapshot with its
+    cached link views equals one that views every link afresh."""
     sim = Simulator(evaluation_topology())
     ref = ReferenceSimulator(evaluation_topology())
     for target in (sim, ref):  # start from a deployed mirror pair
@@ -548,6 +564,9 @@ def test_property_tables_match_flat_reference(ops):
             assert _outcome(lambda: sim.inject_latency(inj)) == _outcome(lambda: ref.inject_latency(inj))
         elif kind == "remove":
             assert _outcome(lambda: sim.remove_link(op[1])) == _outcome(lambda: ref.remove_link(op[1]))
+        elif kind == "run_until":
+            sim.run_until(op[1])
+            ref.run_until(op[1])
         else:
             _assert_same_sends(sim, ref, op[1])
         assert sorted(sim.all_rules(), key=_rule_key) == sorted(ref.all_rules(), key=_rule_key)
@@ -555,5 +574,6 @@ def test_property_tables_match_flat_reference(ops):
             assert sim.rules_at(switch) == ref.rules_at(switch)
         for link in TABLE_LINKS:
             assert sim.link_load_mbps(link) == ref.link_load_mbps(link)
+        assert sim.topology_snapshot() == ref.topology_snapshot()
     for sent_at in (0.0, 17.5, 45.0):
         _assert_same_sends(sim, ref, sent_at)
