@@ -16,14 +16,13 @@ from . import fixtures
 from .experiment import (
     ExperimentConfig,
     ExperimentError,
-    InjectionConfig,
     config_from_file,
     run_experiment,
     write_plot,
     write_report,
 )
 from .moduledef import IllegalTransition, manifest_from_json
-from .netsim import Simulator, build_topology, load_topology_file
+from .netsim import LatencyInjection, NetsimError, Simulator, build_topology, load_topology_file
 from .store import BASELINE_MODULE_ID, SocketStore, StoreError
 
 DATA_ENV_VAR = "SOCKETSTORE_DATA"
@@ -126,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (StoreError, IllegalTransition, ExperimentError, OSError,
+    except (StoreError, IllegalTransition, ExperimentError, NetsimError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -294,7 +293,7 @@ def cmd_run_experiment(args) -> int:
     if args.inject:
         try:
             link, extra, start, end = args.inject.split(":")
-            overrides["injection"] = InjectionConfig(
+            overrides["injection"] = LatencyInjection(
                 link, float(extra), float(start), float(end)
             )
         except ValueError:

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .kmflash import default_shortest_path, send_copies
+from .kmflash import deploy_default_route, send_copies
 from .netsim import DeliveryRecord, FlowId, NodeKind, Packet, Simulator
-from .wire import TransportError, TransportTimeout
+from .wire import TransportError, TransportTimeout, reply_violation
 
 REFRESH_INTERVAL_MS = 1000.0
 HANDSHAKE_TIMEOUT_MS = 200.0
@@ -37,9 +37,6 @@ class Endpoint:
     def __post_init__(self):
         if not 1 <= self.port <= 65535:
             raise DsaError(f"port {self.port} out of range")
-
-    def to_doc(self) -> dict:
-        return {"address": self.address, "port": self.port, "nic": self.nic}
 
 
 @dataclass(frozen=True)
@@ -273,7 +270,7 @@ class DsaClient:
             {
                 "kind": "BIND",
                 "alias": alias,
-                "connectivity": [e.to_doc() for e in self.endpoints()],
+                "connectivity": [vars(e) for e in self.endpoints()],
             }
         )
 
@@ -331,7 +328,7 @@ class DsaClient:
         resolved = reply["connectivity"]
 
         inputs = {
-            "endpointA": [e.to_doc() for e in self.endpoints()],
+            "endpointA": [vars(e) for e in self.endpoints()],
             "endpointB": resolved,
             "K": opts.k,
             "rate": opts.rate_mbps,
@@ -361,7 +358,7 @@ class DsaClient:
 
     def _step(self, message: dict, deadline_ms: float):
         """One handshake request under the timeout budget; returns the reply
-        dict or a failure-reason string."""
+        dict or a failure-reason string (a malformed success reply gives one)."""
         if self.sim.now_ms >= deadline_ms:
             return "store unreachable (timeout)"
         try:
@@ -373,8 +370,10 @@ class DsaClient:
         except TransportError as exc:
             return f"store unreachable: {exc}"
         if reply.get("kind") == "PROTOCOL_ERROR":
-            return f"protocol error: {reply.get('reason')}"
-        return reply
+            reason = reply.get("reason")
+        elif (reason := reply_violation(message, reply)) is None:
+            return reply
+        return f"protocol error: {reason}"
 
     def _best_effort_resolve(self, alias, deadline_ms):
         reply = self._step({"kind": "RESOLVE", "alias": alias}, deadline_ms)
@@ -395,9 +394,6 @@ class DsaClient:
             dst = alias  # a node id, or unresolvable: packets then drop as unroutable
         self._fallback_seq += 1
         flow = FlowId(self.device, dst, f"fallback-{self.device}-{self._fallback_seq}")
-        if dst in self.sim.topology.nodes:
-            path = default_shortest_path(self.sim.topology_snapshot(), self.device, dst)
-            if path:
-                self.sim.deploy_path(flow, path, path_index=0)
+        deploy_default_route(self.sim, flow)
         return Connection(self, mode="fallback", flow=flow, paths=1,
                           deadline_ms=opts.max_latency_ms, failure_reason=reason)

@@ -12,15 +12,17 @@ import io
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from .dsa import ConnectOptions, DsaClient
 from .fixtures import (
     EVALUATION_TOPOLOGY,
     FLASH_DELIVERY_ID,
+    LATENCY_SPIKE,
     flash_delivery_manifest,
 )
-from .kmflash import DeliveryStats, collect_stats, default_shortest_path, paced, send_copies
+from .kmflash import DeliveryStats, delivery_stats, deploy_default_route, paced, send_copies
 from .netsim import (
     DeliveryRecord,
     FlowId,
@@ -32,20 +34,12 @@ from .netsim import (
 from .store import BASELINE_MODULE_ID, CostReport, SocketStore
 from .wire import LocalTransport, StoreProtocol
 
-CSV_COLUMNS = ["seq", "sent_at_ms", "latency_path0_ms", "latency_path1_ms",
-               "earliest_ms", "violated"]
-
 
 class ExperimentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class InjectionConfig:
-    link: str = "R4-B"
-    extra_ms: float = 10.0
-    start_ms: float = 40.0
-    end_ms: float = 60.0
+InjectionConfig = LatencyInjection  # the name older callers import
 
 
 @dataclass
@@ -59,7 +53,7 @@ class ExperimentConfig:
     packet_count: int = 100
     gap_ms: float = 1.0
     deadline_ms: float = 5.0
-    injection: InjectionConfig = field(default_factory=InjectionConfig)
+    injection: LatencyInjection = LATENCY_SPIKE
     k: int = 2
     rate_mbps: float = 10.0
     payload_size: int = 512
@@ -83,14 +77,16 @@ class ExperimentConfig:
 def config_from_file(path: str, **overrides) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise ExperimentError(f"unknown config fields: {sorted(unknown)}")
-    if "injection" in doc:
-        doc["injection"] = InjectionConfig(**doc["injection"])
-    doc.update(overrides)
-    return ExperimentConfig(**doc)
+    try:  # an injection takes the spike's values for the fields it omits
+        if unknown := set(doc) - set(ExperimentConfig.__dataclass_fields__):
+            raise ExperimentError(f"unknown config fields: {sorted(unknown)}")
+        if "injection" in doc:
+            doc["injection"] = replace(LATENCY_SPIKE, **doc["injection"])
+        config = ExperimentConfig(**{**doc, **overrides})
+        config.validate()
+    except TypeError as exc:
+        raise ExperimentError(f"bad config file {path}: {exc}") from None
+    return config
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,6 +97,9 @@ class PacketRow:
     latency_path1_ms: float | None
     earliest_ms: float | None
     violated: int
+
+
+CSV_COLUMNS = [f.name for f in fields(PacketRow)]
 
 
 @dataclass
@@ -123,11 +122,7 @@ class ExperimentReport:
         if self.failure_reason:
             doc["failure_reason"] = self.failure_reason
         if self.cost is not None:
-            doc["cost"] = {
-                "raw_total": self.cost.raw_total,
-                "weighted_total": self.cost.weighted_total,
-                "rows": self.cost.rows_doc(),
-            }
+            doc["cost"] = self.cost.doc()
         return doc
 
 
@@ -139,10 +134,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     else:
         topology = build_topology(EVALUATION_TOPOLOGY)
     sim = Simulator(topology)
-    inj = config.injection
-    sim.inject_latency(
-        LatencyInjection(inj.link, inj.extra_ms, inj.start_ms, inj.end_ms)
-    )
+    sim.inject_latency(config.injection)
 
     if config.module == BASELINE_MODULE_ID:
         return _run_baseline(sim, config)
@@ -151,10 +143,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def _run_baseline(sim: Simulator, config: ExperimentConfig) -> ExperimentReport:
     flow = FlowId("A", "B", "baseline")
-    path = default_shortest_path(sim.topology_snapshot(), "A", "B")
-    if path is None:
+    if not deploy_default_route(sim, flow):
         raise ExperimentError("no route between A and B in this topology")
-    sim.deploy_path(flow, path)
     per_seq = paced(sim, config.packet_count, config.gap_ms, lambda seq: send_copies(
         sim, flow, 1, seq, config.payload_size, config.deadline_ms))
     return _report("baseline", per_seq, config, cost=None)
@@ -209,7 +199,7 @@ def _store_for(sim: Simulator, config: ExperimentConfig,
 def _report(mode: str, per_seq: list[list[DeliveryRecord]], config: ExperimentConfig,
             cost: CostReport | None, failure_reason: str | None = None) -> ExperimentReport:
     """One CSV row per seq from the records of that seq's copies, and the
-    stats over every copy."""
+    stats over each row's earliest latency."""
     rows = []
     for seq, records in enumerate(per_seq):
         latency = {rec.packet.path_index: rec.latency_ms for rec in records}
@@ -217,50 +207,23 @@ def _report(mode: str, per_seq: list[list[DeliveryRecord]], config: ExperimentCo
         violated = 0 if (earliest is not None and earliest <= config.deadline_ms) else 1
         rows.append(PacketRow(seq, records[0].packet.sent_at_ms, latency.get(0),
                               latency.get(1), earliest, violated))
-    stats = collect_stats((rec for records in per_seq for rec in records), config.deadline_ms)
+    stats = delivery_stats([row.earliest_ms for row in rows], config.deadline_ms)
     return ExperimentReport(mode, rows, stats, cost, failure_reason)
 
 
 def render_csv(report: ExperimentReport) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")  # None -> "", a float -> its repr
     writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow(
-            [
-                row.seq,
-                _cell(row.sent_at_ms),
-                _cell(row.latency_path0_ms),
-                _cell(row.latency_path1_ms),
-                _cell(row.earliest_ms),
-                row.violated,
-            ]
-        )
+    writer.writerows(map(attrgetter(*CSV_COLUMNS), report.rows))
     return buf.getvalue()
-
-
-def _cell(value) -> str:
-    return "" if value is None else str(value)
 
 
 def stats_from_csv(text: str, deadline_ms: float) -> DeliveryStats:
     """Recompute the summary from the CSV rows; must reproduce the report's
     stats exactly."""
-    reader = csv.DictReader(io.StringIO(text))
-    sent = delivered = in_deadline = 0
-    for row in reader:
-        sent += 1
-        if row["earliest_ms"]:
-            delivered += 1
-            if float(row["earliest_ms"]) <= deadline_ms:
-                in_deadline += 1
-    return DeliveryStats(
-        sent=sent,
-        delivered_unique=delivered,
-        deadline_violations=delivered - in_deadline,
-        losses=sent - delivered,
-        in_deadline_ratio=(in_deadline / sent) if sent else 1.0,
-    )
+    return delivery_stats([float(row["earliest_ms"]) if row["earliest_ms"] else None
+                           for row in csv.DictReader(io.StringIO(text))], deadline_ms)
 
 
 def write_report(report: ExperimentReport, output_dir: str,

@@ -20,7 +20,7 @@ from .moduledef import (
     manifest_to_json,
     parse_nsd,
 )
-from .netsim import Topology, build_topology
+from .netsim import LatencyInjection, Topology, build_topology
 
 EVALUATION_TOPOLOGY: dict = {
     "nodes": [
@@ -43,6 +43,9 @@ EVALUATION_TOPOLOGY: dict = {
         {"endpoints": ["R5", "B"], "capacity_mbps": 100, "latency_ms": 0.5},
     ],
 }
+
+# the one spike both the store's testbed and the experiment inject
+LATENCY_SPIKE = LatencyInjection("R4-B", 10.0, 40.0, 60.0)
 
 FLASH_DELIVERY_NSD = """\
 <nsd>

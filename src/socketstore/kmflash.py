@@ -225,6 +225,17 @@ def default_shortest_path(view: TopologyView, src: str, dst: str) -> list[str] |
     return None
 
 
+def deploy_default_route(sim: Simulator, flow: FlowId) -> bool:
+    """Deploy `flow` as path 0 over the default route between its ends;
+    False, deploying nothing, when either end is unknown or unreachable."""
+    if flow.src not in sim.topology.nodes or flow.dst not in sim.topology.nodes:
+        return False
+    path = default_shortest_path(sim.topology_snapshot(), flow.src, flow.dst)
+    if path:
+        sim.deploy_path(flow, path)
+    return bool(path)
+
+
 # -- deployment and mirrored transmission ------------------------------------
 
 
@@ -337,10 +348,15 @@ def earliest_latency(records: Iterable[DeliveryRecord]) -> dict[int, float | Non
 
 
 def collect_stats(records: Iterable[DeliveryRecord], deadline_ms: float) -> DeliveryStats:
-    """Per-seq statistics over all mirror copies. A seq counts as in-deadline
-    iff its earliest arrival latency is within the deadline; zero sends is
+    """Per-seq statistics over all mirror copies."""
+    return delivery_stats(earliest_latency(records).values(), deadline_ms)
+
+
+def delivery_stats(latencies: Iterable[float | None], deadline_ms: float) -> DeliveryStats:
+    """Statistics over each seq's earliest latency (None: lost). A seq counts
+    as in-deadline iff that latency is within the deadline; zero sends is
     vacuous success (ratio 1.0) so an idle module never ranks as failing."""
-    latencies = list(earliest_latency(records).values())
+    latencies = list(latencies)
     sent = len(latencies)
     delivered = sum(1 for lat in latencies if lat is not None)
     in_deadline = sum(1 for lat in latencies if lat is not None and lat <= deadline_ms)

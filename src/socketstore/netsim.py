@@ -213,10 +213,6 @@ _NODE_FIELDS = {"id", "kind", "nic_count"}
 _LINK_FIELDS = {"endpoints", "capacity_mbps", "latency_ms"}
 
 
-def link_id_for(a: str, b: str) -> str:
-    return f"{a}-{b}"
-
-
 def build_topology(spec: dict) -> Topology:
     """Build a topology from the documented description document.
 
@@ -249,7 +245,7 @@ def build_topology(spec: dict) -> Topology:
             raise TopologyError(f"link entry needs a two-node endpoints pair: {entry!r}")
         links.append(
             Link(
-                id=link_id_for(a, b),
+                id=f"{a}-{b}",
                 endpoints=(a, b),
                 capacity_mbps=float(entry["capacity_mbps"]),
                 base_latency_ms=float(entry["latency_ms"]),

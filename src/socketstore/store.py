@@ -22,13 +22,15 @@ from .agents import Agent, AgentError, AgentKind, AgentRuntime, AgentSpec, Agent
 from .fixtures import (
     BUILTIN_METRICS,
     EVALUATION_TOPOLOGY,
+    LATENCY_SPIKE,
     default_library,
 )
 from .kmflash import (
     KMAgent,
     KMError,
+    _address_of,
     collect_stats,
-    default_shortest_path,
+    deploy_default_route,
     earliest_latency,
     mirror_send,
     paced,
@@ -137,12 +139,9 @@ class CostReport:
         """No weighting is applied: always equal to raw_total."""
         return self.raw_total
 
-    def rows_doc(self) -> list[dict]:
-        return [
-            {"resource_id": r.resource_id, "kind": r.kind, "quantity": r.quantity,
-             "unit": r.unit, "unit_price": r.unit_price, "subtotal": r.subtotal}
-            for r in self.rows
-        ]
+    def doc(self) -> dict:
+        return {"raw_total": self.raw_total, "weighted_total": self.weighted_total,
+                "rows": [{**vars(row), "subtotal": row.subtotal} for row in self.rows]}
 
 
 # -- records ------------------------------------------------------------------
@@ -218,7 +217,7 @@ def latency_spike_scenario() -> TestbedScenario:
         packet_count=100,
         gap_ms=1.0,
         deadline_ms=5.0,
-        injections=(LatencyInjection("R4-B", 10.0, 40.0, 60.0),),
+        injections=(LATENCY_SPIKE,),
         inputs={
             "endpointA": {"address": "A", "port": 5000, "nic": 0},
             "endpointB": {"address": "B", "port": 5000, "nic": 0},
@@ -281,7 +280,7 @@ class SocketStore:
         return self.now_ms()
 
     def log_action(self, actor: str, action: str, outcome: str, **detail) -> None:
-        self.log.append(ActionLogEntry(self._tick(), actor, action, outcome, detail))
+        self._runtime_log(actor, action, outcome, **detail)
         self._persist()
 
     def read_log(
@@ -453,10 +452,13 @@ class SocketStore:
         while token in self._tokens or token in self._revoked_tokens:
             token = self._token_factory()
         license = License(app_id, module_id, self.now_ms(), token)
-        self.licenses[(app_id, module_id)] = license
-        self._tokens[token] = license
+        self._add_license(license)
         self.log_action(app_id, "purchase", "ok", module_id=module_id)
         return license
+
+    def _add_license(self, license: License) -> None:
+        self.licenses[(license.app_id, license.module_id)] = license
+        self._tokens[license.token] = license
 
     def revoke_license(self, app_id: str, module_id: str) -> None:
         license = self.licenses.pop((app_id, module_id), None)
@@ -625,16 +627,11 @@ class SocketStore:
         per_seq: list[list] = []
         failure: str | None = None
         if manifest is None:
-            flow = FlowId(
-                str(scenario.inputs["endpointA"]["address"]),
-                str(scenario.inputs["endpointB"]["address"]),
-                "baseline",
-            )
-            path = default_shortest_path(sim.topology_snapshot(), flow.src, flow.dst)
-            if path is None:
+            flow = FlowId(_address_of(scenario.inputs["endpointA"]),
+                          _address_of(scenario.inputs["endpointB"]), "baseline")
+            if not deploy_default_route(sim, flow):
                 failure = f"no route between {flow.src} and {flow.dst}"
             else:
-                sim.deploy_path(flow, path)
                 per_seq = paced(sim, scenario.packet_count, scenario.gap_ms,
                                 lambda seq: send_copies(sim, flow, 1, seq, scenario.size_bytes,
                                                         scenario.deadline_ms))
@@ -679,30 +676,15 @@ class SocketStore:
     def _persist(self) -> None:
         if not self.data_path:
             return
+        # each record is its dataclass's fields; a str enum dumps as its value
         state = {
             "specialists": sorted(self.specialists),
-            "metrics": [
-                {"metric_id": m.metric_id, "name": m.name, "unit": m.unit,
-                 "direction": m.direction.value}
-                for m in self.metrics.values()
-            ],
+            "metrics": [vars(m) for m in self.metrics.values()],
             "modules": [manifest_to_doc(m) for m in self.modules.values()],
-            "licenses": [
-                {"app_id": l.app_id, "module_id": l.module_id,
-                 "issued_at_ms": l.issued_at_ms, "token": l.token}
-                for l in self.licenses.values()
-            ],
+            "licenses": [vars(l) for l in self.licenses.values()],
             "revoked_tokens": sorted(self._revoked_tokens),
-            "samples": [
-                {"module_id": s.module_id, "metric_id": s.metric_id, "value": s.value,
-                 "ts_ms": s.ts_ms, "source": s.source}
-                for s in self.samples
-            ],
-            "log": [
-                {"ts_ms": e.ts_ms, "actor": e.actor, "action": e.action,
-                 "outcome": e.outcome, "detail": e.detail}
-                for e in self.log
-            ],
+            "samples": [vars(s) for s in self.samples],
+            "log": [vars(e) for e in self.log],
             "logical_ms": self._logical_ms,
         }
         tmp_path = f"{self.data_path}.tmp"  # renamed over the data file once complete
@@ -730,27 +712,18 @@ class SocketStore:
         self.metrics: dict[str, MetricDef] = {m.metric_id: m for m in BUILTIN_METRICS}
         for m in state.get("metrics", []):
             self.metrics[m["metric_id"]] = MetricDef(
-                m["metric_id"], m["name"], m["unit"], MetricDirection(m["direction"])
-            )
+                **{**m, "direction": MetricDirection(m["direction"])})
         self.modules: dict[str, ModuleManifest] = {}
         for doc in state.get("modules", []):
             manifest = manifest_from_doc(doc, self.library)
             self.modules[manifest.module_id] = manifest
         self.licenses: dict[tuple[str, str], License] = {}
         self._tokens: dict[str, License] = {}
-        for l in state.get("licenses", []):
-            license = License(l["app_id"], l["module_id"], l["issued_at_ms"], l["token"])
-            self.licenses[(license.app_id, license.module_id)] = license
-            self._tokens[license.token] = license
+        for doc in state.get("licenses", []):
+            self._add_license(License(**doc))
         self._revoked_tokens = set(state.get("revoked_tokens", []))
-        self.samples = [
-            MetricSample(s["module_id"], s["metric_id"], s["value"], s["ts_ms"], s["source"])
-            for s in state.get("samples", [])
-        ]
-        self.log = [
-            ActionLogEntry(e["ts_ms"], e["actor"], e["action"], e["outcome"], e["detail"])
-            for e in state.get("log", [])
-        ]
+        self.samples = [MetricSample(**s) for s in state.get("samples", [])]
+        self.log = [ActionLogEntry(**e) for e in state.get("log", [])]
         self._logical_ms = state.get("logical_ms", float(len(self.log)))
 
 

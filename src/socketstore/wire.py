@@ -15,7 +15,8 @@ Request kinds (their fields are in SCHEMA) and their replies:
 Each request is checked against its SCHEMA row before dispatch: unknown kinds,
 missing or mistyped fields and malformed lines (non-finite numbers included)
 are answered with PROTOCOL_ERROR{reason}; so is a served line longer than
-MAX_LINE_BYTES, which also closes its connection. An empty connectivity list
+MAX_LINE_BYTES, which also closes its connection. The DSA checks the success
+replies it reads against REPLIES the same way. An empty connectivity list
 releases a bound alias. Control-plane only: no payload-bearing kind exists.
 """
 
@@ -33,14 +34,19 @@ from .store import InstantiationError, SocketStore, StoreError
 
 MAX_LINE_BYTES = 1 << 20  # newline included; far above any DSA request
 
-# The JSON types of request fields, each named as a PROTOCOL_ERROR names it.
+# The JSON types of message fields, each named as a PROTOCOL_ERROR names it.
+# A check sees the value and, for a reply, the request it answers.
 STRING, OBJECT = "a string", "an object"
 ENDPOINTS = "a list of objects with a string 'address'"
+ALLOCATION = "an object with a 'flow' of three strings and an int 'k' from 1 to the K requested"
 _IS = {
-    STRING: lambda value: isinstance(value, str),
-    OBJECT: lambda value: isinstance(value, dict),
-    ENDPOINTS: lambda value: isinstance(value, list) and all(
+    STRING: lambda value, request: isinstance(value, str),
+    OBJECT: lambda value, request: isinstance(value, dict),
+    ENDPOINTS: lambda value, request: isinstance(value, list) and all(
         isinstance(e, dict) and isinstance(e.get("address"), str) for e in value),
+    ALLOCATION: lambda value, request: isinstance(value, dict)
+    and type(k := value.get("k")) is int and 1 <= k <= request["inputs"]["K"]
+    and isinstance(flow := value.get("flow"), list) and list(map(type, flow)) == [str] * 3,
 }
 # The fields of each request kind and their types; no other code states them.
 SCHEMA: dict[str, dict[str, str]] = {
@@ -51,6 +57,11 @@ SCHEMA: dict[str, dict[str, str]] = {
     "INSTANTIATE": {"module_id": STRING, "inputs": OBJECT},
     "COST": {"instance_id": STRING},
     "TEARDOWN": {"instance_id": STRING},
+}
+# The fields the DSA reads from a success reply, for each kind it reads from.
+REPLIES: dict[str, dict[str, str]] = {
+    "RESOLVE_OK": {"connectivity": ENDPOINTS},
+    "INSTANTIATE_OK": {"instance_id": STRING, "allocation": ALLOCATION},
 }
 
 
@@ -84,19 +95,26 @@ def _finite(text: str) -> float:
 _DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 
 
-def _violation(message) -> str | None:
-    """Why `message` does not match its SCHEMA row, or None if it does."""
+def _violation(message, rows=SCHEMA, request=None) -> str | None:
+    """Why `message` does not match its row of `rows`, or None if it does."""
     if not isinstance(message, dict):
         return "message must be an object"
     kind = message.get("kind")
-    if not isinstance(kind, str) or kind not in SCHEMA:
+    if not isinstance(kind, str) or kind not in rows:
         return f"unknown message kind {kind!r}"
-    for name, json_type in SCHEMA[kind].items():
+    for name, json_type in rows[kind].items():
         if name not in message:
             return f"{kind} missing field {name!r}"
-        if not _IS[json_type](message[name]):
+        if not _IS[json_type](message[name], request):
             return f"{name} must be {json_type}"
     return None
+
+
+def reply_violation(request: dict, reply: dict) -> str | None:
+    """Why `reply`, if it is the success reply to `request`, breaks its REPLIES row."""
+    if reply.get("kind") != f"{request['kind']}_OK" or reply["kind"] not in REPLIES:
+        return None
+    return _violation(reply, REPLIES, request)
 
 
 class StoreProtocol:
@@ -184,13 +202,7 @@ class StoreProtocol:
             report = self.store.cost(instance_id)
         except StoreError as exc:
             return {"kind": "COST_FAIL", "reason": str(exc)}
-        return {
-            "kind": "COST_REPORT",
-            "instance_id": report.instance_id,
-            "rows": report.rows_doc(),
-            "raw_total": report.raw_total,
-            "weighted_total": report.weighted_total,
-        }
+        return {"kind": "COST_REPORT", "instance_id": report.instance_id, **report.doc()}
 
     def _on_teardown(self, session, instance_id):
         try:

@@ -140,6 +140,28 @@ class TestRunExperiment:
         assert run("run-experiment", "--inject", "R4-B:10") == 1
         assert "--inject expects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"injection": "R4-B"},
+        {"packet_count": "100"},
+        {"injection": {"link": "R4-B", "extra": 1}},
+    ])
+    def test_mistyped_config_file_is_an_error(self, workdir, capsys, doc):
+        path = workdir / "config.json"
+        path.write_text(json.dumps(doc))
+        assert run("run-experiment", "--config", str(path),
+                   "--out", str(workdir / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--inject", "R9-X:10:40:60"),
+        ("--inject", "R4-B:10:60:40"),
+    ])
+    def test_injection_the_network_rejects_is_an_error(self, workdir, capsys, argv):
+        assert run("run-experiment", *argv, "--out", str(workdir / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unpurchased_against_data_store_reports_fallback(self, workdir, capsys):
         submit_flash(workdir)
         run("publish", "flash-delivery")

@@ -177,6 +177,66 @@ class TestConnect:
         assert "only 2 disjoint paths" in events[0].reason
 
 
+class CannedTransport:
+    """A store that answers each request kind with one fixed reply."""
+
+    def __init__(self, replies: dict):
+        self.replies = {"HELLO": {"kind": "HELLO_OK", "app_id": "demo"}, **replies}
+
+    def request(self, message: dict) -> dict:
+        return self.replies[message["kind"]]
+
+
+AUTH_OK = {"kind": "AUTH_OK", "module_id": MODULE}
+RESOLVE_OK = {"kind": "RESOLVE_OK", "connectivity": [{"address": "B", "port": 5000, "nic": 0}]}
+BAD_ALLOCATION = ("protocol error: allocation must be an object with a 'flow' of three "
+                  "strings and an int 'k' from 1 to the K requested")
+# a success reply with a missing or mistyped field, and the failure it is
+MALFORMED_SUCCESS = {
+    "resolve_ok_without_connectivity": (
+        {"AUTH": AUTH_OK, "RESOLVE": {"kind": "RESOLVE_OK"}},
+        "protocol error: RESOLVE_OK missing field 'connectivity'"),
+    "connectivity_not_endpoints_after_deny": (
+        {"AUTH": {"kind": "AUTH_DENY", "reason": "no license"},
+         "RESOLVE": {"kind": "RESOLVE_OK", "connectivity": "zz"}},
+        "authorization denied"),
+    "instantiate_ok_without_allocation": (
+        {"AUTH": AUTH_OK, "RESOLVE": RESOLVE_OK,
+         "INSTANTIATE": {"kind": "INSTANTIATE_OK", "instance_id": "inst-0001"}},
+        "protocol error: INSTANTIATE_OK missing field 'allocation'"),
+    "allocation_flow_not_three_strings": (
+        {"AUTH": AUTH_OK, "RESOLVE": RESOLVE_OK,
+         "INSTANTIATE": {"kind": "INSTANTIATE_OK", "instance_id": "inst-0001",
+                         "allocation": {"flow": 3, "k": 2}}},
+        BAD_ALLOCATION),
+    "allocation_k_above_k_requested": (
+        {"AUTH": AUTH_OK, "RESOLVE": RESOLVE_OK,
+         "INSTANTIATE": {"kind": "INSTANTIATE_OK", "instance_id": "inst-0001",
+                         "allocation": {"flow": ["A", "B", "inst-0001"], "k": 3}}},
+        BAD_ALLOCATION),
+}
+
+
+@pytest.mark.parametrize("on_failure", ["fallback", "negotiate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_SUCCESS))
+def test_malformed_success_reply_is_store_trouble(case, on_failure):
+    """connect never raises on a success reply it cannot use: it falls back
+    or relays the failure like any other store trouble."""
+    replies, reason = MALFORMED_SUCCESS[case]
+    sim = Simulator(evaluation_topology())
+    dsa_a = DsaClient("A", sim, CannedTransport(replies), app_id="demo")
+    events = []
+    dsa_a.on_failure(events.append)
+    conn = dsa_a.connect("Device_B", MODULE, "tok", ConnectOptions(on_failure=on_failure),
+                         fallback_address="B")
+    if on_failure == "negotiate":
+        assert conn is None
+        assert [e.reason for e in events] == [reason]
+    else:
+        assert (conn.mode, conn.failure_reason) == ("fallback", reason)
+        assert conn.send(b"x")[0].delivered
+
+
 class TestSendRecv:
     def make_module_conn(self):
         sim, store, protocol = make_world()

@@ -84,6 +84,12 @@ class TestConfig:
         assert config.seed == 3
         assert config.injection == InjectionConfig("R4-B", 10.0, 2.0, 4.0)
 
+    def test_partial_injection_keeps_the_spike_fields_it_omits(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"injection": {"link": "R3-R4", "end_ms": 80.0}}))
+        assert config_from_file(str(path)).injection == InjectionConfig(
+            "R3-R4", 10.0, 40.0, 80.0)
+
     def test_config_file_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"velocity": 9000}))

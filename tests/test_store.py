@@ -13,9 +13,10 @@ from socketstore.agents import (
     BindingError,
     LinkAgent,
 )
+from socketstore.dsa import ConnectOptions, DsaClient
 from socketstore.fixtures import evaluation_topology, flash_delivery_manifest
 from socketstore.kmflash import register_km_type
-from socketstore.moduledef import IllegalTransition, ModuleState
+from socketstore.moduledef import IllegalTransition, MetricDef, MetricDirection, ModuleState
 from socketstore import store as store_module
 from socketstore.netsim import Simulator
 from socketstore.store import (
@@ -26,6 +27,7 @@ from socketstore.store import (
     StoreError,
     UsageLedger,
 )
+from socketstore.wire import LocalTransport, StoreProtocol
 
 AUTHOR = "pathworks-labs"
 REVIEWER = "review-board"
@@ -659,3 +661,44 @@ class TestPersistence:
             store.register_specialist(AUTHOR)
         assert store.specialists == set() and store.log == []
         assert not path.exists()
+
+    def test_seeded_workflow_store_file_pinned(self, tmp_path):
+        """One seeded walk through every persisted record kind: registration,
+        review, testbed runs of two modules and the baseline, a custom metric, a
+        purchase, a denied authorize, a DSA connect/send/close, a K=3 fallback, a
+        revoke and a license that outlives it. Pins the store file bytes and the
+        reloaded action log across versions."""
+        path = tmp_path / "store.json"
+        rng = random.Random(7)
+        store = fresh_store(data_path=str(path),
+                            token_factory=lambda: f"tok-{rng.getrandbits(64):016x}")
+        store.metrics["jitter_ms"] = MetricDef("jitter_ms", "Delivery jitter", "ms",
+                                               MetricDirection.LOWER_BETTER)
+        mid = publish_flash(store)
+        publish_variant(store, "jitter-delivery",
+                        metric_ids=("mean_latency_ms", "jitter_ms", "loss_ratio"))
+        for module_id in (mid, "jitter-delivery", "baseline"):
+            store.run_testbed_evaluation(module_id, "latency-spike")
+        token = store.purchase(APP, mid).token
+        store.authorize("bogus-token", mid)
+        protocol = StoreProtocol(store)
+        dsa_b = DsaClient("B", store.sim, LocalTransport(protocol), app_id=APP)
+        dsa_b.bind("Device_B")
+        dsa_a = DsaClient("A", store.sim, LocalTransport(protocol), app_id=APP)
+        conn = dsa_a.connect("Device_B", mid, token)
+        assert conn.mode == "module"
+        for _ in range(3):
+            conn.send(b"payload")
+            store.sim.run_until(store.sim.now_ms + 1.0)
+        conn.close()
+        fallback = dsa_a.connect("Device_B", mid, token, ConnectOptions(k=3))
+        assert fallback.mode == "fallback"
+        fallback.close()
+        store.revoke_license(APP, mid)
+        store.purchase("second-app", "jitter-delivery")
+
+        log = [vars(e) for e in SocketStore(data_path=str(path)).log]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "cab9af24c1f1453351a18c9594a3556233fa95f8c3036a009dac3ff18a60a28f")
+        assert hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest() == (
+            "f65ae8d0ca8900722c87a071527a0164bedc7f62d396e9ca08119d985ddd9671")

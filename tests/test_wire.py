@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import socket
 import threading
@@ -484,3 +485,32 @@ def test_property_every_reply_has_a_kind_and_failures_change_nothing(messages):
         assert isinstance(reply, dict) and isinstance(reply.get("kind"), str)
         if reply["kind"] not in ("INSTANTIATE_OK", "TEARDOWN_OK"):
             assert network_state(store) == before, (message, reply)
+
+
+def test_cost_teardown_transcript_pinned():
+    """The reply bytes of one seeded session, COST before and after time
+    advances, TEARDOWN and COST on an unknown id; pinned across versions."""
+    store = published_store(token_factory=lambda: "tok-transcript")
+    protocol = StoreProtocol(store)
+    session = protocol.new_session()
+    token = store.purchase("demo", "flash-delivery").token
+    lines = []
+
+    def say(message):
+        lines.append(encode(message))
+        lines.append(encode(protocol.handle_line(session, encode(message))))
+        return json.loads(lines[-1])
+
+    say({"kind": "HELLO", "app_id": "demo"})
+    say({"kind": "AUTH", "token": token, "module_id": "flash-delivery"})
+    iid = say({"kind": "INSTANTIATE", "module_id": "flash-delivery",
+               "inputs": KM_INPUTS})["instance_id"]
+    say({"kind": "COST", "instance_id": iid})
+    store.sim.run_until(store.sim.now_ms + 1234.5)
+    say({"kind": "COST", "instance_id": iid})
+    say({"kind": "TEARDOWN", "instance_id": iid})
+    store.sim.run_until(store.sim.now_ms + 500.0)
+    say({"kind": "COST", "instance_id": iid})
+    say({"kind": "COST", "instance_id": "inst-9999"})
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "a513ea6db4d90d01b90eef1054ba2cf18f1b743cbb3dc542b82cc8e4d7781d82")
