@@ -246,6 +246,8 @@ class AgentRuntime:
         self.environments: dict[str, Environment] = {}
         self.agents: dict[str, Agent] = {}
         self._agent_seq = 0
+        self._shared: dict[tuple, str] = {}  # (env, type, params) -> agent id
+        self._holds: dict[str, int] = {}  # acquired agent id -> holders left
         self._queue: deque[Message] = deque()
         self._draining = False
         self._action_log = action_log
@@ -286,6 +288,27 @@ class AgentRuntime:
         env.agent_ids.add(agent_id)
         self.log(agent_id, "spawn", "ok", type_name=spec.type_name, env=env_id)
         return agent_id
+
+    def acquire_agent(self, env_id: str, spec: AgentSpec) -> str:
+        """The live agent this environment shares for `spec`'s type and
+        resource, spawned on first use; each acquire is matched by one
+        `release_agent`. An agent destroyed or moved out of band is never
+        handed out again."""
+        key = (env_id, spec.type_name, frozenset(spec.params.items()))
+        if self._shared.get(key) not in self.agents:
+            self._shared[key] = self.spawn_agent(env_id, spec)
+        agent_id = self._shared[key]
+        self._holds[agent_id] = self._holds.get(agent_id, 0) + 1
+        return agent_id
+
+    def release_agent(self, agent_id: str) -> None:
+        """Drop one hold on the agent and destroy it with the last; an agent
+        that was never acquired has one holder."""
+        holds = self._holds.pop(agent_id, 1) - 1
+        if holds:
+            self._holds[agent_id] = holds
+        else:
+            self.destroy_agent(agent_id)
 
     def _validate_params(self, typedef: AgentTypeDef, params: dict) -> None:
         known = {p.name for p in typedef.params}
@@ -334,6 +357,7 @@ class AgentRuntime:
         agent = self.agent(agent_id)
         new_env = self.environment(new_env_id)
         old_env = self.environment(agent.env_id)
+        self._shared = {key: aid for key, aid in self._shared.items() if aid != agent_id}
         old_env.agent_ids.discard(agent_id)
         new_env.agent_ids.add(agent_id)
         agent.env_id = new_env_id

@@ -72,6 +72,19 @@ class ExperimentConfig:
             raise ExperimentError("gap must be >= 0")
         if self.k < 1:
             raise ExperimentError("K must be >= 1")
+        if _not_number(self.rate_mbps) or not self.rate_mbps > 0:
+            raise ExperimentError("rate must be a positive number")
+        if isinstance(self.payload_size, bool) or not isinstance(self.payload_size, int):
+            raise ExperimentError("payload size must be an integer")
+        inj = self.injection
+        if not isinstance(inj.link, str) or any(
+                map(_not_number, (inj.extra_ms, inj.start_ms, inj.end_ms))):
+            raise ExperimentError("injection needs a link name and numbers for "
+                                  "extra_ms, start_ms and end_ms")
+
+
+def _not_number(value) -> bool:
+    return isinstance(value, bool) or not isinstance(value, (int, float))
 
 
 def config_from_file(path: str, **overrides) -> ExperimentConfig:

@@ -7,13 +7,14 @@ Allocation runs K rounds of successive shortest paths with edge reversal
 edge removal this cannot produce false negatives on trap topologies, and
 the resulting K-set has minimum total latency. Bellman-Ford rescans only
 the sources whose distance changed since their last scan (exact: the arcs
-it skips could not fire), over links given in id order.
+it skips could not fire), over arc lists built once per call in link-id
+order.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .agents import Agent, AgentKind, AgentTypeDef, AgentTypeLibrary, AgentSpec, ParamSpec
@@ -87,9 +88,14 @@ def allocate_disjoint_paths(
         if lk.residual_mbps + 1e-12 >= rate_mbps
     }
     used: dict[str, tuple[str, str]] = {}  # link id -> direction of flow (u, v)
+    arcs: dict[str, list[tuple[str, float, str]]] = {n: [] for n in sorted(node_ids)}
+    for lid, lk in links.items():
+        a, b = lk.endpoints
+        arcs[a].append((b, lk.latency_ms, lid))
+        arcs[b].append((a, lk.latency_ms, lid))
 
     for found in range(k):
-        path_arcs = _shortest_residual_path(node_ids, links, used, src, dst)
+        path_arcs = _shortest_residual_path(arcs, used, src, dst)
         if path_arcs is None:
             return AllocationFailure(f"only {found} disjoint paths", found)
         for u, v, lid in path_arcs:
@@ -120,39 +126,37 @@ def _routable_links(view: TopologyView, src: str, dst: str) -> list:
     return [lk for lk in view.links if relays.issuperset(lk.endpoints)]
 
 
-def _shortest_residual_path(node_ids, links, used, src, dst):
-    """Bellman-Ford over the residual arcs: unused links are traversable in
-    both directions at +latency, links used by earlier rounds only against
-    their flow direction at -latency; `links` arrive in id order. A pass skips
-    a source whose dist is unchanged since its last scan: its candidates are
-    the same and the dists they face can only have fallen, so none fires."""
-    out: dict[str, list[tuple[str, float, str]]] = {n: [] for n in sorted(node_ids)}
-    for lid, lk in links.items():
-        a, b = lk.endpoints
-        if lid in used:
-            u, v = used[lid]
-            out[v].append((u, -lk.latency_ms, lid))
-        else:
-            out[a].append((b, lk.latency_ms, lid))
-            out[b].append((a, lk.latency_ms, lid))
+def _shortest_residual_path(arcs, used, src, dst):
+    """Bellman-Ford over the residual arcs. `arcs` holds each node's arcs in
+    link-id order with every link unused, traversable both ways at +latency;
+    a link used by earlier rounds is traversable only against its flow
+    direction at -latency, so only the nodes it touches get a patched list,
+    in the same order. A pass skips a source whose dist is unchanged since
+    its last scan: its candidates are the same and the dists they face can
+    only have fallen, so none fires."""
+    out = dict(arcs)
+    for n in {n for flow in used.values() for n in flow}:
+        out[n] = [(v, -w, lid) if used.get(lid) == (v, n) else (v, w, lid)
+                  for v, w, lid in arcs[n] if used.get(lid) != (n, v)]
 
-    dist: dict[str, float] = {src: 0.0}
+    dist = dict.fromkeys(out, float("inf"))
+    dist[src] = 0.0
     pred: dict[str, tuple[str, str]] = {}
     dirty = {src}
-    for _ in range(max(len(node_ids) - 1, 1)):
+    for _ in range(max(len(out) - 1, 1)):
         if not dirty:
             break
-        for u, arcs in out.items():
+        for u, u_arcs in out.items():
             if u in dirty:
                 dirty.discard(u)
                 du = dist[u]
-                for v, w, lid in arcs:
+                for v, w, lid in u_arcs:
                     cand = du + w
-                    if cand < dist.get(v, float("inf")) - 1e-15:
+                    if cand < dist[v] - 1e-15:
                         dist[v] = cand
                         pred[v] = (u, lid)
                         dirty.add(v)
-    if dst not in dist:
+    if dst not in pred:
         return None
     path: list[tuple[str, str, str]] = []
     cursor = dst
@@ -162,7 +166,7 @@ def _shortest_residual_path(node_ids, links, used, src, dst):
         path.append((u, cursor, lid))
         cursor = u
         hops += 1
-        if hops > len(node_ids):
+        if hops > len(out):
             raise KMError("predecessor cycle during path reconstruction")
     path.reverse()
     return path
@@ -244,6 +248,7 @@ class MirrorHandles:
     flow: FlowId
     pathset: PathSet
     reservation_handles: list[tuple[str, int]]
+    switches: list[str] = field(default_factory=list)  # hop switches, path by path
     open: bool = True
 
     @property
@@ -269,7 +274,7 @@ def deploy_mirror_paths(
     handles = MirrorHandles(flow=flow, pathset=pathset, reservation_handles=[])
     try:
         for index, path in enumerate(pathset.paths):
-            sim.deploy_path(flow, list(path), path_index=index)
+            handles.switches += [r.switch for r in sim.deploy_path(flow, list(path), index)]
             for lid in path:
                 handles.reservation_handles.append(sim.reserve_capacity(lid, rate_mbps))
     except NetsimError as exc:
@@ -420,7 +425,7 @@ class KMAgent(Agent):
             for index, path in enumerate(deployed.pathset.paths):
                 ledger.open("link_capacity", f"path-{index}:{'+'.join(path)}",
                             rate, sim.now_ms)
-        self._spawn_composed(runtime, env_id, deployed.pathset)
+        self._spawn_composed(runtime, env_id)
         return {
             "k": deployed.k,
             "paths": [list(p) for p in deployed.pathset.paths],
@@ -428,28 +433,22 @@ class KMAgent(Agent):
             "flow": [flow.src, flow.dst, flow.tag],
         }
 
-    def _spawn_composed(self, runtime, env_id, pathset) -> None:
-        """Spawn a LinkAgent per link and a SwitchAgent per switch on the
-        paths. Each id enters `composed` as it is spawned, so a failure
-        partway leaves the ones already spawned there for rollback."""
-        link_ids: list[str] = []
-        switch_ids: list[str] = []
-        for path in pathset.paths:
-            cursor = self.handles.flow.src
-            for lid in path:
-                if lid not in link_ids:
-                    link_ids.append(lid)
-                cursor = runtime.sim.link(lid).other_end(cursor)
-                if cursor != self.handles.flow.dst and cursor not in switch_ids:
-                    switch_ids.append(cursor)
-        specs = [AgentSpec("LinkAgent", {"link": lid}) for lid in link_ids]
-        specs += [AgentSpec("SwitchAgent", {"switch": sw}) for sw in switch_ids]
+    def _spawn_composed(self, runtime, env_id) -> None:
+        """Acquire the environment's LinkAgent per link, then SwitchAgent per
+        hop switch, of the deployed paths in path order. Each id enters
+        `composed` as it is acquired, so a failure partway leaves exactly
+        the ones to release on rollback."""
+        paths = self.handles.pathset.paths
+        specs = [AgentSpec("LinkAgent", {"link": lid})
+                 for lid in dict.fromkeys(lid for path in paths for lid in path)]
+        specs += [AgentSpec("SwitchAgent", {"switch": sw})
+                  for sw in dict.fromkeys(self.handles.switches)]
         for spec in specs:
-            self.composed += (runtime.spawn_agent(env_id, spec),)
+            self.composed += (runtime.acquire_agent(env_id, spec),)
 
     def release(self, runtime) -> None:
         """Retract paths, release reservations and stop cost accrual. The
-        composed agents are destroyed by the instance manager, which owns
+        composed agents are released by the instance manager, which owns
         teardown ordering."""
         if self.handles is not None:
             retract_mirror_paths(runtime.sim, self.handles)

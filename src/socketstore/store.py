@@ -742,9 +742,10 @@ def _with_composed(agents: list[Agent]) -> tuple[str, ...]:
 
 
 def _destroy_agents(runtime: AgentRuntime, ids) -> None:
-    """Destroy `ids`, adapters strictly before the resource agents they
-    compose; ids that are no longer live are skipped."""
+    """Release `ids`, adapters strictly before the resource agents they
+    compose: an agent goes with its last holder, so a shared resource agent
+    outlives this call while another instance holds it; ids that are no
+    longer live are skipped."""
     live = [runtime.agents[aid] for aid in ids if aid in runtime.agents]
-    adapters = [a for a in live if a.typedef.kind is AgentKind.ADAPTER]
-    for agent in adapters + [a for a in live if a not in adapters]:
-        runtime.destroy_agent(agent.agent_id)
+    for agent in sorted(live, key=lambda a: a.typedef.kind is not AgentKind.ADAPTER):
+        runtime.release_agent(agent.agent_id)

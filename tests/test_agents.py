@@ -299,3 +299,54 @@ class TestMove:
         runtime.move_agent(aid, "other")
         assert any(v.agent_id == aid for v in runtime.central_view("other"))
         assert all(v.agent_id != aid for v in runtime.central_view("testbed"))
+
+
+class TestSharedAgents:
+    """Resource agents acquired in one environment are shared per type and
+    resource, and live until their last holder releases them."""
+
+    def test_one_agent_per_environment_type_and_resource(self, runtime):
+        a_r1 = AgentSpec("LinkAgent", {"link": "A-R1"})
+        aid = runtime.acquire_agent("testbed", a_r1)
+        assert runtime.acquire_agent("testbed", AgentSpec("LinkAgent", {"link": "A-R1"})) == aid
+        assert runtime.acquire_agent("testbed", AgentSpec("LinkAgent", {"link": "A-R2"})) != aid
+        runtime.create_environment("other", "second concern")
+        assert runtime.acquire_agent("other", a_r1) != aid
+        assert runtime.spawn_agent("testbed", a_r1) != aid  # a plain spawn never shares
+        assert len(runtime.agents) == 4
+
+    def test_last_release_destroys_once(self):
+        log = []
+        rt = AgentRuntime(Simulator(evaluation_topology()), default_library(),
+                          lambda *entry, **detail: log.append(entry))
+        rt.create_environment("e", "x")
+        spec = AgentSpec("SwitchAgent", {"switch": "R3"})
+        aid = rt.acquire_agent("e", spec)
+        assert rt.acquire_agent("e", spec) == aid
+        rt.release_agent(aid)
+        assert aid in rt.agents
+        rt.release_agent(aid)
+        assert rt.agents == {}
+        assert log == [(aid, "spawn", "ok"), (aid, "destroy", "ok")]
+        assert rt.acquire_agent("e", spec) != aid
+
+    def test_release_of_an_agent_never_acquired_destroys_it(self, runtime):
+        aid = spawn_link(runtime)
+        runtime.release_agent(aid)
+        assert runtime.agents == {}
+
+    @pytest.mark.parametrize("out_of_band", ["destroy", "move"])
+    def test_agent_destroyed_or_moved_out_of_band_is_not_handed_out_again(
+            self, runtime, out_of_band):
+        spec = AgentSpec("LinkAgent", {"link": "A-R1"})
+        aid = runtime.acquire_agent("testbed", spec)
+        if out_of_band == "destroy":
+            runtime.destroy_agent(aid)
+        else:
+            runtime.create_environment("other", "second concern")
+            runtime.move_agent(aid, "other")
+        fresh = runtime.acquire_agent("testbed", spec)
+        assert fresh != aid
+        runtime.release_agent(aid)  # its one holder lets go of the old agent
+        assert set(runtime.agents) == {fresh}
+        assert runtime.acquire_agent("testbed", spec) == fresh

@@ -144,6 +144,9 @@ class TestRunExperiment:
         {"injection": "R4-B"},
         {"packet_count": "100"},
         {"injection": {"link": "R4-B", "extra": 1}},
+        {"rate_mbps": "10"},
+        {"injection": {"extra_ms": "10"}},
+        {"payload_size": "x"},
     ])
     def test_mistyped_config_file_is_an_error(self, workdir, capsys, doc):
         path = workdir / "config.json"
@@ -152,6 +155,7 @@ class TestRunExperiment:
                    "--out", str(workdir / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ("--inject", "R9-X:10:40:60"),

@@ -222,14 +222,20 @@ class TestOracleEquivalence:
 def allocate_against_reference(view, src, dst, k, rate=1.0, max_latency=float("inf"),
                                spread=float("inf")):
     """Allocate with the shipped Bellman-Ford, then again with the reference
-    that relaxes every arc on every pass; each search and the result must be
-    identical. Returns the shipped result."""
+    that relaxes every arc on every pass over the residual graph built from
+    the view's links and the rounds' used links; each search and the result
+    must be identical. Returns the shipped result."""
     got = allocate_disjoint_paths(view, src, dst, k, rate, max_latency, spread)
     shipped, calls = kmflash._shortest_residual_path, []
+    # the links a src->dst allocation may use, in id order: both ends relay
+    # (a switch, src or dst) and the residual capacity covers the rate
+    relays = {n.id for n in view.nodes if n.kind is NodeKind.SWITCH} | {src, dst}
+    links = {lk.id: lk for lk in sorted(view.links, key=lambda lk: lk.id)
+             if relays.issuperset(lk.endpoints) and lk.residual_mbps + 1e-12 >= rate}
 
-    def reference(*args):
-        want = reference_shortest_residual_path(*args)
-        assert shipped(*args) == want
+    def reference(arcs, used, src, dst):
+        want = reference_shortest_residual_path(view.node_ids(), links, used, src, dst)
+        assert shipped(arcs, used, src, dst) == want
         calls.append(want)
         return want
 

@@ -3,12 +3,16 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socketstore.agents import (
     LINK_AGENT_TYPE,
     SWITCH_AGENT_TYPE,
+    AgentKind,
     AgentTypeLibrary,
     BindingError,
     LinkAgent,
@@ -18,7 +22,7 @@ from socketstore.fixtures import evaluation_topology, flash_delivery_manifest
 from socketstore.kmflash import register_km_type
 from socketstore.moduledef import IllegalTransition, MetricDef, MetricDirection, ModuleState
 from socketstore import store as store_module
-from socketstore.netsim import Simulator
+from socketstore.netsim import Simulator, build_topology
 from socketstore.store import (
     RATE_CARD,
     AuthorizationDenied,
@@ -406,6 +410,113 @@ class TestInstantiate:
                     allows_seen.add(digests[e.detail["token_sha256"]])
                 if e.action == "instantiate" and e.outcome == "ok":
                     assert allows_seen, "instantiate succeeded with no prior allow"
+
+
+class TestSharedResourceAgents:
+    """Instances whose paths overlap share one resource agent per link and
+    switch; each goes with the last instance that holds it."""
+
+    def test_overlapping_instances_hold_the_same_agents(self):
+        store = fresh_store()
+        token = purchased_token(store)
+        first, second = (store.instantiate(token, "flash-delivery", KM_INPUTS) for _ in "12")
+        composed = [store.runtime.agent(i.adapter_ids[0]).composed for i in (first, second)]
+        assert composed[0] == composed[1]
+        assert len(set(composed[0])) == 13
+        assert len(store.runtime.agents) == 2 + 13
+
+    def test_last_close_destroys_each_shared_agent_once(self):
+        store = fresh_store()
+        token = purchased_token(store)
+        first, second = (store.instantiate(token, "flash-delivery", KM_INPUTS) for _ in "12")
+        shared = store.runtime.agent(first.adapter_ids[0]).composed
+        store.teardown_instance(first.instance_id)
+        assert set(store.runtime.agents) == {second.adapter_ids[0], *shared}
+        mark = len(store.log)
+        store.teardown_instance(second.instance_id)
+        assert store.runtime.agents == {}
+        destroyed = [e.actor for e in store.log[mark:] if e.action == "destroy"]
+        assert destroyed == [second.adapter_ids[0], *shared]
+        destroys = Counter(e.actor for e in store.log if e.action == "destroy")
+        assert all(destroys[aid] == 1 for aid in shared)
+
+    def test_rollback_releases_only_what_the_instance_acquired(self):
+        fail_on = set()
+
+        def flaky_link_agent(agent_id, spec, typedef):
+            if spec.params["link"] in fail_on:
+                raise BindingError(f"resource binding failure: {spec.params['link']}")
+            return LinkAgent(agent_id, spec, typedef)
+
+        library = AgentTypeLibrary()
+        library.register(SWITCH_AGENT_TYPE)
+        library.register(dataclasses.replace(LINK_AGENT_TYPE, factory=flaky_link_agent))
+        register_km_type(library)
+        store = fresh_store(library=library)
+        token = purchased_token(store)
+        # K=1 takes the first of the two paths that K=2 takes, in spawn order
+        first = store.instantiate(token, "flash-delivery", dict(KM_INPUTS, K=1))
+        before = set(store.runtime.agents)
+        fail_on.add("R5-B")  # the last link of the second path
+        mark = len(store.log)
+        with pytest.raises(InstantiationError, match="R5-B"):
+            store.instantiate(token, "flash-delivery", KM_INPUTS)
+        assert set(store.runtime.agents) == before
+        destroys = [e for e in store.log[mark:] if e.action == "destroy"]
+        assert [e.detail["type_name"] for e in destroys] == ["KMirror"] + ["LinkAgent"] * 3
+        assert not {e.actor for e in destroys} & before
+        store.teardown_instance(first.instance_id)
+        assert store.runtime.agents == {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(1, 3),
+                              st.integers(1, 2)), max_size=24))
+    def test_random_connects_and_closes_share_every_resource_agent(self, steps):
+        sim = Simulator(small_grid())
+        store = SocketStore(sim=sim)
+        store.register_specialist(AUTHOR)
+        mid = publish_flash(store)
+        protocol = StoreProtocol(store)
+        hosts = ["H0", "H1", "H2", "H3"]
+        clients = {h: DsaClient(h, sim, LocalTransport(protocol), app_id=f"app-{h}")
+                   for h in hosts}
+        tokens = {}
+        for host, client in clients.items():
+            client.bind(f"dev-{host}")
+            tokens[host] = store.purchase(client.app_id, mid).token
+        live = []
+        for connect, a, b, k in steps:
+            if connect:
+                src, dst = hosts[a], hosts[(a + b) % 4]
+                live.append(clients[src].connect(f"dev-{dst}", mid, tokens[src],
+                                                 ConnectOptions(k=k, rate_mbps=10.0)))
+            elif live:
+                live.pop(a % len(live)).close()
+            agents = store.runtime.agents.values()
+            resources = Counter((agent.env_id, agent.spec.type_name, agent.bound_resources)
+                                for agent in agents if agent.typedef.kind is AgentKind.RESOURCE)
+            assert all(count == 1 for count in resources.values())
+            composed = {aid for agent in agents for aid in agent.composed}
+            assert all(agent.agent_id in composed for agent in agents
+                       if agent.typedef.kind is AgentKind.RESOURCE)
+        for conn in live:
+            conn.close()
+        assert store.runtime.agents == {}
+
+
+def small_grid():
+    """A 3x3 grid of 0.1 ms switch links at 30 Mbps, so three 10 Mbps
+    connections fill a link, and a two-NIC host on each side, wired with
+    0.5 ms links to two neighbouring border switches."""
+    nodes = [{"id": f"S{r}{c}", "kind": "switch"} for r in range(3) for c in range(3)]
+    links = [(f"S{r}{c}", f"S{r}{c + 1}", 0.1) for r in range(3) for c in range(2)]
+    links += [(f"S{r}{c}", f"S{r + 1}{c}", 0.1) for r in range(2) for c in range(3)]
+    sides = (("S00", "S01"), ("S02", "S12"), ("S22", "S21"), ("S20", "S10"))
+    for h, ends in enumerate(sides):
+        nodes.append({"id": f"H{h}", "kind": "host", "nic_count": 2})
+        links += [(f"H{h}", switch, 0.5) for switch in ends]
+    return build_topology({"nodes": nodes, "links": [
+        {"endpoints": [a, b], "capacity_mbps": 30, "latency_ms": lat} for a, b, lat in links]})
 
 
 class TestCost:
