@@ -10,9 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from operator import attrgetter
 
 from .dsa import ConnectOptions, DsaClient
@@ -64,6 +65,8 @@ class ExperimentConfig:
     purchase: bool = True  # False exercises the DSA fallback path
 
     def validate(self) -> None:
+        if (violation := _mistyped(self)) is not None:
+            raise ExperimentError(f"config field {violation}")
         if self.packet_count < 1:
             raise ExperimentError("packet count must be >= 1")
         if self.deadline_ms <= 0:
@@ -72,19 +75,32 @@ class ExperimentConfig:
             raise ExperimentError("gap must be >= 0")
         if self.k < 1:
             raise ExperimentError("K must be >= 1")
-        if _not_number(self.rate_mbps) or not self.rate_mbps > 0:
+        if not self.rate_mbps > 0:
             raise ExperimentError("rate must be a positive number")
-        if isinstance(self.payload_size, bool) or not isinstance(self.payload_size, int):
-            raise ExperimentError("payload size must be an integer")
-        inj = self.injection
-        if not isinstance(inj.link, str) or any(
-                map(_not_number, (inj.extra_ms, inj.start_ms, inj.end_ms))):
-            raise ExperimentError("injection needs a link name and numbers for "
-                                  "extra_ms, start_ms and end_ms")
 
 
-def _not_number(value) -> bool:
-    return isinstance(value, bool) or not isinstance(value, (int, float))
+_FITS = {
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and math.isfinite(v)),
+}
+
+
+def _mistyped(record) -> str | None:
+    """Names the first field of the dataclass `record`, or of a dataclass
+    inside it, whose value fits no alternative of its annotation (`float`
+    takes a finite int or float, and no number is a bool)."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            if (inner := _mistyped(value)) is not None:
+                return f"{f.name}.{inner}"
+        elif not any(_FITS[alt](value) for alt in f.type.split(" | ") if alt in _FITS):
+            return f"{f.name} must be {f.type}"
+    return None
 
 
 def config_from_file(path: str, **overrides) -> ExperimentConfig:

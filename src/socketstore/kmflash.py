@@ -8,14 +8,16 @@ edge removal this cannot produce false negatives on trap topologies, and
 the resulting K-set has minimum total latency. Bellman-Ford rescans only
 the sources whose distance changed since their last scan (exact: the arcs
 it skips could not fire), over arc lists built once per call in link-id
-order.
+order. `allocate_on` memoizes the search per simulator.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
+from weakref import WeakKeyDictionary
 
 from .agents import Agent, AgentKind, AgentTypeDef, AgentTypeLibrary, AgentSpec, ParamSpec
 from .netsim import (
@@ -106,17 +108,50 @@ def allocate_disjoint_paths(
 
     paths = _decompose(used, links, src, dst, k)
     latencies = tuple(sum(links[lid].latency_ms for lid in p) for p in paths)
-    pathset = PathSet(paths=paths, latencies_ms=latencies)
-    worst = max(latencies)
+    return _within_bounds(PathSet(paths, latencies), max_latency_ms, spread_ms)
+
+
+def _within_bounds(pathset: PathSet, max_latency_ms: float,
+                   spread_ms: float) -> PathSet | AllocationFailure:
+    worst = max(pathset.latencies_ms)
     if not worst <= max_latency_ms + 1e-12:
         return AllocationFailure(
-            f"path latency {worst} ms exceeds max latency {max_latency_ms} ms", k
+            f"path latency {worst} ms exceeds max latency {max_latency_ms} ms", pathset.k
         )
     if not pathset.spread_ms <= spread_ms + 1e-12:
         return AllocationFailure(
-            f"latency spread {pathset.spread_ms} ms exceeds tolerance {spread_ms} ms", k
+            f"latency spread {pathset.spread_ms} ms exceeds tolerance {spread_ms} ms", pathset.k
         )
     return pathset
+
+
+# simulator -> (signature, {(src, dst, k): PathSet, (src, dst, None): "only n disjoint paths"})
+_ALLOCATIONS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def allocate_on(sim: Simulator, src: str, dst: str, k: int, rate_mbps: float,
+                max_latency_ms: float, spread_ms: float = DEFAULT_SPREAD_MS
+                ) -> PathSet | AllocationFailure:
+    """`allocate_disjoint_paths` on a snapshot of `sim`, memoized per simulator
+    until the links whose residual covers the rate, or their latencies, change
+    (all the search reads: node kinds and link ends are fixed). A pair keeps a
+    PathSet per k up to its disjoint-path count n and one failure for every k
+    above n; the latency and spread bounds are checked on every call."""
+    view = sim.topology_snapshot()
+    signature = tuple((lk.id, lk.latency_ms) for lk in view.links
+                      if lk.residual_mbps + 1e-12 >= rate_mbps)
+    memo = _ALLOCATIONS.get(sim)
+    if memo is None or memo[0] != signature:
+        memo = _ALLOCATIONS[sim] = (signature, {})
+    found = memo[1].get((src, dst, None))
+    if found is None or k <= found.max_feasible_k:
+        found = memo[1].get((src, dst, k))
+    if found is None:
+        found = allocate_disjoint_paths(view, src, dst, k, rate_mbps, math.inf, math.inf)
+        memo[1][src, dst, k if isinstance(found, PathSet) else None] = found
+    if isinstance(found, AllocationFailure):
+        return found
+    return _within_bounds(found, max_latency_ms, spread_ms)
 
 
 def _routable_links(view: TopologyView, src: str, dst: str) -> list:
@@ -411,7 +446,7 @@ class KMAgent(Agent):
         max_latency = float(params["max_latency"])
         sim = runtime.sim
 
-        result = allocate_disjoint_paths(sim.topology_snapshot(), src, dst, k, rate, max_latency)
+        result = allocate_on(sim, src, dst, k, rate, max_latency)
         if isinstance(result, AllocationFailure):
             raise KMAllocationError(result)
         flow = FlowId(src, dst, tag=flow_tag)

@@ -147,6 +147,12 @@ class TestRunExperiment:
         {"rate_mbps": "10"},
         {"injection": {"extra_ms": "10"}},
         {"payload_size": "x"},
+        {"packet_count": 1.5},
+        {"topology_path": 5},
+        {"k": 1.5},
+        {"gap_ms": True},
+        {"purchase": "no"},
+        {"deadline_ms": float("inf")},
     ])
     def test_mistyped_config_file_is_an_error(self, workdir, capsys, doc):
         path = workdir / "config.json"
@@ -156,6 +162,7 @@ class TestRunExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert err.count("\n") == 1
+        assert "config" in err  # blamed on the file, not on what a bad value did
 
     @pytest.mark.parametrize("argv", [
         ("--inject", "R9-X:10:40:60"),

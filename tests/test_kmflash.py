@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -10,7 +11,9 @@ from socketstore.fixtures import evaluation_topology
 from socketstore.kmflash import (
     AllocationFailure,
     KMError,
+    PathSet,
     allocate_disjoint_paths,
+    allocate_on,
     collect_stats,
     default_shortest_path,
     deploy_mirror_paths,
@@ -345,6 +348,164 @@ class TestReferenceAllocator:
         if capacity_mbps == 100.0:
             assert failures > 0
 
+    def test_second_round_cancels_a_link_the_first_used(self):
+        """Round 1 takes s-a-b-t (3 ms). Round 2's cheapest residual path
+        s-b-a-t cancels a-b at -1 ms (19 ms) and beats the untouched s-c-t
+        (20 ms), leaving s-a-t and s-b-t (22 ms in all, not 23)."""
+        view = mkview(
+            ["s", "a", "b", "c", "t"],
+            [("s", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0), ("s", "b", 10.0),
+             ("a", "t", 10.0), ("s", "c", 10.0), ("c", "t", 10.0)],
+        )
+        got = allocate_against_reference(view, "s", "t", 2)
+        assert sorted(got.paths) == [("s-a", "a-t"), ("s-b", "b-t")]
+        assert got.latencies_ms == (11.0, 11.0)
+
+
+def _grid3(capacity_mbps=20.0):
+    """A 3x3 switch grid of 0.1 ms links, so most pairs tie between paths."""
+    nodes = [{"id": f"S{r}{c}", "kind": "switch"} for r in range(3) for c in range(3)]
+    pairs = [(f"S{r}{c}", f"S{r}{c + 1}") for r in range(3) for c in range(2)]
+    pairs += [(f"S{r}{c}", f"S{r + 1}{c}") for r in range(2) for c in range(3)]
+    return build_topology({"nodes": nodes, "links": [
+        {"endpoints": list(p), "capacity_mbps": capacity_mbps, "latency_ms": 0.1}
+        for p in pairs]})
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts the searches `allocate_on` runs: its misses."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return allocate_disjoint_paths(*args)
+
+    monkeypatch.setattr(kmflash, "allocate_disjoint_paths", counted)
+    return calls
+
+
+def allocate_fresh_and_memoized(sim, src, dst, k, rate=10.0, max_latency=5.0,
+                                spread=kmflash.DEFAULT_SPREAD_MS):
+    """`allocate_on`'s result, required to equal a fresh allocation on a
+    snapshot of the same simulator."""
+    got = allocate_on(sim, src, dst, k, rate, max_latency, spread)
+    fresh = allocate_disjoint_paths(sim.topology_snapshot(), src, dst, k, rate,
+                                    max_latency, spread)
+    assert got == fresh
+    return got
+
+
+class TestAllocationMemo:
+    """`allocate_on` re-runs the search only when the links whose residual
+    covers the rate, or their latencies, changed since the last call."""
+
+    def test_repeated_connect_reuses_the_search(self, sim, searches):
+        first = allocate_fresh_and_memoized(sim, "A", "B", 2)
+        assert allocate_fresh_and_memoized(sim, "A", "B", 2) == first
+        assert allocate_fresh_and_memoized(sim, "B", "A", 2) != first
+        assert len(searches) == 2
+
+    def test_residual_falling_below_the_rate_resolves(self, searches):
+        """The 100 Mbps churn grid: ten 10 Mbps connects between one pair
+        fill its paths' links, so the eleventh must route elsewhere."""
+        sim = Simulator(_churn_grid(random.Random("memo"), 0.5, 100.0))
+        seen = []
+        for step in range(12):
+            got = allocate_fresh_and_memoized(sim, "H00", "H08", 1)
+            assert not isinstance(got, AllocationFailure)
+            deploy_mirror_paths(sim, FlowId("H00", "H08", f"c{step}"), got, 10.0)
+            seen.append(got.paths)
+        assert seen[10] != seen[9] == seen[0]
+        assert len(searches) == 2  # the first call, then when the links filled
+
+    def test_injection_window_opening_and_closing_resolves(self, sim, searches):
+        before = allocate_fresh_and_memoized(sim, "A", "B", 1)
+        sim.inject_latency(LatencyInjection(before.paths[0][-1], 10.0, 5.0, 10.0))
+        assert allocate_fresh_and_memoized(sim, "A", "B", 1) == before
+        sim.run_until(5.0)
+        inside = allocate_fresh_and_memoized(sim, "A", "B", 1)
+        assert inside.paths != before.paths
+        sim.run_until(10.0)
+        assert allocate_fresh_and_memoized(sim, "A", "B", 1) == before
+        assert len(searches) == 3
+
+    def test_remove_link_resolves(self, sim, searches):
+        assert allocate_fresh_and_memoized(sim, "A", "B", 2).k == 2
+        sim.remove_link("R3-R5")
+        got = allocate_fresh_and_memoized(sim, "A", "B", 2)
+        assert isinstance(got, AllocationFailure) and got.max_feasible_k == 1
+        assert len(searches) == 2
+
+    def test_bounds_are_checked_on_every_call(self, sim, searches):
+        assert allocate_fresh_and_memoized(sim, "A", "B", 2).k == 2
+        tight = allocate_fresh_and_memoized(sim, "A", "B", 2, max_latency=1.5)
+        assert "exceeds max latency" in tight.reason
+        assert isinstance(allocate_fresh_and_memoized(sim, "A", "B", 2, spread=math.nan),
+                          AllocationFailure)
+        with pytest.raises(KMError, match="k must be >= 1"):
+            allocate_on(sim, "A", "B", 0, 10.0, 5.0)
+        with pytest.raises(KMError, match="not in topology"):
+            allocate_on(sim, "A", "Z", 1, 10.0, 5.0)
+        assert len(searches) == 1 + 2  # the two that raised
+        assert set(kmflash._ALLOCATIONS[sim][1]) == {("A", "B", 2)}
+
+    def test_memo_is_per_simulator(self, searches):
+        for _ in range(2):
+            allocate_fresh_and_memoized(Simulator(evaluation_topology()), "A", "B", 2)
+        assert len(searches) == 2
+
+    def test_distinct_requests_leave_the_memo_bounded_by_the_topology(self):
+        """1,000 connects with distinct K, rate and max latency between four
+        two-NIC hosts: a pair keeps at most one entry per K up to its two
+        disjoint paths, and one failure for every K above."""
+        rng = random.Random(41)
+        sim = Simulator(_churn_grid(rng, 0.5, 100_000.0))
+        hosts = ["H00", "H04", "H08", "H12"]
+        for i, k in enumerate(rng.sample(range(1, 1001), 1000)):
+            src, dst = rng.sample(hosts, 2)
+            got = allocate_on(sim, src, dst, k, 1.0 + i / 1000, 5.0 + i / 100, 10.0 + i)
+            assert isinstance(got, PathSet) if k <= 2 else got.reason == "only 2 disjoint paths"
+        memo = kmflash._ALLOCATIONS[sim][1]
+        pairs = {(src, dst) for src, dst, _ in memo}
+        assert len(pairs) == 12
+        assert len(memo) <= len(pairs) * (2 + 1)
+
+    CONNECT = st.tuples(st.just("connect"), st.sampled_from(["S00", "S02", "S22"]),
+                        st.sampled_from(["S00", "S02", "S22"]), st.integers(1, 3),
+                        st.sampled_from([0.5, 5.0]), st.sampled_from([0.0, 0.2, math.inf]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(steps=st.lists(st.one_of(
+        CONNECT, CONNECT,
+        st.tuples(st.just("close"), st.integers(0, 30)),
+        st.tuples(st.just("inject"), st.sampled_from(sorted(_grid3().links)),
+                  st.sampled_from([0.1, 1.0]), st.integers(0, 1), st.integers(1, 3)),
+        st.tuples(st.just("advance"), st.integers(1, 3)),
+    ), min_size=5, max_size=30))
+    def test_property_matches_a_fresh_allocation(self, steps):
+        """Random connects, closes, latency injections and clock moves on a
+        3x3 grid whose links hold two 10 Mbps reservations: at every step
+        the memoized allocation equals a fresh one."""
+        sim = Simulator(_grid3())
+        live = []
+        for step, (op, *args) in enumerate(steps):
+            if op == "connect":
+                src, dst, k, max_latency, spread = args
+                if src == dst:
+                    continue
+                got = allocate_fresh_and_memoized(sim, src, dst, k, 10.0, max_latency, spread)
+                if not isinstance(got, AllocationFailure):
+                    live.append(deploy_mirror_paths(sim, FlowId(src, dst, f"c{step}"), got, 10.0))
+            elif op == "close" and live:
+                retract_mirror_paths(sim, live.pop(args[0] % len(live)))
+            elif op == "inject":
+                link, extra, start, length = args
+                sim.inject_latency(LatencyInjection(link, extra, sim.now_ms + start,
+                                                    sim.now_ms + start + length))
+            elif op == "advance":
+                sim.run_until(sim.now_ms + args[0])
+
 
 class TestDefaultPath:
     def test_lexicographic_tie_break(self, sim):
@@ -385,8 +546,6 @@ class TestDeploy:
         assert all(sim.link_load_mbps(lid) == 0.0 for lid in sim.topology.links)
 
     def test_deploy_empty_pathset_rejected(self, sim):
-        from socketstore.kmflash import PathSet
-
         with pytest.raises(KMError, match="empty path set"):
             deploy_mirror_paths(sim, FLOW, PathSet((), ()), 10.0)
 
