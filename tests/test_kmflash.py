@@ -362,13 +362,14 @@ class TestReferenceAllocator:
         assert got.latencies_ms == (11.0, 11.0)
 
 
-def _grid3(capacity_mbps=20.0):
-    """A 3x3 switch grid of 0.1 ms links, so most pairs tie between paths."""
+def _grid3():
+    """A 3x3 switch grid of 0.1 ms, 20 Mbps links, so most pairs tie between
+    paths and two 10 Mbps reservations fill a link."""
     nodes = [{"id": f"S{r}{c}", "kind": "switch"} for r in range(3) for c in range(3)]
     pairs = [(f"S{r}{c}", f"S{r}{c + 1}") for r in range(3) for c in range(2)]
     pairs += [(f"S{r}{c}", f"S{r + 1}{c}") for r in range(2) for c in range(3)]
     return build_topology({"nodes": nodes, "links": [
-        {"endpoints": list(p), "capacity_mbps": capacity_mbps, "latency_ms": 0.1}
+        {"endpoints": list(p), "capacity_mbps": 20.0, "latency_ms": 0.1}
         for p in pairs]})
 
 
