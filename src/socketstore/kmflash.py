@@ -125,7 +125,8 @@ def _within_bounds(pathset: PathSet, max_latency_ms: float,
     return pathset
 
 
-# simulator -> (signature, {(src, dst, k): PathSet, (src, dst, None): "only n disjoint paths"})
+# simulator -> [{link id: latency} of the links whose residual covers the rate, {(src, dst, k):
+# PathSet, (src, dst, None): "only n disjoint paths"}, that rate, `sim.changes` at that call]
 _ALLOCATIONS: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -134,20 +135,33 @@ def allocate_on(sim: Simulator, src: str, dst: str, k: int, rate_mbps: float,
                 ) -> PathSet | AllocationFailure:
     """`allocate_disjoint_paths` on a snapshot of `sim`, memoized per simulator
     until the links whose residual covers the rate, or their latencies, change
-    (all the search reads: node kinds and link ends are fixed). A pair keeps a
-    PathSet per k up to its disjoint-path count n and one failure for every k
-    above n; the latency and spread bounds are checked on every call."""
-    view = sim.topology_snapshot()
-    signature = tuple((lk.id, lk.latency_ms) for lk in view.links
-                      if lk.residual_mbps + 1e-12 >= rate_mbps)
-    memo = _ALLOCATIONS.get(sim)
-    if memo is None or memo[0] != signature:
-        memo = _ALLOCATIONS[sim] = (signature, {})
+    (all the search reads: node kinds and link ends are fixed), rechecking only
+    links changed since the last call; it snapshots only on a miss or a new rate.
+    A pair keeps a PathSet per k up to its disjoint-path count n and one failure
+    for every k above n; the latency and spread bounds are checked on every call."""
+    memo, view = _ALLOCATIONS.get(sim), None
+    if memo is None or memo[2] != rate_mbps:
+        view = sim.topology_snapshot()
+        eligible = {lk.id: lk.latency_ms for lk in view.links
+                    if lk.residual_mbps + 1e-12 >= rate_mbps}
+        if memo is None or memo[0] != eligible:
+            memo = _ALLOCATIONS[sim] = [eligible, {}, rate_mbps, 0]
+    else:
+        eligible, now = memo[0], sim.now_ms
+        for lid, injected in sim.links_changed_since(memo[3]).items():
+            lk, old = sim.topology.links.get(lid), eligible.pop(lid, None)
+            if lk is not None and lk.capacity_mbps - sim.link_load_mbps(lid) + 1e-12 >= rate_mbps:
+                # without injections a link keeps its base delay
+                eligible[lid] = sim.link_delay_ms(lid, now) if injected or old is None else old
+            if eligible.get(lid) != old:
+                memo[1].clear()
+    memo[2:] = rate_mbps, sim.changes
     found = memo[1].get((src, dst, None))
     if found is None or k <= found.max_feasible_k:
         found = memo[1].get((src, dst, k))
     if found is None:
-        found = allocate_disjoint_paths(view, src, dst, k, rate_mbps, math.inf, math.inf)
+        found = allocate_disjoint_paths(view or sim.topology_snapshot(), src, dst, k,
+                                        rate_mbps, math.inf, math.inf)
         memo[1][src, dst, k if isinstance(found, PathSet) else None] = found
     if isinstance(found, AllocationFailure):
         return found

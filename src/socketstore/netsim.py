@@ -284,6 +284,9 @@ class Simulator:
         self._reservation_seq = 0
         # link -> its LinkView while it has no injection and no reservation change
         self._views: dict[str, LinkView] = {}
+        # link -> number of its last load, injection or removal change, oldest first
+        self._changed: dict[str, int] = {}
+        self.changes = 0  # a change's number is this count just after it
         # per-link (t_ns, bytes) samples backing the monitored transfer rate;
         # samples that left the rate window are popped from the head on send
         self._transfers: defaultdict[str, deque[tuple[int, int]]] = defaultdict(deque)
@@ -334,7 +337,8 @@ class Simulator:
             for key, route in self._routes.items()
         }
         self._compiled.clear()  # the loop bound of every walk counts links
-        for per_link in (self._injections, self._reservations, self._transfers, self._views):
+        self._link_changed(link_id)
+        for per_link in (self._injections, self._reservations, self._transfers):
             per_link.pop(link_id, None)
 
     # -- flow rules -------------------------------------------------------
@@ -409,7 +413,7 @@ class Simulator:
             raise NetsimError("non-positive injection")
         if inj.start_ms >= inj.end_ms:
             raise NetsimError("inverted window")
-        self._views.pop(inj.link, None)
+        self._link_changed(inj.link)
         self._injections.setdefault(inj.link, []).append(
             (ms_to_ns(inj.start_ms), ms_to_ns(inj.end_ms), ms_to_ns(inj.extra_ms)))
 
@@ -429,14 +433,14 @@ class Simulator:
         if self.link_load_mbps(link_id) + mbps > link.capacity_mbps + 1e-12:
             raise CapacityError(f"capacity exceeded on link {link_id!r}")
         self._reservation_seq += 1
-        self._views.pop(link_id, None)
+        self._link_changed(link_id)
         self._reservations.setdefault(link_id, {})[self._reservation_seq] = mbps
         return (link_id, self._reservation_seq)
 
     def release_capacity(self, handle: tuple[str, int]) -> None:
         link_id, seq = handle
-        self._views.pop(link_id, None)
-        self._reservations.get(link_id, {}).pop(seq, None)
+        if self._reservations.get(link_id, {}).pop(seq, None) is not None:
+            self._link_changed(link_id)
 
     def link_load_mbps(self, link_id: str) -> float:
         return sum(self._reservations.get(link_id, {}).values())
@@ -510,9 +514,26 @@ class Simulator:
             load_mbps=self.link_load_mbps(link_id),
         )
 
+    def _link_changed(self, link_id: str) -> None:
+        self._views.pop(link_id, None)
+        self.changes += 1
+        self._changed.pop(link_id, None)
+        self._changed[link_id] = self.changes
+
+    def links_changed_since(self, change: int) -> dict[str, bool]:
+        """Links changed after change number `change` (removed ones too) and links
+        with an injection, whose delay moves with the clock; True for the latter."""
+        out = dict.fromkeys(self._injections, True)
+        for link_id, at in reversed(self._changed.items()):
+            if at <= change:
+                break
+            out.setdefault(link_id, False)
+        return out
+
     def topology_snapshot(self) -> TopologyView:
         """Consistent immutable snapshot at the current simulated instant; the
-        view of a link without injections is reused until its load changes."""
+        view of a link without injections is reused until its load changes. It
+        costs a view per link: `links_changed_since` names the few to recheck."""
         now = self.now_ms
         return TopologyView(
             nodes=tuple(self.topology.nodes.values()),

@@ -420,6 +420,69 @@ class TestAllocationMemo:
         assert seen[10] != seen[9] == seen[0]
         assert len(searches) == 2  # the first call, then when the links filled
 
+    def test_residual_rising_back_to_the_rate_resolves(self, searches):
+        """The reverse: once the ten connects that filled the first paths'
+        links close, the next call searches again and routes on them."""
+        sim = Simulator(_churn_grid(random.Random("memo"), 0.5, 100.0))
+        live, seen = [], []
+        for step in range(11):
+            got = allocate_fresh_and_memoized(sim, "H00", "H08", 1)
+            live.append(deploy_mirror_paths(sim, FlowId("H00", "H08", f"c{step}"), got, 10.0))
+            seen.append(got.paths)
+        for handles in live[:10]:
+            retract_mirror_paths(sim, handles)
+        assert len(searches) == 2
+        assert allocate_fresh_and_memoized(sim, "H00", "H08", 1).paths == seen[0] != seen[10]
+        assert len(searches) == 3
+
+    def test_a_change_of_rate_rechecks_every_link(self, searches):
+        """On the 20 Mbps 3x3 grid a 10 Mbps connection leaves its links short
+        of 15 Mbps, which a 15 Mbps call must see though no link changed since
+        the last call; a rate that leaves the same links usable keeps the
+        results."""
+        sim = Simulator(_grid3())
+        first = allocate_fresh_and_memoized(sim, "S00", "S22", 1)
+        deploy_mirror_paths(sim, FlowId("S00", "S22", "c0"), first, 10.0)
+        assert allocate_fresh_and_memoized(sim, "S00", "S22", 1) == first
+        assert allocate_fresh_and_memoized(sim, "S00", "S22", 1, 15.0).paths != first.paths
+        assert allocate_fresh_and_memoized(sim, "S00", "S22", 1, 10.0) == first
+        assert allocate_fresh_and_memoized(sim, "S00", "S22", 1, 5.0) == first
+        assert len(searches) == 3
+
+    def test_a_hit_takes_no_snapshot(self, monkeypatch, searches):
+        """Connect/close cycles among four hosts on the 100 Mbps churn grid
+        with at most four 10 Mbps connections live, so no link falls short of
+        the rate: after the first round a call neither snapshots nor searches."""
+        sim = Simulator(_churn_grid(random.Random("memo"), 0.5, 100.0))
+        take, snapshots = Simulator.topology_snapshot, []
+        monkeypatch.setattr(Simulator, "topology_snapshot",
+                            lambda self: snapshots.append(self) or take(self))
+        pairs = [("H00", "H08"), ("H04", "H12"), ("H08", "H00"), ("H12", "H04")]
+        live, counts = [], []
+        for cycle in range(3):
+            for src, dst in pairs:
+                got = allocate_on(sim, src, dst, 2, 10.0, 5.0)
+                assert got == allocate_disjoint_paths(take(sim), src, dst, 2, 10.0, 5.0)
+                live.append(deploy_mirror_paths(sim, FlowId(src, dst, f"c{cycle}"), got, 10.0))
+                if len(live) > 3:
+                    retract_mirror_paths(sim, live.pop(0))
+            counts.append((len(snapshots), len(searches)))
+        assert counts == [(4, 4)] * 3
+
+    def test_a_stale_release_changes_nothing(self, sim, searches):
+        """Releasing a released or unknown handle records no change: the memo
+        still hits and no per-link state is added."""
+        first = allocate_fresh_and_memoized(sim, "A", "B", 2)
+        handles = deploy_mirror_paths(sim, FLOW, first, 10.0)
+        retract_mirror_paths(sim, handles)
+        assert allocate_fresh_and_memoized(sim, "A", "B", 2) == first
+        changes, changed = sim.changes, sim.links_changed_since(0)
+        for handle in handles.reservation_handles + [("A-R1", 10**6), ("no-such-link", 1)]:
+            sim.release_capacity(handle)
+        assert (sim.changes, sim.links_changed_since(0)) == (changes, changed)
+        assert allocate_fresh_and_memoized(sim, "A", "B", 2) == first
+        assert len(searches) == 1
+
     def test_injection_window_opening_and_closing_resolves(self, sim, searches):
         before = allocate_fresh_and_memoized(sim, "A", "B", 1)
         sim.inject_latency(LatencyInjection(before.paths[0][-1], 10.0, 5.0, 10.0))
@@ -474,7 +537,8 @@ class TestAllocationMemo:
 
     CONNECT = st.tuples(st.just("connect"), st.sampled_from(["S00", "S02", "S22"]),
                         st.sampled_from(["S00", "S02", "S22"]), st.integers(1, 3),
-                        st.sampled_from([0.5, 5.0]), st.sampled_from([0.0, 0.2, math.inf]))
+                        st.sampled_from([10.0, 15.0]), st.sampled_from([0.5, 5.0]),
+                        st.sampled_from([0.0, 0.2, math.inf]))
 
     @settings(max_examples=400, deadline=None)
     @given(steps=st.lists(st.one_of(
@@ -483,24 +547,34 @@ class TestAllocationMemo:
         st.tuples(st.just("inject"), st.sampled_from(sorted(_grid3().links)),
                   st.sampled_from([0.1, 1.0]), st.integers(0, 1), st.integers(1, 3)),
         st.tuples(st.just("advance"), st.integers(1, 3)),
+        st.tuples(st.just("remove"), st.sampled_from(sorted(_grid3().links))),
+        st.tuples(st.just("release again"), st.integers(0, 30)),
     ), min_size=5, max_size=30))
     def test_property_matches_a_fresh_allocation(self, steps):
-        """Random connects, closes, latency injections and clock moves on a
-        3x3 grid whose links hold two 10 Mbps reservations: at every step
+        """Random connects at 10 or 15 Mbps, closes, repeated releases of a
+        closed connection's reservations, latency injections, link removals
+        and clock moves on a 3x3 grid of 20 Mbps links, where a 10 Mbps
+        reservation leaves a link short of 15 and two fill it: at every step
         the memoized allocation equals a fresh one."""
         sim = Simulator(_grid3())
-        live = []
+        live, closed = [], []
         for step, (op, *args) in enumerate(steps):
             if op == "connect":
-                src, dst, k, max_latency, spread = args
+                src, dst, k, rate, max_latency, spread = args
                 if src == dst:
                     continue
-                got = allocate_fresh_and_memoized(sim, src, dst, k, 10.0, max_latency, spread)
+                got = allocate_fresh_and_memoized(sim, src, dst, k, rate, max_latency, spread)
                 if not isinstance(got, AllocationFailure):
-                    live.append(deploy_mirror_paths(sim, FlowId(src, dst, f"c{step}"), got, 10.0))
+                    live.append(deploy_mirror_paths(sim, FlowId(src, dst, f"c{step}"), got, rate))
             elif op == "close" and live:
-                retract_mirror_paths(sim, live.pop(args[0] % len(live)))
-            elif op == "inject":
+                closed.append(live.pop(args[0] % len(live)))
+                retract_mirror_paths(sim, closed[-1])
+            elif op == "release again" and closed:
+                for handle in closed[args[0] % len(closed)].reservation_handles:
+                    sim.release_capacity(handle)
+            elif op == "remove" and args[0] in sim.topology.links:
+                sim.remove_link(args[0])
+            elif op == "inject" and args[0] in sim.topology.links:
                 link, extra, start, length = args
                 sim.inject_latency(LatencyInjection(link, extra, sim.now_ms + start,
                                                     sim.now_ms + start + length))
