@@ -22,7 +22,7 @@ from .experiment import (
     write_report,
 )
 from .moduledef import IllegalTransition, manifest_from_json
-from .netsim import LatencyInjection, NetsimError, Simulator, build_topology, load_topology_file
+from .netsim import LatencyInjection, NetsimError, Simulator
 from .store import BASELINE_MODULE_ID, SocketStore, StoreError
 
 DATA_ENV_VAR = "SOCKETSTORE_DATA"
@@ -260,10 +260,7 @@ def cmd_serve(args) -> int:
     from .wire import StoreServer
 
     store = _open_store(args)
-    if args.topology:
-        store.attach_network(Simulator(load_topology_file(args.topology)))
-    else:
-        store.attach_network(Simulator(build_topology(fixtures.EVALUATION_TOPOLOGY)))
+    store.attach_network(Simulator(fixtures.load_topology(args.topology)))
     server = StoreServer(store, args.host, args.port)
     host, port = server.address
     print(f"store listening on {host}:{port} (data: {_data_path(args)})")

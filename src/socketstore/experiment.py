@@ -18,20 +18,14 @@ from operator import attrgetter
 
 from .dsa import ConnectOptions, DsaClient
 from .fixtures import (
-    EVALUATION_TOPOLOGY,
     FLASH_DELIVERY_ID,
     LATENCY_SPIKE,
+    LATENCY_SPIKE_SCENARIO as SCENARIO,
     flash_delivery_manifest,
+    load_topology,
 )
-from .kmflash import DeliveryStats, delivery_stats, deploy_default_route, paced, send_copies
-from .netsim import (
-    DeliveryRecord,
-    FlowId,
-    LatencyInjection,
-    Simulator,
-    build_topology,
-    load_topology_file,
-)
+from .kmflash import DeliveryStats, delivery_stats, paced, run_single_path
+from .netsim import DeliveryRecord, FlowId, LatencyInjection, NodeKind, Simulator
 from .store import BASELINE_MODULE_ID, CostReport, SocketStore
 from .wire import LocalTransport, StoreProtocol
 
@@ -45,19 +39,18 @@ InjectionConfig = LatencyInjection  # the name older callers import
 
 @dataclass
 class ExperimentConfig:
-    """Defaults reproduce the shipped evaluation: 100 packets at 1 ms gap
-    against a 5 ms deadline, +10 ms injected on R4-B over [40, 60) ms,
-    K=2 mirrors at 10 Mbps."""
+    """Defaults reproduce the shipped evaluation, `fixtures.LATENCY_SPIKE_SCENARIO`,
+    which runs between the topology's first two hosts."""
 
     topology_path: str | None = None
     module: str = FLASH_DELIVERY_ID  # or "baseline"
-    packet_count: int = 100
-    gap_ms: float = 1.0
-    deadline_ms: float = 5.0
+    packet_count: int = SCENARIO.packet_count
+    gap_ms: float = SCENARIO.gap_ms
+    deadline_ms: float = SCENARIO.deadline_ms
     injection: LatencyInjection = LATENCY_SPIKE
-    k: int = 2
-    rate_mbps: float = 10.0
-    payload_size: int = 512
+    k: int = SCENARIO.inputs["K"]
+    rate_mbps: float = SCENARIO.inputs["rate"]
+    payload_size: int = SCENARIO.size_bytes
     output_dir: str = "out"
     seed: int = 0
     app_id: str = "experiment-app"
@@ -77,6 +70,8 @@ class ExperimentConfig:
             raise ExperimentError("K must be >= 1")
         if not self.rate_mbps > 0:
             raise ExperimentError("rate must be a positive number")
+        if self.payload_size < 0:
+            raise ExperimentError("payload size must be >= 0")
 
 
 _FITS = {
@@ -157,46 +152,39 @@ class ExperimentReport:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
-    rng = random.Random(config.seed)
-    if config.topology_path:
-        topology = load_topology_file(config.topology_path)
-    else:
-        topology = build_topology(EVALUATION_TOPOLOGY)
+    topology = load_topology(config.topology_path)
+    # a run sends from the topology's first host to its second, in document order
+    hosts = [node.id for node in topology.nodes.values() if node.kind is NodeKind.HOST][:2]
+    if len(hosts) < 2:
+        raise ExperimentError(f"the experiment needs two hosts, the topology has {len(hosts)}")
     sim = Simulator(topology)
     sim.inject_latency(config.injection)
-
-    if config.module == BASELINE_MODULE_ID:
-        return _run_baseline(sim, config)
-    return _run_module(sim, config, rng)
-
-
-def _run_baseline(sim: Simulator, config: ExperimentConfig) -> ExperimentReport:
-    flow = FlowId("A", "B", "baseline")
-    if not deploy_default_route(sim, flow):
-        raise ExperimentError("no route between A and B in this topology")
-    per_seq = paced(sim, config.packet_count, config.gap_ms, lambda seq: send_copies(
-        sim, flow, 1, seq, config.payload_size, config.deadline_ms))
+    if config.module != BASELINE_MODULE_ID:
+        return _run_module(sim, config, random.Random(config.seed), *hosts)
+    per_seq = run_single_path(sim, FlowId(*hosts, "baseline"), config.packet_count,
+                              config.gap_ms, config.payload_size, config.deadline_ms)
+    if per_seq is None:
+        raise ExperimentError("no route between {} and {} in this topology".format(*hosts))
     return _report("baseline", per_seq, config, cost=None)
 
 
-def _run_module(sim: Simulator, config: ExperimentConfig,
-                rng: random.Random) -> ExperimentReport:
+def _run_module(sim: Simulator, config: ExperimentConfig, rng: random.Random,
+                src: str, dst: str) -> ExperimentReport:
     store = _store_for(sim, config, rng)
     protocol = StoreProtocol(store)
-    dsa_b = DsaClient("B", sim, LocalTransport(protocol), app_id=config.app_id)
-    dsa_b.bind("Device_B")
+    DsaClient(dst, sim, LocalTransport(protocol), app_id=config.app_id).bind("Device_B")
     if config.purchase:
         token = store.purchase(config.app_id, config.module).token
     else:
         token = "unpurchased"
-    dsa_a = DsaClient("A", sim, LocalTransport(protocol), app_id=config.app_id)
-    conn = dsa_a.connect(
+    dsa = DsaClient(src, sim, LocalTransport(protocol), app_id=config.app_id)
+    conn = dsa.connect(
         "Device_B",
         config.module,
         token,
         ConnectOptions(k=config.k, rate_mbps=config.rate_mbps,
                        max_latency_ms=config.deadline_ms),
-        fallback_address="B",
+        fallback_address=dst,
     )
     payload = b"x" * config.payload_size
     per_seq = paced(sim, config.packet_count, config.gap_ms,

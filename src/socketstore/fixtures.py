@@ -1,5 +1,5 @@
-"""Canonical fixtures: the two-host five-switch evaluation topology and the
-flash-delivery store module (manifest, NSD, metric definition).
+"""Canonical fixtures: the two-host five-switch evaluation topology, the
+latency-spike scenario on it, and the flash-delivery store module.
 
 The evaluation topology admits exactly two link-disjoint host-to-host
 paths; all links run at 100 Mbps with 0.5 ms latency, and each host has two
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 
 from .agents import AgentTypeLibrary, builtin_library
 from .kmflash import register_km_type
@@ -20,7 +21,7 @@ from .moduledef import (
     manifest_to_json,
     parse_nsd,
 )
-from .netsim import LatencyInjection, Topology, build_topology
+from .netsim import LatencyInjection, Topology, build_topology, load_topology_file
 
 EVALUATION_TOPOLOGY: dict = {
     "nodes": [
@@ -44,8 +45,40 @@ EVALUATION_TOPOLOGY: dict = {
     ],
 }
 
-# the one spike both the store's testbed and the experiment inject
+
+@dataclass(frozen=True)
+class TestbedScenario:
+    """A registered testbed setup: topology, traffic shape and injections."""
+
+    name: str
+    topology_doc: dict
+    packet_count: int
+    gap_ms: float
+    deadline_ms: float
+    injections: tuple[LatencyInjection, ...]
+    inputs: dict  # NSD input bindings, e.g. endpoints, K, rate, max_latency
+    size_bytes: int
+
+
 LATENCY_SPIKE = LatencyInjection("R4-B", 10.0, 40.0, 60.0)
+
+# the shipped evaluation: the store's testbed ranks modules on it, the experiment reproduces it
+LATENCY_SPIKE_SCENARIO = TestbedScenario(
+    name="latency-spike",
+    topology_doc=EVALUATION_TOPOLOGY,
+    packet_count=100,
+    gap_ms=1.0,
+    deadline_ms=5.0,
+    injections=(LATENCY_SPIKE,),
+    inputs={
+        "endpointA": {"address": "A", "port": 5000, "nic": 0},
+        "endpointB": {"address": "B", "port": 5000, "nic": 0},
+        "K": 2,
+        "rate": 10.0,
+        "max_latency": 5.0,
+    },
+    size_bytes=512,
+)
 
 FLASH_DELIVERY_NSD = """\
 <nsd>
@@ -101,6 +134,11 @@ def evaluation_topology() -> Topology:
     return build_topology(EVALUATION_TOPOLOGY)
 
 
+def load_topology(path: str | None) -> Topology:
+    """The topology in the file at `path`, or else the evaluation topology."""
+    return load_topology_file(path) if path else evaluation_topology()
+
+
 def flash_delivery_manifest(library: AgentTypeLibrary | None = None) -> ModuleManifest:
     lib = library or default_library()
     return ModuleManifest(
@@ -123,19 +161,15 @@ def flash_delivery_manifest(library: AgentTypeLibrary | None = None) -> ModuleMa
 def write_fixture_tree(root: str) -> list[str]:
     """Materialize the shipped fixture documents under `root`; returns the
     written paths."""
-    written = []
+    documents = {
+        os.path.join(root, "evaluation_topology.json"):
+            json.dumps(EVALUATION_TOPOLOGY, indent=2) + "\n",
+        os.path.join(root, "flash_delivery", "nsd.xml"): FLASH_DELIVERY_NSD,
+        os.path.join(root, "flash_delivery", "manifest.json"):
+            manifest_to_json(flash_delivery_manifest()),
+    }
     os.makedirs(os.path.join(root, "flash_delivery"), exist_ok=True)
-    topo_path = os.path.join(root, "evaluation_topology.json")
-    with open(topo_path, "w", encoding="utf-8") as fh:
-        json.dump(EVALUATION_TOPOLOGY, fh, indent=2)
-        fh.write("\n")
-    written.append(topo_path)
-    nsd_path = os.path.join(root, "flash_delivery", "nsd.xml")
-    with open(nsd_path, "w", encoding="utf-8") as fh:
-        fh.write(FLASH_DELIVERY_NSD)
-    written.append(nsd_path)
-    manifest_path = os.path.join(root, "flash_delivery", "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(manifest_to_json(flash_delivery_manifest()))
-    written.append(manifest_path)
-    return written
+    for path, text in documents.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return list(documents)

@@ -106,7 +106,7 @@ def allocate_disjoint_paths(
             else:
                 used[lid] = (u, v)
 
-    paths = _decompose(used, links, src, dst, k)
+    paths = _decompose(used, src, dst, k)
     latencies = tuple(sum(links[lid].latency_ms for lid in p) for p in paths)
     return _within_bounds(PathSet(paths, latencies), max_latency_ms, spread_ms)
 
@@ -221,7 +221,7 @@ def _shortest_residual_path(arcs, used, src, dst):
     return path
 
 
-def _decompose(used, links, src, dst, k):
+def _decompose(used, src, dst, k):
     out: dict[str, list[tuple[str, str]]] = {}
     for lid, (u, v) in sorted(used.items()):
         out.setdefault(u, []).append((lid, v))
@@ -373,6 +373,16 @@ def paced(sim: Simulator, count: int, gap_ms: float, send: Callable[[int], list]
         sim.run_until(seq * gap_ms)
         out.append(send(seq))
     return out
+
+
+def run_single_path(sim: Simulator, flow: FlowId, count: int, gap_ms: float, size_bytes: int,
+                    deadline_ms: float) -> list[list[DeliveryRecord]] | None:
+    """The single-path baseline: deploy `flow` over the default route, then pace
+    one copy per seq; each seq's records, or None when there is no route."""
+    if not deploy_default_route(sim, flow):
+        return None
+    return paced(sim, count, gap_ms,
+                 lambda seq: send_copies(sim, flow, 1, seq, size_bytes, deadline_ms))
 
 
 # -- delivery statistics --------------------------------------------------------

@@ -19,22 +19,16 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .agents import Agent, AgentError, AgentKind, AgentRuntime, AgentSpec, AgentTypeLibrary
-from .fixtures import (
-    BUILTIN_METRICS,
-    EVALUATION_TOPOLOGY,
-    LATENCY_SPIKE,
-    default_library,
-)
+from .fixtures import BUILTIN_METRICS, LATENCY_SPIKE_SCENARIO, TestbedScenario, default_library
 from .kmflash import (
     KMAgent,
     KMError,
     _address_of,
     collect_stats,
-    deploy_default_route,
     earliest_latency,
     mirror_send,
     paced,
-    send_copies,
+    run_single_path,
 )
 from .moduledef import (
     IllegalTransition,
@@ -48,7 +42,7 @@ from .moduledef import (
     manifest_to_doc,
     validate_manifest,
 )
-from .netsim import FlowId, LatencyInjection, Simulator, build_topology
+from .netsim import FlowId, Simulator, build_topology
 
 BASELINE_MODULE_ID = "baseline"
 PRODUCTION_ENV = "production"
@@ -194,40 +188,6 @@ class SearchResult:
     aggregate: float | None
 
 
-@dataclass(frozen=True)
-class TestbedScenario:
-    """A registered testbed setup: topology, traffic shape and injections."""
-
-    name: str
-    topology_doc: dict
-    packet_count: int
-    gap_ms: float
-    deadline_ms: float
-    injections: tuple[LatencyInjection, ...]
-    inputs: dict  # NSD input bindings, e.g. endpoints, K, rate, max_latency
-    size_bytes: int = 512
-
-
-def latency_spike_scenario() -> TestbedScenario:
-    """The shipped evaluation scenario: 100 packets at 1 ms spacing with a
-    +10 ms spike on link R4-B over [40, 60) ms and a 5 ms deadline."""
-    return TestbedScenario(
-        name="latency-spike",
-        topology_doc=EVALUATION_TOPOLOGY,
-        packet_count=100,
-        gap_ms=1.0,
-        deadline_ms=5.0,
-        injections=(LATENCY_SPIKE,),
-        inputs={
-            "endpointA": {"address": "A", "port": 5000, "nic": 0},
-            "endpointB": {"address": "B", "port": 5000, "nic": 0},
-            "K": 2,
-            "rate": 10.0,
-            "max_latency": 5.0,
-        },
-    )
-
-
 # metric collectors the testbeds know how to measure
 def _mean_latency(records) -> float | None:
     delivered = [lat for lat in earliest_latency(records).values() if lat is not None]
@@ -263,7 +223,7 @@ class SocketStore:
         self.instances: dict[str, ModuleInstance] = {}
         self.aliases: dict[str, dict] = {}
         self.testbeds: dict[str, TestbedScenario] = {}
-        self.register_testbed(latency_spike_scenario())
+        self.register_testbed(LATENCY_SPIKE_SCENARIO)
         self._instance_seq = 0
 
     # -- time and logging ------------------------------------------------------
@@ -624,17 +584,15 @@ class SocketStore:
         sim = Simulator(build_topology(scenario.topology_doc))
         for inj in scenario.injections:
             sim.inject_latency(inj)
-        per_seq: list[list] = []
+        per_seq: list[list] | None = None
         failure: str | None = None
         if manifest is None:
             flow = FlowId(_address_of(scenario.inputs["endpointA"]),
                           _address_of(scenario.inputs["endpointB"]), "baseline")
-            if not deploy_default_route(sim, flow):
+            per_seq = run_single_path(sim, flow, scenario.packet_count, scenario.gap_ms,
+                                      scenario.size_bytes, scenario.deadline_ms)
+            if per_seq is None:
                 failure = f"no route between {flow.src} and {flow.dst}"
-            else:
-                per_seq = paced(sim, scenario.packet_count, scenario.gap_ms,
-                                lambda seq: send_copies(sim, flow, 1, seq, scenario.size_bytes,
-                                                        scenario.deadline_ms))
         else:
             runtime = AgentRuntime(sim, self.library, action_log=self._runtime_log)
             env = f"testbed-{scenario.name}"
@@ -652,7 +610,7 @@ class SocketStore:
                         sim, km.handles, seq, scenario.size_bytes, scenario.deadline_ms)
                 ])
                 _destroy_agents(runtime, agent_ids)
-        records = [rec for recs in per_seq for rec in recs]
+        records = [rec for recs in per_seq or () for rec in recs]
 
         stats = collect_stats(records, scenario.deadline_ms)
         samples = []

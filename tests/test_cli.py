@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,35 @@ class TestRunExperiment:
         assert err.startswith("error: ") and "Traceback" not in err
         assert err.count("\n") == 1
         assert "config" in err  # blamed on the file, not on what a bad value did
+
+    def test_negative_payload_size_is_an_error(self, workdir, capsys):
+        path = workdir / "config.json"
+        path.write_text(json.dumps({"payload_size": -5, "packet_count": 3}))
+        out_dir = workdir / "out"
+        assert run("run-experiment", "--config", str(path), "--out", str(out_dir)) == 1
+        assert capsys.readouterr().err == "error: payload size must be >= 0\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("module", ["flash-delivery", "baseline"])
+    def test_shipped_topology_file_matches_the_default_run(self, workdir, module):
+        topology = Path(__file__).resolve().parents[1] / "fixtures" / "evaluation_topology.json"
+        assert run("run-experiment", "--module", module, "--out", str(workdir / "default")) == 0
+        assert run("run-experiment", "--module", module, "--topology", str(topology),
+                   "--out", str(workdir / "file")) == 0
+        name = f"{module}-packets.csv"
+        assert (workdir / "file" / name).read_bytes() == (workdir / "default" / name).read_bytes()
+
+    def test_topology_with_one_host_is_an_error(self, workdir, capsys):
+        path = workdir / "one-host.json"
+        path.write_text(json.dumps({
+            "nodes": [{"id": "H", "kind": "host", "nic_count": 1}, {"id": "S", "kind": "switch"}],
+            "links": [{"endpoints": ["H", "S"], "capacity_mbps": 100, "latency_ms": 0.5}],
+        }))
+        for module in ("flash-delivery", "baseline"):
+            assert run("run-experiment", "--module", module, "--topology", str(path),
+                       "--out", str(workdir / "out")) == 1
+            err = capsys.readouterr().err
+            assert err == "error: the experiment needs two hosts, the topology has 1\n"
 
     @pytest.mark.parametrize("argv", [
         ("--inject", "R9-X:10:40:60"),

@@ -14,6 +14,7 @@ from socketstore.experiment import (
     stats_from_csv,
     write_report,
 )
+from socketstore.fixtures import EVALUATION_TOPOLOGY
 
 
 class TestModuleRun:
@@ -61,7 +62,41 @@ class TestBaselineRun:
         assert violated == list(range(39, 59))
 
 
+def renamed_hosts_topology(tmp_path) -> str:
+    """The evaluation topology with hosts A and B renamed, written to a file."""
+    names = {"A": "Alice", "B": "Bob"}
+    doc = json.loads(json.dumps(EVALUATION_TOPOLOGY))
+    for node in doc["nodes"]:
+        node["id"] = names.get(node["id"], node["id"])
+    for link in doc["links"]:
+        link["endpoints"] = [names.get(end, end) for end in link["endpoints"]]
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestTopologyHosts:
+    """A run goes between its topology's first two hosts, whatever their names."""
+
+    @pytest.mark.parametrize("module, mode, violations", [
+        ("flash-delivery", "module", 0),
+        ("baseline", "baseline", 20),
+    ])
+    def test_hosts_not_named_a_and_b(self, tmp_path, module, mode, violations):
+        config = ExperimentConfig(module=module, topology_path=renamed_hosts_topology(tmp_path),
+                                  injection=InjectionConfig("R4-Bob", 10.0, 40.0, 60.0))
+        report = run_experiment(config)
+        assert (report.mode, report.stats.losses) == (mode, 0)
+        assert report.stats.deadline_violations == violations
+        default = run_experiment(ExperimentConfig(module=module))
+        assert render_csv(report) == render_csv(default)
+
+
 class TestConfig:
+    def test_empty_payloads_accepted(self):
+        report = run_experiment(ExperimentConfig(payload_size=0, packet_count=3))
+        assert (report.mode, report.stats.losses) == ("module", 0)
+
     def test_zero_packets_rejected(self):
         with pytest.raises(ExperimentError, match="packet count"):
             run_experiment(ExperimentConfig(packet_count=0))

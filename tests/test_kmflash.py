@@ -539,6 +539,8 @@ class TestAllocationMemo:
                         st.sampled_from(["S00", "S02", "S22"]), st.integers(1, 3),
                         st.sampled_from([10.0, 15.0]), st.sampled_from([0.5, 5.0]),
                         st.sampled_from([0.0, 0.2, math.inf]))
+    # repeat every earlier connect without deploying, at both rates in a drawn order
+    REPEAT = st.tuples(st.just("repeat"), st.permutations([10.0, 15.0]))
 
     @settings(max_examples=400, deadline=None)
     @given(steps=st.lists(st.one_of(
@@ -549,23 +551,30 @@ class TestAllocationMemo:
         st.tuples(st.just("advance"), st.integers(1, 3)),
         st.tuples(st.just("remove"), st.sampled_from(sorted(_grid3().links))),
         st.tuples(st.just("release again"), st.integers(0, 30)),
+        REPEAT, REPEAT,
     ), min_size=5, max_size=30))
     def test_property_matches_a_fresh_allocation(self, steps):
-        """Random connects at 10 or 15 Mbps, closes, repeated releases of a
-        closed connection's reservations, latency injections, link removals
-        and clock moves on a 3x3 grid of 20 Mbps links, where a 10 Mbps
+        """Random connects at 10 or 15 Mbps, repeats of the earlier connects
+        that read their memoized results back, closes, repeated releases of a
+        closed connection's reservations, latency injections, link removals and
+        clock moves on a 3x3 grid of 20 Mbps links, where a 10 Mbps
         reservation leaves a link short of 15 and two fill it: at every step
         the memoized allocation equals a fresh one."""
         sim = Simulator(_grid3())
-        live, closed = [], []
+        live, closed, connects = [], [], []
         for step, (op, *args) in enumerate(steps):
             if op == "connect":
                 src, dst, k, rate, max_latency, spread = args
                 if src == dst:
                     continue
+                connects.append(args)
                 got = allocate_fresh_and_memoized(sim, src, dst, k, rate, max_latency, spread)
                 if not isinstance(got, AllocationFailure):
                     live.append(deploy_mirror_paths(sim, FlowId(src, dst, f"c{step}"), got, rate))
+            elif op == "repeat":
+                for rate in args[0]:
+                    for src, dst, k, _, max_latency, spread in connects:
+                        allocate_fresh_and_memoized(sim, src, dst, k, rate, max_latency, spread)
             elif op == "close" and live:
                 closed.append(live.pop(args[0] % len(live)))
                 retract_mirror_paths(sim, closed[-1])
