@@ -46,6 +46,9 @@ from .netsim import FlowId, Simulator, build_topology
 
 BASELINE_MODULE_ID = "baseline"
 PRODUCTION_ENV = "production"
+# log entries per encoder call: one call amortizes the encoder's set-up over
+# a freshly loaded log, and a bounded batch bounds its scratch memory
+LOG_ENCODE_BATCH = 64
 
 
 class StoreError(Exception):
@@ -642,15 +645,26 @@ class SocketStore:
             "licenses": [vars(l) for l in self.licenses.values()],
             "revoked_tokens": sorted(self._revoked_tokens),
             "samples": [vars(s) for s in self.samples],
-            "log": [vars(e) for e in self.log],
+            "log": [],  # spliced in from each entry's cached text
             "logical_ms": self._logical_ms,
         }
         tmp_path = f"{self.data_path}.tmp"  # renamed over the data file once complete
         try:
+            # the bytes of json.dump(state, indent=2, sort_keys=True): the log
+            # entries not yet encoded are encoded in batches, indented to their
+            # depth in the file and kept; a string never holds a raw newline,
+            # and only top-level keys sit two spaces deep
+            while self._log_encoded < len(self.log):
+                batch = self.log[self._log_encoded:self._log_encoded + LOG_ENCODE_BATCH]
+                new = json.dumps([vars(e) for e in batch], indent=2, sort_keys=True)
+                self._log_text.append(new[4:-2].replace("\n", "\n  "))  # less "[\n  ", "\n]"
+                self._log_encoded += len(batch)
+            log = "[\n    " + ",\n    ".join(self._log_text) + "\n  ]" if self.log else "[]"
+            text = (json.dumps(state, indent=2, sort_keys=True) + "\n").replace(
+                '\n  "log": []', '\n  "log": ' + log, 1)
             os.makedirs(os.path.dirname(self.data_path) or ".", exist_ok=True)
             with open(tmp_path, "w", encoding="utf-8") as fh:
-                json.dump(state, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(text)
             os.replace(tmp_path, self.data_path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -682,6 +696,9 @@ class SocketStore:
         self._revoked_tokens = set(state.get("revoked_tokens", []))
         self.samples = [MetricSample(**s) for s in state.get("samples", [])]
         self.log = [ActionLogEntry(**e) for e in state.get("log", [])]
+        # encoded runs of log entries, together the first `_log_encoded` of `log`
+        self._log_text: list[str] = []
+        self._log_encoded = 0
         self._logical_ms = state.get("logical_ms", float(len(self.log)))
 
 

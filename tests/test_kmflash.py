@@ -541,6 +541,10 @@ class TestAllocationMemo:
                         st.sampled_from([0.0, 0.2, math.inf]))
     # repeat every earlier connect without deploying, at both rates in a drawn order
     REPEAT = st.tuples(st.just("repeat"), st.permutations([10.0, 15.0]))
+    # a connect, every earlier connect repeated at its rate, its close and the
+    # same repeats again: results computed while its links were loaded are read
+    # back after their release, at the rate of the last call
+    REREAD = CONNECT.map(lambda step: ("reread around a close", *step[1:]))
 
     @settings(max_examples=400, deadline=None)
     @given(steps=st.lists(st.one_of(
@@ -551,19 +555,20 @@ class TestAllocationMemo:
         st.tuples(st.just("advance"), st.integers(1, 3)),
         st.tuples(st.just("remove"), st.sampled_from(sorted(_grid3().links))),
         st.tuples(st.just("release again"), st.integers(0, 30)),
-        REPEAT, REPEAT,
+        REPEAT, REPEAT, REREAD,
     ), min_size=5, max_size=30))
     def test_property_matches_a_fresh_allocation(self, steps):
         """Random connects at 10 or 15 Mbps, repeats of the earlier connects
-        that read their memoized results back, closes, repeated releases of a
-        closed connection's reservations, latency injections, link removals and
+        that read their memoized results back, connects closed between two
+        such repeats at their rate, closes, repeated releases of a closed
+        connection's reservations, latency injections, link removals and
         clock moves on a 3x3 grid of 20 Mbps links, where a 10 Mbps
         reservation leaves a link short of 15 and two fill it: at every step
         the memoized allocation equals a fresh one."""
         sim = Simulator(_grid3())
         live, closed, connects = [], [], []
         for step, (op, *args) in enumerate(steps):
-            if op == "connect":
+            if op in ("connect", "reread around a close"):
                 src, dst, k, rate, max_latency, spread = args
                 if src == dst:
                     continue
@@ -571,6 +576,15 @@ class TestAllocationMemo:
                 got = allocate_fresh_and_memoized(sim, src, dst, k, rate, max_latency, spread)
                 if not isinstance(got, AllocationFailure):
                     live.append(deploy_mirror_paths(sim, FlowId(src, dst, f"c{step}"), got, rate))
+                if op == "reread around a close" and not isinstance(got, AllocationFailure):
+                    reread = [(src, dst, k, rate, max_latency, spread)
+                              for src, dst, k, _, max_latency, spread in connects]
+                    for call in reread:
+                        allocate_fresh_and_memoized(sim, *call)
+                    closed.append(live.pop())
+                    retract_mirror_paths(sim, closed[-1])
+                    for call in reread:
+                        allocate_fresh_and_memoized(sim, *call)
             elif op == "repeat":
                 for rate in args[0]:
                     for src, dst, k, _, max_latency, spread in connects:

@@ -2,8 +2,11 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,13 @@ from socketstore.agents import (
 from socketstore.dsa import ConnectOptions, DsaClient
 from socketstore.fixtures import evaluation_topology, flash_delivery_manifest
 from socketstore.kmflash import register_km_type
-from socketstore.moduledef import IllegalTransition, MetricDef, MetricDirection, ModuleState
+from socketstore.moduledef import (
+    IllegalTransition,
+    MetricDef,
+    MetricDirection,
+    ModuleState,
+    manifest_to_doc,
+)
 from socketstore import store as store_module
 from socketstore.netsim import Simulator, build_topology
 from socketstore.store import (
@@ -32,6 +41,8 @@ from socketstore.store import (
     UsageLedger,
 )
 from socketstore.wire import LocalTransport, StoreProtocol
+
+from .test_wire import JSON
 
 AUTHOR = "pathworks-labs"
 REVIEWER = "review-board"
@@ -74,8 +85,57 @@ def purchased_token(store: SocketStore, app=APP) -> str:
     return store.purchase(app, mid).token
 
 
-def failing_dump(obj, fh, **kwargs):
+def fault_store_writes(monkeypatch, write):
+    """Make every file the store module opens for writing pass each
+    `write(text)` to `write(fh, text)`, `fh` being the real file; files
+    opened for reading are left alone."""
+    real_open = open
+
+    class FaultyFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            return write(self.fh, text)
+
+    def faulty_open(path, mode="r", **kwargs):
+        fh = real_open(path, mode, **kwargs)
+        return FaultyFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(store_module, "open", faulty_open, raising=False)
+
+
+def disk_full(fh, text):
     raise OSError("disk full")
+
+
+def reference_bytes(store: SocketStore) -> bytes:
+    """The store file as one `json.dump` of the whole in-memory state writes it."""
+    state = {
+        "specialists": sorted(store.specialists),
+        "metrics": [vars(m) for m in store.metrics.values()],
+        "modules": [manifest_to_doc(m) for m in store.modules.values()],
+        "licenses": [vars(l) for l in store.licenses.values()],
+        "revoked_tokens": sorted(store._revoked_tokens),
+        "samples": [vars(s) for s in store.samples],
+        "log": [vars(e) for e in store.log],
+        "logical_ms": store._logical_ms,
+    }
+    return (json.dumps(state, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+# `st.text` draws no surrogates; `log_action`'s own parameter names cannot be detail keys
+LONE_SURROGATES = st.text(st.characters(categories=["Cs"]), min_size=1, max_size=3)
+DETAIL = st.dictionaries(
+    (st.text(max_size=6) | LONE_SURROGATES).filter(
+        lambda key: key not in {"self", "actor", "action", "outcome"}),
+    JSON | LONE_SURROGATES, max_size=3)
 
 
 class TestSubmit:
@@ -738,14 +798,19 @@ class TestPersistence:
         before = path.read_bytes()
         logged = len(store.log)
 
-        def torn_dump(obj, fh, **kwargs):
-            fh.write(json.dumps(obj, **kwargs)[:100])
+        torn = []
+
+        def torn_write(fh, text):
+            fh.write(text[:100])
+            fh.flush()
+            torn.append(os.path.getsize(fh.name))
             raise OSError("disk gone mid-write")
 
-        monkeypatch.setattr(store_module.json, "dump", torn_dump)
+        fault_store_writes(monkeypatch, torn_write)
         with pytest.raises(OSError, match="mid-write"):
             store.purchase(APP, mid)
         monkeypatch.undo()
+        assert torn == [100]  # a partial temp file reached the disk
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
         assert len(SocketStore(data_path=str(path)).log) == logged
@@ -756,7 +821,7 @@ class TestPersistence:
                             token_factory=lambda: "lost-token")
         mid = publish_flash(store)
         logged = len(store.log)
-        monkeypatch.setattr(store_module.json, "dump", failing_dump)
+        fault_store_writes(monkeypatch, disk_full)
         with pytest.raises(OSError, match="disk full"):
             store.purchase(APP, mid)
         monkeypatch.undo()
@@ -767,11 +832,53 @@ class TestPersistence:
     def test_failed_first_write_leaves_an_empty_store(self, tmp_path, monkeypatch):
         path = tmp_path / "store.json"
         store = SocketStore(data_path=str(path))
-        monkeypatch.setattr(store_module.json, "dump", failing_dump)
+        fault_store_writes(monkeypatch, disk_full)
         with pytest.raises(OSError, match="disk full"):
             store.register_specialist(AUTHOR)
         assert store.specialists == set() and store.log == []
         assert not path.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(writes=st.lists(st.lists(DETAIL, min_size=1, max_size=3), min_size=1, max_size=6))
+    def test_property_file_is_one_dump_of_the_state(self, writes):
+        """Runs of log entries whose details are arbitrary JSON (unicode, lone
+        surrogates, floats, nesting), each run persisted by its last entry, as
+        agent runtime entries are by the next store action: the file always
+        holds the bytes of one `json.dump` of the whole state, though each
+        write encodes only the entries logged since the last."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.json"
+            store = fresh_store(with_sim=False, data_path=str(path))
+            publish_flash(store)
+            for *unwritten, detail in writes:
+                for runtime_detail in unwritten:
+                    store._runtime_log("agent-1", "probe", "ok", **runtime_detail)
+                store.log_action("prop", "probe", "ok", **detail)
+                assert path.read_bytes() == reference_bytes(store)
+
+    def test_good_write_after_a_failed_one_writes_the_whole_state(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+        store = fresh_store(with_sim=False, data_path=str(path))
+        mid = publish_flash(store)
+        fault_store_writes(monkeypatch, disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            store.purchase(APP, mid)
+        monkeypatch.undo()
+        store.purchase("second-app", mid)
+        assert path.read_bytes() == reference_bytes(store)
+
+    def test_reopened_store_writes_the_whole_state(self, tmp_path):
+        """The reopened store's first write encodes the whole log, over more
+        than one batch."""
+        path = tmp_path / "store.json"
+        store = fresh_store(with_sim=False, data_path=str(path))
+        mid = publish_flash(store)
+        for _ in range(store_module.LOG_ENCODE_BATCH):
+            store.authorize("bogus-token", mid)
+        reopened = SocketStore(data_path=str(path))
+        reopened.authorize("bogus-token", mid)
+        assert len(reopened.log) == store_module.LOG_ENCODE_BATCH + 5
+        assert path.read_bytes() == reference_bytes(reopened)
 
     def test_seeded_workflow_store_file_pinned(self, tmp_path):
         """One seeded walk through every persisted record kind: registration,
