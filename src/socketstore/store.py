@@ -645,7 +645,7 @@ class SocketStore:
             "licenses": [vars(l) for l in self.licenses.values()],
             "revoked_tokens": sorted(self._revoked_tokens),
             "samples": [vars(s) for s in self.samples],
-            "log": [],  # spliced in from each entry's cached text
+            "log": [],  # spliced in below from the kept text of the encoded entries
             "logical_ms": self._logical_ms,
         }
         tmp_path = f"{self.data_path}.tmp"  # renamed over the data file once complete

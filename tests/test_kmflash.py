@@ -574,9 +574,10 @@ class TestAllocationMemo:
                     continue
                 connects.append(args)
                 got = allocate_fresh_and_memoized(sim, src, dst, k, rate, max_latency, spread)
-                if not isinstance(got, AllocationFailure):
-                    live.append(deploy_mirror_paths(sim, FlowId(src, dst, f"c{step}"), got, rate))
-                if op == "reread around a close" and not isinstance(got, AllocationFailure):
+                if isinstance(got, AllocationFailure):
+                    continue
+                live.append(deploy_mirror_paths(sim, FlowId(src, dst, f"c{step}"), got, rate))
+                if op == "reread around a close":
                     reread = [(src, dst, k, rate, max_latency, spread)
                               for src, dst, k, _, max_latency, spread in connects]
                     for call in reread:
