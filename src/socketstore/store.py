@@ -10,6 +10,7 @@ object); reads may happen at any point between mutations.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -665,7 +666,7 @@ class SocketStore:
             os.makedirs(os.path.dirname(self.data_path) or ".", exist_ok=True)
             with open(tmp_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            os.replace(tmp_path, self.data_path)
+            _swap_in(tmp_path, self.data_path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.remove(tmp_path)
@@ -700,6 +701,41 @@ class SocketStore:
         self._log_text: list[str] = []
         self._log_encoded = 0
         self._logical_ms = state.get("logical_ms", float(len(self.log)))
+
+
+_AT_FDCWD, _RENAME_EXCHANGE = -100, 2  # from <fcntl.h> and <linux/fs.h>
+
+
+@functools.cache
+def _renameat2():
+    """Linux renameat2(2) from the C library, or None where it has none.
+    Looked up on the first write, so stores without a file never load
+    ctypes."""
+    import ctypes
+    try:
+        call = ctypes.CDLL(None, use_errno=True).renameat2
+    except (AttributeError, OSError, TypeError):
+        return None
+    call.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
+    return call
+
+
+def _swap_in(tmp_path: str, path: str) -> None:
+    """Put the complete file at `tmp_path` in place of `path` in one atomic
+    step. Where the system can, the two names are exchanged and the old
+    file, now at `tmp_path`, is removed; otherwise (no file at `path` yet,
+    or no exchange on this system or file system) `tmp_path` is renamed over
+    `path`. A rename over an existing file makes ext4 start writing the new
+    file to disk inside the call (its auto_da_alloc), so every store write
+    would wait on the disk's queue; a swapped-out file that is removed
+    before write-back never reaches the disk."""
+    renameat2 = _renameat2()
+    if renameat2 is not None and renameat2(_AT_FDCWD, os.fsencode(tmp_path), _AT_FDCWD,
+                                           os.fsencode(path), _RENAME_EXCHANGE) == 0:
+        with contextlib.suppress(OSError):  # a stale temp file is overwritten next time
+            os.remove(tmp_path)
+    else:
+        os.replace(tmp_path, path)
 
 
 def _resolve_param(value: str, inputs: Mapping):

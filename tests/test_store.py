@@ -880,6 +880,34 @@ class TestPersistence:
         assert len(reopened.log) == store_module.LOG_ENCODE_BATCH + 5
         assert path.read_bytes() == reference_bytes(reopened)
 
+    @pytest.mark.parametrize("exchange", [True, False], ids=["exchange", "rename"])
+    def test_write_swaps_in_a_complete_file(self, tmp_path, monkeypatch, exchange):
+        """A write puts the new complete file in place, by exchanging names
+        where the system can and by a rename otherwise, and leaves no temp
+        file; a reader that opened the file before the write still reads the
+        previous complete file."""
+        real = store_module._renameat2()
+        if exchange and real is None:
+            pytest.skip("no renameat2 in this C library")
+        swaps = []
+
+        def spy(*args):
+            swaps.append(real(*args))
+            return swaps[-1]
+
+        monkeypatch.setattr(store_module, "_renameat2", lambda: spy if exchange else None)
+        path = tmp_path / "store.json"
+        store = fresh_store(with_sim=False, data_path=str(path))
+        mid = publish_flash(store)
+        before = path.read_bytes()
+        with open(path, "rb") as reader:
+            store.authorize("bogus-token", mid)
+            assert reader.read() == before
+        assert path.read_bytes() == reference_bytes(store)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
+        if exchange:  # the first write had no file to exchange with
+            assert swaps[0] != 0 and swaps[-1] == 0
+
     def test_seeded_workflow_store_file_pinned(self, tmp_path):
         """One seeded walk through every persisted record kind: registration,
         review, testbed runs of two modules and the baseline, a custom metric, a
