@@ -708,9 +708,8 @@ _AT_FDCWD, _RENAME_EXCHANGE = -100, 2  # from <fcntl.h> and <linux/fs.h>
 
 @functools.cache
 def _renameat2():
-    """Linux renameat2(2) from the C library, or None where it has none.
-    Looked up on the first write, so stores without a file never load
-    ctypes."""
+    """Linux renameat2(2) from the C library, or None. Looked up on the
+    first write, so stores without a file never load ctypes."""
     import ctypes
     try:
         call = ctypes.CDLL(None, use_errno=True).renameat2
@@ -722,13 +721,11 @@ def _renameat2():
 
 def _swap_in(tmp_path: str, path: str) -> None:
     """Put the complete file at `tmp_path` in place of `path` in one atomic
-    step. Where the system can, the two names are exchanged and the old
-    file, now at `tmp_path`, is removed; otherwise (no file at `path` yet,
-    or no exchange on this system or file system) `tmp_path` is renamed over
-    `path`. A rename over an existing file makes ext4 start writing the new
-    file to disk inside the call (its auto_da_alloc), so every store write
-    would wait on the disk's queue; a swapped-out file that is removed
-    before write-back never reaches the disk."""
+    step: exchange the two names and remove the old file, or, with no file
+    at `path` yet or no exchange here, rename over it. A rename over a file
+    makes ext4 write the new one out inside the call (auto_da_alloc), so
+    each store write would wait on the disk; a removed old file never
+    reaches it."""
     renameat2 = _renameat2()
     if renameat2 is not None and renameat2(_AT_FDCWD, os.fsencode(tmp_path), _AT_FDCWD,
                                            os.fsencode(path), _RENAME_EXCHANGE) == 0:
