@@ -189,15 +189,8 @@ class LinkAgent(Agent):
     def handle_message(self, runtime, message):
         if message.payload.get("kind") == "read":
             stats = self.read(runtime)
-            runtime.reply(self, message, {
-                "kind": "link_stats",
-                "link": stats.link,
-                "endpoints": list(stats.endpoints),
-                "capacity_mbps": stats.capacity_mbps,
-                "latency_now_ms": stats.latency_now_ms,
-                "rate_mbps": stats.rate_mbps,
-                "load_mbps": stats.load_mbps,
-            })
+            runtime.reply(self, message, {"kind": "link_stats", **vars(stats),
+                                          "endpoints": list(stats.endpoints)})
 
 
 SWITCH_AGENT_TYPE = AgentTypeDef(

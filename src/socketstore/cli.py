@@ -21,7 +21,7 @@ from .experiment import (
     write_plot,
     write_report,
 )
-from .moduledef import IllegalTransition, manifest_from_json
+from .moduledef import IllegalTransition, manifest_from_doc
 from .netsim import LatencyInjection, NetsimError, Simulator
 from .store import BASELINE_MODULE_ID, SocketStore, StoreError
 
@@ -123,32 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _dispatch(args)
+    try:  # each command's handler is named after it: cmd_run_experiment for run-experiment
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (StoreError, IllegalTransition, ExperimentError, NetsimError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    handler = {
-        "register-specialist": cmd_register_specialist,
-        "submit": cmd_submit,
-        "review": cmd_review,
-        "publish": cmd_publish,
-        "resubmit": cmd_resubmit,
-        "retire": cmd_retire,
-        "search": cmd_search,
-        "purchase": cmd_purchase,
-        "authorize": cmd_authorize,
-        "eval": cmd_eval,
-        "log": cmd_log,
-        "serve": cmd_serve,
-        "init-fixtures": cmd_init_fixtures,
-        "run-experiment": cmd_run_experiment,
-    }[args.command]
-    return handler(args)
 
 
 def cmd_register_specialist(args) -> int:
@@ -163,10 +143,10 @@ def _load_manifest_dir(store: SocketStore, module_dir: str):
     with open(manifest_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     nsd_path = os.path.join(module_dir, "nsd.xml")
-    if os.path.exists(nsd_path):
+    if isinstance(doc, dict) and os.path.exists(nsd_path):
         with open(nsd_path, "r", encoding="utf-8") as fh:
             doc["nsd"] = fh.read()
-    return manifest_from_json(json.dumps(doc), store.library)
+    return manifest_from_doc(doc, store.library)
 
 
 def cmd_submit(args) -> int:
@@ -281,12 +261,9 @@ def cmd_init_fixtures(args) -> int:
 
 
 def cmd_run_experiment(args) -> int:
-    overrides = {}
-    for name in ("module", "topology_path", "packet_count", "gap_ms", "deadline_ms",
-                 "k", "rate_mbps", "output_dir", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    # the options named after a config field, as given
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in ExperimentConfig.__dataclass_fields__ and value is not None}
     if args.inject:
         try:
             link, extra, start, end = args.inject.split(":")

@@ -10,10 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import random
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
 from .dsa import ConnectOptions, DsaClient
@@ -26,6 +25,7 @@ from .fixtures import (
 )
 from .kmflash import DeliveryStats, delivery_stats, paced, run_single_path
 from .netsim import DeliveryRecord, FlowId, LatencyInjection, NodeKind, Simulator
+from .records import from_doc
 from .store import BASELINE_MODULE_ID, CostReport, SocketStore
 from .wire import LocalTransport, StoreProtocol
 
@@ -58,8 +58,6 @@ class ExperimentConfig:
     purchase: bool = True  # False exercises the DSA fallback path
 
     def validate(self) -> None:
-        if (violation := _mistyped(self)) is not None:
-            raise ExperimentError(f"config field {violation}")
         if self.packet_count < 1:
             raise ExperimentError("packet count must be >= 1")
         if self.deadline_ms <= 0:
@@ -74,43 +72,13 @@ class ExperimentConfig:
             raise ExperimentError("payload size must be >= 0")
 
 
-_FITS = {
-    "str": lambda v: isinstance(v, str),
-    "None": lambda v: v is None,
-    "bool": lambda v: isinstance(v, bool),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
-                        and math.isfinite(v)),
-}
-
-
-def _mistyped(record) -> str | None:
-    """Names the first field of the dataclass `record`, or of a dataclass
-    inside it, whose value fits no alternative of its annotation (`float`
-    takes a finite int or float, and no number is a bool)."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if is_dataclass(value):
-            if (inner := _mistyped(value)) is not None:
-                return f"{f.name}.{inner}"
-        elif not any(_FITS[alt](value) for alt in f.type.split(" | ") if alt in _FITS):
-            return f"{f.name} must be {f.type}"
-    return None
-
-
 def config_from_file(path: str, **overrides) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    try:  # an injection takes the spike's values for the fields it omits
-        if unknown := set(doc) - set(ExperimentConfig.__dataclass_fields__):
-            raise ExperimentError(f"unknown config fields: {sorted(unknown)}")
-        if "injection" in doc:
-            doc["injection"] = replace(LATENCY_SPIKE, **doc["injection"])
-        config = ExperimentConfig(**{**doc, **overrides})
-        config.validate()
-    except TypeError as exc:
-        raise ExperimentError(f"bad config file {path}: {exc}") from None
-    return config
+    if isinstance(doc, dict) and isinstance(doc.get("injection"), dict):
+        # an injection takes the spike's values for the fields it omits
+        doc["injection"] = {**vars(LATENCY_SPIKE), **doc["injection"]}
+    return replace(from_doc(ExperimentConfig, doc, "config", ExperimentError), **overrides)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,14 +103,7 @@ class ExperimentReport:
     failure_reason: str | None = None
 
     def summary_doc(self) -> dict:
-        doc = {
-            "mode": self.mode,
-            "sent": self.stats.sent,
-            "delivered_unique": self.stats.delivered_unique,
-            "losses": self.stats.losses,
-            "deadline_violations": self.stats.deadline_violations,
-            "in_deadline_ratio": self.stats.in_deadline_ratio,
-        }
+        doc = {"mode": self.mode, **vars(self.stats)}
         if self.failure_reason:
             doc["failure_reason"] = self.failure_reason
         if self.cost is not None:

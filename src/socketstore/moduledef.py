@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
 
 from .agents import AgentTypeLibrary
+from .records import from_doc
 
 
 class NSDError(ValueError):
@@ -268,55 +270,24 @@ def validate_manifest(
     for mid in manifest.metric_ids:
         if mid not in metrics:
             violations.append(f"unknown metric {mid!r}")
-    if manifest.price < 0:
+    if not math.isfinite(manifest.price):
+        violations.append("non-finite price")
+    elif manifest.price < 0:
         violations.append("negative price")
     violations.extend(f"nsd: {v}" for v in validate_nsd(manifest.nsd, library))
     return violations
 
 
 def manifest_to_doc(manifest: ModuleManifest) -> dict:
-    return {
-        "module_id": manifest.module_id,
-        "name": manifest.name,
-        "version": manifest.version,
-        "author": manifest.author,
-        "metric_ids": list(manifest.metric_ids),
-        "nsd": serialize_nsd(manifest.nsd),
-        "dsa_ref": manifest.dsa_ref,
-        "price": manifest.price,
-        "state": manifest.state.value,
-        "description": manifest.description,
-    }
+    """The manifest's fields, with the NSD as its document's text; the
+    metric ids dump as a list and the state as its value."""
+    return {**vars(manifest), "nsd": serialize_nsd(manifest.nsd)}
 
 
 def manifest_from_doc(doc: dict, library: AgentTypeLibrary) -> ModuleManifest:
-    required = {
-        "module_id", "name", "version", "author", "metric_ids",
-        "nsd", "dsa_ref", "price",
-    }
-    missing = required - set(doc)
-    if missing:
-        raise ManifestError(f"manifest missing fields {sorted(missing)}")
-    unknown = set(doc) - required - {"state", "description"}
-    if unknown:
-        raise ManifestError(f"manifest has unknown fields {sorted(unknown)}")
-    return ModuleManifest(
-        module_id=str(doc["module_id"]),
-        name=str(doc["name"]),
-        version=int(doc["version"]),
-        author=str(doc["author"]),
-        metric_ids=tuple(doc["metric_ids"]),
-        nsd=parse_nsd(doc["nsd"], library),
-        dsa_ref=str(doc["dsa_ref"]),
-        price=float(doc["price"]),
-        state=ModuleState(doc.get("state", "submitted")),
-        description=str(doc.get("description", "")),
-    )
+    return from_doc(ModuleManifest, doc, "manifest", ManifestError,
+                    nsd=lambda text: parse_nsd(text, library))
 
 
 def manifest_to_json(manifest: ModuleManifest) -> str:
     return json.dumps(manifest_to_doc(manifest), indent=2, sort_keys=True) + "\n"
-
-
-def manifest_from_json(text: str, library: AgentTypeLibrary) -> ModuleManifest:
-    return manifest_from_doc(json.loads(text), library)

@@ -15,6 +15,8 @@ from enum import Enum
 from itertools import accumulate
 from typing import Callable, Iterable
 
+from .records import from_doc
+
 NS_PER_MS = 1_000_000
 
 # window used for the monitored "transfer rate" attribute
@@ -209,8 +211,17 @@ class Topology:
             self.links[link.id] = link
 
 
-_NODE_FIELDS = {"id", "kind", "nic_count"}
-_LINK_FIELDS = {"endpoints", "capacity_mbps", "latency_ms"}
+@dataclass(frozen=True)
+class _TopologyDoc:  # its entries are read one by one, each named "node" or "link"
+    nodes: tuple[dict, ...] = ()
+    links: tuple[dict, ...] = ()
+
+
+@dataclass(frozen=True)
+class _LinkEntry:  # a Link holds its two numbers as floats, whatever the document has
+    endpoints: tuple[str, str]
+    capacity_mbps: float
+    latency_ms: float
 
 
 def build_topology(spec: dict) -> Topology:
@@ -218,40 +229,16 @@ def build_topology(spec: dict) -> Topology:
 
     The document has two entry lists: ``nodes`` (fields: id, kind and, for
     hosts, nic_count) and ``links`` (fields: endpoints, capacity_mbps,
-    latency_ms). Unknown fields are rejected. Link ids are derived from the
-    endpoint pair, e.g. ``{"endpoints": ["R4", "B"]}`` becomes link ``R4-B``.
+    latency_ms). Mistyped and unknown fields are rejected. Link ids are
+    derived from the endpoint pair, e.g. ``{"endpoints": ["R4", "B"]}``
+    becomes link ``R4-B``.
     """
-    unknown_top = set(spec) - {"nodes", "links"}
-    if unknown_top:
-        raise TopologyError(f"unknown fields: {sorted(unknown_top)}")
-    nodes = []
-    for entry in spec.get("nodes", []):
-        unknown = set(entry) - _NODE_FIELDS
-        if unknown:
-            raise TopologyError(f"unknown node fields: {sorted(unknown)}")
-        try:
-            kind = NodeKind(entry["kind"])
-        except (KeyError, ValueError):
-            raise TopologyError(f"node {entry.get('id')!r}: bad kind {entry.get('kind')!r}")
-        nodes.append(Node(id=str(entry["id"]), kind=kind, nic_count=entry.get("nic_count")))
-    links = []
-    for entry in spec.get("links", []):
-        unknown = set(entry) - _LINK_FIELDS
-        if unknown:
-            raise TopologyError(f"unknown link fields: {sorted(unknown)}")
-        try:
-            a, b = entry["endpoints"]
-        except (KeyError, ValueError):
-            raise TopologyError(f"link entry needs a two-node endpoints pair: {entry!r}")
-        links.append(
-            Link(
-                id=f"{a}-{b}",
-                endpoints=(a, b),
-                capacity_mbps=float(entry["capacity_mbps"]),
-                base_latency_ms=float(entry["latency_ms"]),
-            )
-        )
-    return Topology(nodes, links)
+    doc = from_doc(_TopologyDoc, spec, "topology", TopologyError)
+    nodes = [from_doc(Node, entry, "node", TopologyError) for entry in doc.nodes]
+    links = [from_doc(_LinkEntry, entry, "link", TopologyError) for entry in doc.links]
+    return Topology(nodes, [Link("-".join(link.endpoints), link.endpoints,
+                                 float(link.capacity_mbps), float(link.latency_ms))
+                            for link in links])
 
 
 def load_topology_file(path: str) -> Topology:

@@ -16,7 +16,7 @@ import json
 import os
 import secrets
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .agents import Agent, AgentError, AgentKind, AgentRuntime, AgentSpec, AgentTypeLibrary
@@ -44,6 +44,7 @@ from .moduledef import (
     validate_manifest,
 )
 from .netsim import FlowId, Simulator, build_topology
+from .records import from_doc
 
 BASELINE_MODULE_ID = "baseline"
 PRODUCTION_ENV = "production"
@@ -677,30 +678,42 @@ class SocketStore:
         """Set every persisted field from `data_path`, or to an empty store's
         when there is no file. State that is not persisted (agents, rules,
         instances, aliases) is left as it is."""
-        state: dict = {}
+        state = _StoreFile()
         if self.data_path and os.path.exists(self.data_path):
             with open(self.data_path, "r", encoding="utf-8") as fh:
-                state = json.load(fh)
-        self.specialists: set[str] = set(state.get("specialists", []))
-        self.metrics: dict[str, MetricDef] = {m.metric_id: m for m in BUILTIN_METRICS}
-        for m in state.get("metrics", []):
-            self.metrics[m["metric_id"]] = MetricDef(
-                **{**m, "direction": MetricDirection(m["direction"])})
+                state = from_doc(_StoreFile, json.load(fh), "store", StoreError)
+        self.specialists: set[str] = set(state.specialists)
+        self.metrics: dict[str, MetricDef] = {
+            m.metric_id: m for m in (*BUILTIN_METRICS, *state.metrics)}
         self.modules: dict[str, ModuleManifest] = {}
-        for doc in state.get("modules", []):
+        for doc in state.modules:
             manifest = manifest_from_doc(doc, self.library)
             self.modules[manifest.module_id] = manifest
         self.licenses: dict[tuple[str, str], License] = {}
         self._tokens: dict[str, License] = {}
-        for doc in state.get("licenses", []):
-            self._add_license(License(**doc))
-        self._revoked_tokens = set(state.get("revoked_tokens", []))
-        self.samples = [MetricSample(**s) for s in state.get("samples", [])]
-        self.log = [ActionLogEntry(**e) for e in state.get("log", [])]
+        for license in state.licenses:
+            self._add_license(license)
+        self._revoked_tokens = set(state.revoked_tokens)
+        self.samples = state.samples
+        self.log = state.log
         # encoded runs of log entries, together the first `_log_encoded` of `log`
         self._log_text: list[str] = []
         self._log_encoded = 0
-        self._logical_ms = state.get("logical_ms", float(len(self.log)))
+        self._logical_ms = float(len(self.log)) if state.logical_ms is None else state.logical_ms
+
+
+@dataclass(frozen=True)
+class _StoreFile:
+    """The document in a store file; the defaults are an empty store's."""
+
+    specialists: tuple[str, ...] = ()
+    metrics: tuple[MetricDef, ...] = ()
+    modules: tuple[dict, ...] = ()  # manifests, read by manifest_from_doc
+    licenses: tuple[License, ...] = ()
+    revoked_tokens: tuple[str, ...] = ()
+    samples: list[MetricSample] = field(default_factory=list)  # lists: the store appends
+    log: list[ActionLogEntry] = field(default_factory=list)
+    logical_ms: float | None = None  # a file without it had one tick per entry
 
 
 _AT_FDCWD, _RENAME_EXCHANGE = -100, 2  # from <fcntl.h> and <linux/fs.h>

@@ -30,20 +30,21 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from .records import LEAVES
 from .store import InstantiationError, SocketStore, StoreError
 
 MAX_LINE_BYTES = 1 << 20  # newline included; far above any DSA request
 
 # The JSON types of message fields, each named as a PROTOCOL_ERROR names it.
 # A check sees the value and, for a reply, the request it answers.
-STRING, OBJECT = "a string", "an object"
+(STRING, _is_string), (OBJECT, _is_object) = LEAVES[str], LEAVES[dict]
 ENDPOINTS = "a list of objects with a string 'address'"
 ALLOCATION = "an object with a 'flow' of three strings and an int 'k' from 1 to the K requested"
 _IS = {
-    STRING: lambda value, request: isinstance(value, str),
-    OBJECT: lambda value, request: isinstance(value, dict),
+    STRING: lambda value, request: _is_string(value),
+    OBJECT: lambda value, request: _is_object(value),
     ENDPOINTS: lambda value, request: isinstance(value, list) and all(
-        isinstance(e, dict) and isinstance(e.get("address"), str) for e in value),
+        _is_object(e) and _is_string(e.get("address")) for e in value),
     ALLOCATION: lambda value, request: isinstance(value, dict)
     and type(k := value.get("k")) is int and 1 <= k <= request["inputs"]["K"]
     and isinstance(flow := value.get("flow"), list) and list(map(type, flow)) == [str] * 3,
@@ -229,33 +230,6 @@ class LocalTransport:
 
     def close(self) -> None:
         pass
-
-
-class FaultyTransport:
-    """Wraps a transport and injects one fault class; used to drive the
-    fallback-totality contract."""
-
-    def __init__(self, inner, fault: str = "down", cut_after: int = 0):
-        if fault not in ("down", "timeout", "cut_after", "none"):
-            raise ValueError(f"unknown fault {fault!r}")
-        self.inner = inner
-        self.fault = fault
-        self.cut_after = cut_after
-        self._count = 0
-
-    def request(self, message: dict) -> dict:
-        if self.fault == "down":
-            raise TransportError("store unreachable")
-        if self.fault == "timeout":
-            raise TransportTimeout("no reply from store")
-        if self.fault == "cut_after":
-            self._count += 1
-            if self._count > self.cut_after:
-                raise TransportError("connection cut")
-        return self.inner.request(message)
-
-    def close(self) -> None:
-        self.inner.close()
 
 
 class _StoreRequestHandler(socketserver.StreamRequestHandler):

@@ -48,8 +48,9 @@ from socketstore.store import (
     SocketStore,
     StoreError,
 )
-from socketstore.wire import FaultyTransport, LocalTransport, StoreProtocol
+from socketstore.wire import LocalTransport, StoreProtocol
 
+from .faults import FaultyTransport
 from .oracles import brute_force_disjoint, max_flow_unit, random_connected_view, recompute_latency_ms
 from .test_moduledef import random_valid_nsd
 

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socketstore.cli import build_parser, main
 from socketstore.fixtures import write_fixture_tree
+
+from .test_wire import JSON
 
 AUTHOR = "pathworks-labs"
 
@@ -213,6 +220,97 @@ class TestRunExperiment:
         stdout = capsys.readouterr().out
         assert "mode: fallback" in stdout
         assert "authorization denied" in stdout
+
+
+def assert_one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestMalformedFiles:
+    def test_manifest_that_is_not_an_object_is_an_error(self, workdir, capsys):
+        module_dir = workdir / "fixtures" / "flash_delivery"
+        (module_dir / "manifest.json").write_text("[]")
+        assert run("register-specialist", AUTHOR) == 0
+        assert run("submit", str(module_dir)) == 1
+        assert assert_one_error_line(capsys).endswith("manifest must be an object\n")
+
+    @pytest.mark.parametrize("doc", [
+        {"log": 5}, [], {"revoked_tokens": 7}, {"modules": [5]}, {"specialists": "abc"},
+        {"logical_ms": "x"},
+        {"licenses": [{"app_id": "a", "module_id": "m", "issued_at_ms": 1, "token": "t", "x": 1}]},
+    ], ids=["log", "not-an-object", "revoked-tokens", "module", "specialists", "logical-ms",
+            "license-key"])
+    @pytest.mark.parametrize("argv", [("search",), ("register-specialist", AUTHOR)],
+                             ids=["read", "write"])
+    def test_malformed_store_file_is_one_error_line(self, workdir, capsys, doc, argv):
+        path = workdir / "store.json"
+        path.write_text(json.dumps(doc))
+        assert run("--data", str(path), *argv) == 1
+        assert "store" in assert_one_error_line(capsys)
+        assert json.loads(path.read_text()) == doc  # left as it was
+
+    def test_malformed_topology_file_is_one_error_line(self, workdir, capsys):
+        path = workdir / "topology.json"
+        path.write_text(json.dumps({"nodes": [{"id": "A", "kind": "host", "nic_count": "x"}]}))
+        assert run("run-experiment", "--topology", str(path), "--out", str(workdir / "out")) == 1
+        assert assert_one_error_line(capsys) == "error: node.nic_count must be an int or null\n"
+
+
+def any_document(*names):
+    """Arbitrary JSON, or an object keyed by some of `names` with arbitrary JSON values."""
+    return JSON | st.dictionaries(st.sampled_from(names), JSON, max_size=4)
+
+
+# Fields a drawn config may set. The others name a file to read or write
+# (`topology_path`, `data_path`, `output_dir`), a payload to allocate
+# (`payload_size`) or a run that lasts for hours (`packet_count`, `gap_ms`).
+CONFIG_FIELDS = ("module", "deadline_ms", "injection", "k", "rate_mbps", "seed", "app_id",
+                 "purchase")
+STORE_FIELDS = ("specialists", "metrics", "modules", "licenses", "revoked_tokens", "samples",
+                "log", "logical_ms")
+MANIFEST_FIELDS = ("module_id", "name", "version", "author", "metric_ids", "nsd", "dsa_ref",
+                   "price", "state", "description")
+# every command that reads the store file; `serve` would not return
+STORE_COMMANDS = [
+    ("register-specialist", AUTHOR), ("submit", "{module}"),
+    ("review", "flash-delivery", "--start"), ("publish", "flash-delivery"),
+    ("resubmit", "flash-delivery", "{module}"),
+    ("retire", "flash-delivery"), ("search", "flash"),
+    ("purchase", "--app", "demo", "--module", "flash-delivery"),
+    ("authorize", "--token", "t", "--module", "flash-delivery"), ("eval", "--module", "baseline"),
+    ("log",), ("run-experiment", "--use-data", "--packets", "3", "--out", "{dir}/out"),
+]
+FILE_CASES = st.one_of(
+    st.tuples(st.just("config.json"), any_document(*CONFIG_FIELDS), st.just(
+        ("run-experiment", "--config", "{file}", "--packets", "3", "--out", "{dir}/out"))),
+    st.tuples(st.just("store.json"), any_document(*STORE_FIELDS), st.sampled_from(STORE_COMMANDS)),
+    st.tuples(st.just("flash_delivery/manifest.json"), any_document(*MANIFEST_FIELDS),
+              st.sampled_from([("submit", "{module}"),
+                               ("resubmit", "flash-delivery", "{module}")])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=FILE_CASES)
+def test_property_any_json_file_exits_0_or_with_one_error_line(case):
+    """Arbitrary JSON as the `--config` file, the `--data` store file or a
+    module's `manifest.json`: every command exits 0, or exits 1 with exactly
+    one `error: ...` line, and never raises."""
+    name, doc, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        write_fixture_tree(tmp)
+        Path(tmp, name).write_text(json.dumps(doc))
+        values = {"file": str(Path(tmp, name)), "dir": tmp, "module": f"{tmp}/flash_delivery"}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["--data", f"{tmp}/store.json", *(arg.format(**values) for arg in argv)])
+        if code:
+            assert code == 1 and err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
 
 
 class TestInitFixtures:

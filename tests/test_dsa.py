@@ -6,8 +6,9 @@ from socketstore.dsa import ConnectOptions, DedupReceiver, DsaClient, DsaError
 from socketstore.fixtures import evaluation_topology, flash_delivery_manifest
 from socketstore.netsim import Simulator
 from socketstore.store import SocketStore
-from socketstore.wire import FaultyTransport, LocalTransport, StoreProtocol
+from socketstore.wire import LocalTransport, StoreProtocol
 
+from .faults import FaultyTransport
 from .oracles import ReferenceDedupReceiver
 
 AUTHOR = "pathworks-labs"

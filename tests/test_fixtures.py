@@ -9,7 +9,7 @@ from socketstore.fixtures import (
     FLASH_DELIVERY_NSD,
     flash_delivery_manifest,
 )
-from socketstore.moduledef import manifest_from_json
+from socketstore.moduledef import manifest_from_doc
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO_ROOT, "fixtures")
@@ -27,5 +27,5 @@ def test_nsd_file_matches_canonical():
 
 def test_manifest_file_parses_to_canonical(library):
     with open(os.path.join(FIXTURES, "flash_delivery", "manifest.json")) as fh:
-        manifest = manifest_from_json(fh.read(), library)
+        manifest = manifest_from_doc(json.load(fh), library)
     assert manifest == flash_delivery_manifest(library)

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import random
 
 import pytest
@@ -15,11 +17,12 @@ from socketstore.moduledef import (
     Directive,
     FormalInput,
     IllegalTransition,
+    ManifestError,
     ModuleState,
     NSDError,
     can_transition,
     check_transition,
-    manifest_from_json,
+    manifest_from_doc,
     manifest_to_json,
     parse_nsd,
     serialize_nsd,
@@ -148,9 +151,14 @@ class TestValidateManifest:
         violations = validate_manifest(manifest, METRICS, library)
         assert any("unknown metric" in v for v in violations)
 
+    @pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
+    def test_non_finite_price_violation(self, library, price):
+        manifest = dataclasses.replace(flash_delivery_manifest(library), price=price)
+        assert "non-finite price" in validate_manifest(manifest, METRICS, library)
+
     def test_manifest_json_round_trip(self, library):
         manifest = flash_delivery_manifest(library)
-        back = manifest_from_json(manifest_to_json(manifest), library)
+        back = manifest_from_doc(json.loads(manifest_to_json(manifest)), library)
         assert back == manifest
 
 
@@ -190,3 +198,36 @@ def test_property_serialize_parse_identity(data, ):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     nsd = random_valid_nsd(rng)
     assert parse_nsd(serialize_nsd(nsd), library) == nsd
+
+
+class TestManifestFromDoc:
+    @pytest.mark.parametrize("change, violation", [
+        ({"price": "nan"}, "manifest.price must be a finite number"),
+        ({"price": math.nan}, "manifest.price must be a finite number"),
+        ({"name": ["x"]}, "manifest.name must be a string"),
+        ({"version": True}, "manifest.version must be an int"),
+        ({"metric_ids": "abc"}, "manifest.metric_ids must be a list"),
+        ({"state": "draft"}, "manifest.state must be one of 'submitted', 'in_review', "
+                             "'revision_requested', 'published', 'retired'"),
+        ({"nsd": 5}, "manifest.nsd must be a string"),
+        ({"dsa_ref": None}, "manifest.dsa_ref must be a string"),
+    ], ids=["price-text", "price-nan", "name", "version", "metric-ids", "state", "nsd", "dsa-ref"])
+    def test_mistyped_field_is_a_manifest_error(self, library, change, violation):
+        doc = {**json.loads(manifest_to_json(flash_delivery_manifest(library))), **change}
+        with pytest.raises(ManifestError) as raised:
+            manifest_from_doc(doc, library)
+        assert str(raised.value) == violation
+
+    def test_missing_and_unknown_fields_are_named(self, library):
+        doc = json.loads(manifest_to_json(flash_delivery_manifest(library)))
+        with pytest.raises(ManifestError, match=r"manifest missing fields \['price'\]"):
+            manifest_from_doc({k: v for k, v in doc.items() if k != "price"}, library)
+        with pytest.raises(ManifestError, match=r"unknown manifest fields: \['color'\]"):
+            manifest_from_doc({**doc, "color": "red"}, library)
+
+    def test_int_price_and_omitted_defaults_are_kept(self, library):
+        doc = json.loads(manifest_to_json(flash_delivery_manifest(library)))
+        del doc["state"], doc["description"]
+        manifest = manifest_from_doc({**doc, "price": 5}, library)
+        assert (manifest.price, type(manifest.price)) == (5, int)
+        assert (manifest.state, manifest.description) == (ModuleState.SUBMITTED, "")

@@ -76,6 +76,24 @@ class TestBuildTopology:
         with pytest.raises(TopologyError, match="unknown node fields"):
             build_topology(spec)
 
+    @pytest.mark.parametrize("spec, violation", [
+        ([], "topology must be an object"),
+        ({"nodes": 5, "links": []}, "topology.nodes must be a list"),
+        ({"nodes": [{"id": "A", "kind": "host", "nic_count": "x"}]},
+         "node.nic_count must be an int or null"),
+        ({"nodes": [{"id": 1, "kind": "switch"}]}, "node.id must be a string"),
+        ({"nodes": [{"kind": "switch"}]}, "node missing fields ['id']"),
+        ({"nodes": [{"id": "A", "kind": "hub"}]}, "node.kind must be one of 'host', 'switch'"),
+        ({"links": [{"endpoints": ["A"], "capacity_mbps": 1, "latency_ms": 1}]},
+         "link.endpoints must be a list of 2 items"),
+        ({"links": [{"endpoints": ["A", "B"], "capacity_mbps": "1", "latency_ms": 1}]},
+         "link.capacity_mbps must be a finite number"),
+    ], ids=["not-an-object", "nodes", "nic-count", "id", "no-id", "kind", "endpoints", "capacity"])
+    def test_malformed_document_is_a_topology_error(self, spec, violation):
+        with pytest.raises(TopologyError) as raised:
+            build_topology(spec)
+        assert str(raised.value) == violation
+
     def test_host_needs_nic_count(self):
         with pytest.raises(TopologyError, match="nic_count"):
             build_topology({"nodes": [{"id": "A", "kind": "host"}], "links": []})

@@ -909,42 +909,86 @@ class TestPersistence:
             assert swaps[0] != 0 and swaps[-1] == 0
 
     def test_seeded_workflow_store_file_pinned(self, tmp_path):
-        """One seeded walk through every persisted record kind: registration,
-        review, testbed runs of two modules and the baseline, a custom metric, a
-        purchase, a denied authorize, a DSA connect/send/close, a K=3 fallback, a
-        revoke and a license that outlives it. Pins the store file bytes and the
-        reloaded action log across versions."""
-        path = tmp_path / "store.json"
-        rng = random.Random(7)
-        store = fresh_store(data_path=str(path),
-                            token_factory=lambda: f"tok-{rng.getrandbits(64):016x}")
-        store.metrics["jitter_ms"] = MetricDef("jitter_ms", "Delivery jitter", "ms",
-                                               MetricDirection.LOWER_BETTER)
-        mid = publish_flash(store)
-        publish_variant(store, "jitter-delivery",
-                        metric_ids=("mean_latency_ms", "jitter_ms", "loss_ratio"))
-        for module_id in (mid, "jitter-delivery", "baseline"):
-            store.run_testbed_evaluation(module_id, "latency-spike")
-        token = store.purchase(APP, mid).token
-        store.authorize("bogus-token", mid)
-        protocol = StoreProtocol(store)
-        dsa_b = DsaClient("B", store.sim, LocalTransport(protocol), app_id=APP)
-        dsa_b.bind("Device_B")
-        dsa_a = DsaClient("A", store.sim, LocalTransport(protocol), app_id=APP)
-        conn = dsa_a.connect("Device_B", mid, token)
-        assert conn.mode == "module"
-        for _ in range(3):
-            conn.send(b"payload")
-            store.sim.run_until(store.sim.now_ms + 1.0)
-        conn.close()
-        fallback = dsa_a.connect("Device_B", mid, token, ConnectOptions(k=3))
-        assert fallback.mode == "fallback"
-        fallback.close()
-        store.revoke_license(APP, mid)
-        store.purchase("second-app", "jitter-delivery")
-
+        """Pins the store file bytes of the seeded walk and the reloaded
+        action log across versions."""
+        path = seeded_workflow_store_file(tmp_path)
         log = [vars(e) for e in SocketStore(data_path=str(path)).log]
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "cab9af24c1f1453351a18c9594a3556233fa95f8c3036a009dac3ff18a60a28f")
         assert hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest() == (
             "f65ae8d0ca8900722c87a071527a0164bedc7f62d396e9ca08119d985ddd9671")
+
+    def test_reloaded_store_file_persists_the_same_bytes(self, tmp_path):
+        """A loaded record keeps each value as the file has it: the seeded
+        walk's file, and the same file with an int `issued_at_ms`, are written
+        back byte for byte, the int still an int."""
+        path = seeded_workflow_store_file(tmp_path)
+        state = json.loads(path.read_text())
+        state["licenses"][0]["issued_at_ms"] = 12
+        with_int = (json.dumps(state, indent=2, sort_keys=True) + "\n").encode()
+        for expected in (path.read_bytes(), with_int):
+            path.write_bytes(expected)
+            store = SocketStore(data_path=str(path))
+            store._persist()
+            assert path.read_bytes() == expected
+        assert [type(l.issued_at_ms) for l in store.licenses.values()] == [int]
+
+    @pytest.mark.parametrize("doc, violation", [
+        ({"log": 5}, "store.log must be a list"),
+        ([], "store must be an object"),
+        ({"revoked_tokens": 7}, "store.revoked_tokens must be a list"),
+        ({"modules": [5]}, "store.modules[0] must be an object"),
+        ({"licenses": [{"app_id": "a", "module_id": "m", "issued_at_ms": 1.0, "token": "t",
+                        "expires": 0}]}, "unknown store.licenses[0] fields: ['expires']"),
+        ({"specialists": "abc"}, "store.specialists must be a list"),
+        ({"logical_ms": "x"}, "store.logical_ms must be a finite number or null"),
+        ({"log": [{"ts_ms": 1.0, "actor": "a", "action": "b", "outcome": "ok"}]},
+         "store.log[0] missing fields ['detail']"),
+        ({"metrics": [{"metric_id": "m", "name": "n", "unit": "u", "direction": "up"}]},
+         "store.metrics[0].direction must be one of 'higher_better', 'lower_better'"),
+        ({"samples": [{"module_id": "m", "metric_id": "x", "value": None, "ts_ms": 0.0,
+                       "source": 1}]}, "store.samples[0].source must be a string"),
+    ], ids=["log", "not-an-object", "revoked-tokens", "module", "license-key", "specialists",
+            "logical-ms", "log-entry", "metric-direction", "sample-source"])
+    def test_malformed_store_file_is_a_store_error(self, tmp_path, doc, violation):
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StoreError) as raised:
+            SocketStore(data_path=str(path))
+        assert str(raised.value) == violation
+
+
+def seeded_workflow_store_file(tmp_path) -> Path:
+    """One seeded walk through every persisted record kind: registration,
+    review, testbed runs of two modules and the baseline, a custom metric, a
+    purchase, a denied authorize, a DSA connect/send/close, a K=3 fallback, a
+    revoke and a license that outlives it. Returns the store file."""
+    path = tmp_path / "store.json"
+    rng = random.Random(7)
+    store = fresh_store(data_path=str(path),
+                        token_factory=lambda: f"tok-{rng.getrandbits(64):016x}")
+    store.metrics["jitter_ms"] = MetricDef("jitter_ms", "Delivery jitter", "ms",
+                                           MetricDirection.LOWER_BETTER)
+    mid = publish_flash(store)
+    publish_variant(store, "jitter-delivery",
+                    metric_ids=("mean_latency_ms", "jitter_ms", "loss_ratio"))
+    for module_id in (mid, "jitter-delivery", "baseline"):
+        store.run_testbed_evaluation(module_id, "latency-spike")
+    token = store.purchase(APP, mid).token
+    store.authorize("bogus-token", mid)
+    protocol = StoreProtocol(store)
+    dsa_b = DsaClient("B", store.sim, LocalTransport(protocol), app_id=APP)
+    dsa_b.bind("Device_B")
+    dsa_a = DsaClient("A", store.sim, LocalTransport(protocol), app_id=APP)
+    conn = dsa_a.connect("Device_B", mid, token)
+    assert conn.mode == "module"
+    for _ in range(3):
+        conn.send(b"payload")
+        store.sim.run_until(store.sim.now_ms + 1.0)
+    conn.close()
+    fallback = dsa_a.connect("Device_B", mid, token, ConnectOptions(k=3))
+    assert fallback.mode == "fallback"
+    fallback.close()
+    store.revoke_license(APP, mid)
+    store.purchase("second-app", "jitter-delivery")
+    return path
