@@ -126,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     try:  # each command's handler is named after it: cmd_run_experiment for run-experiment
         return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (StoreError, IllegalTransition, ExperimentError, NetsimError, OSError,
-            ValueError) as exc:
+            ValueError, RecursionError) as exc:  # a file nested too deep to decode
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -251,6 +251,12 @@ class TestMalformedFiles:
         assert "store" in assert_one_error_line(capsys)
         assert json.loads(path.read_text()) == doc  # left as it was
 
+    def test_store_file_nested_too_deep_is_one_error_line(self, workdir, capsys):
+        path = workdir / "store.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run("--data", str(path), "search") == 1
+        assert "recursion" in assert_one_error_line(capsys)
+
     def test_malformed_topology_file_is_one_error_line(self, workdir, capsys):
         path = workdir / "topology.json"
         path.write_text(json.dumps({"nodes": [{"id": "A", "kind": "host", "nic_count": "x"}]}))
