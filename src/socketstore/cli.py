@@ -261,25 +261,21 @@ def cmd_init_fixtures(args) -> int:
 
 
 def cmd_run_experiment(args) -> int:
-    # the options named after a config field, as given
+    # the options named after a config field, as given, set over the config file's fields
     overrides = {name: value for name, value in vars(args).items()
                  if name in ExperimentConfig.__dataclass_fields__ and value is not None}
     if args.inject:
         try:
             link, extra, start, end = args.inject.split(":")
-            overrides["injection"] = LatencyInjection(
-                link, float(extra), float(start), float(end)
-            )
+            overrides["injection"] = vars(LatencyInjection(link, float(extra), float(start),
+                                                           float(end)))
         except ValueError:
             raise ExperimentError("--inject expects LINK:EXTRA_MS:START_MS:END_MS")
     if args.no_purchase:
         overrides["purchase"] = False
     if args.use_data:
         overrides["data_path"] = _data_path(args)
-    if args.config:
-        config = config_from_file(args.config, **overrides)
-    else:
-        config = ExperimentConfig(**overrides)
+    config = config_from_file(args.config, **overrides)
 
     report = run_experiment(config)
     prefix = "baseline" if config.module == BASELINE_MODULE_ID else config.module

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .kmflash import deploy_default_route, send_copies
-from .netsim import DeliveryRecord, FlowId, NodeKind, Packet, Simulator
+from .netsim import FlowId, NodeKind, Simulator
 from .wire import TransportError, TransportTimeout, reply_violation
 
 REFRESH_INTERVAL_MS = 1000.0
@@ -124,20 +124,10 @@ class Connection:
             raise DsaError("connection closed")
         if size_bytes is None:
             size_bytes = _payload_size(payload)
-        sim = self.client.sim
         seq = self._seq
         self._seq += 1
-        if self.flow.dst in sim.topology.nodes:
-            records = send_copies(sim, self.flow, self.paths, seq, size_bytes,
-                                  self.deadline_ms)
-        else:
-            records = [
-                DeliveryRecord(Packet(self.flow, seq, size_bytes, sim.now_ms,
-                                      self.deadline_ms, index),
-                               False, None, None, False, (), (),
-                               drop_reason="unroutable destination")
-                for index in range(self.paths)
-            ]
+        records = send_copies(self.client.sim, self.flow, self.paths, seq, size_bytes,
+                              self.deadline_ms)
         for rec in records:
             if rec.delivered:
                 self._rx.offer(seq, rec.arrive_at_ms, payload)

@@ -12,7 +12,7 @@ import io
 import json
 import os
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .dsa import ConnectOptions, DsaClient
@@ -23,8 +23,8 @@ from .fixtures import (
     flash_delivery_manifest,
     load_topology,
 )
-from .kmflash import DeliveryStats, delivery_stats, paced, run_single_path
-from .netsim import DeliveryRecord, FlowId, LatencyInjection, NodeKind, Simulator
+from .kmflash import DeliveryStats, delivery_stats, earliest_latencies, paced, run_single_path
+from .netsim import DeliveryRecord, LatencyInjection, Simulator
 from .records import from_doc
 from .store import BASELINE_MODULE_ID, CostReport, SocketStore
 from .wire import LocalTransport, StoreProtocol
@@ -72,13 +72,17 @@ class ExperimentConfig:
             raise ExperimentError("payload size must be >= 0")
 
 
-def config_from_file(path: str, **overrides) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and isinstance(doc.get("injection"), dict):
-        # an injection takes the spike's values for the fields it omits
-        doc["injection"] = {**vars(LATENCY_SPIKE), **doc["injection"]}
-    return replace(from_doc(ExperimentConfig, doc, "config", ExperimentError), **overrides)
+def config_from_file(path: str | None, **overrides) -> ExperimentConfig:
+    """The config file at `path`, if any, with `overrides` set over its fields."""
+    doc = {}
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    if isinstance(doc, dict):
+        doc.update(overrides)
+        if isinstance(doc.get("injection"), dict):  # the spike fills the fields it omits
+            doc["injection"] = {**vars(LATENCY_SPIKE), **doc["injection"]}
+    return from_doc(ExperimentConfig, doc, "config", ExperimentError)
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,16 +118,15 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     topology = load_topology(config.topology_path)
-    # a run sends from the topology's first host to its second, in document order
-    hosts = [node.id for node in topology.nodes.values() if node.kind is NodeKind.HOST][:2]
+    hosts = topology.hosts()[:2]
     if len(hosts) < 2:
         raise ExperimentError(f"the experiment needs two hosts, the topology has {len(hosts)}")
     sim = Simulator(topology)
     sim.inject_latency(config.injection)
     if config.module != BASELINE_MODULE_ID:
         return _run_module(sim, config, random.Random(config.seed), *hosts)
-    per_seq = run_single_path(sim, FlowId(*hosts, "baseline"), config.packet_count,
-                              config.gap_ms, config.payload_size, config.deadline_ms)
+    per_seq = run_single_path(sim, config.packet_count, config.gap_ms, config.payload_size,
+                              config.deadline_ms)
     if per_seq is None:
         raise ExperimentError("no route between {} and {} in this topology".format(*hosts))
     return _report("baseline", per_seq, config, cost=None)
@@ -176,17 +179,17 @@ def _store_for(sim: Simulator, config: ExperimentConfig,
 
 def _report(mode: str, per_seq: list[list[DeliveryRecord]], config: ExperimentConfig,
             cost: CostReport | None, failure_reason: str | None = None) -> ExperimentReport:
-    """One CSV row per seq from the records of that seq's copies, and the
-    stats over each row's earliest latency."""
+    """One CSV row per seq from the records of that seq's copies (a send gives
+    at least one), and the stats over each seq's earliest latency."""
+    earliest = earliest_latencies(per_seq)
     rows = []
-    for seq, records in enumerate(per_seq):
+    for seq, (records, first) in enumerate(zip(per_seq, earliest)):
         latency = {rec.packet.path_index: rec.latency_ms for rec in records}
-        earliest = min((rec.latency_ms for rec in records if rec.delivered), default=None)
-        violated = 0 if (earliest is not None and earliest <= config.deadline_ms) else 1
+        violated = 0 if (first is not None and first <= config.deadline_ms) else 1
         rows.append(PacketRow(seq, records[0].packet.sent_at_ms, latency.get(0),
-                              latency.get(1), earliest, violated))
-    stats = delivery_stats([row.earliest_ms for row in rows], config.deadline_ms)
-    return ExperimentReport(mode, rows, stats, cost, failure_reason)
+                              latency.get(1), first, violated))
+    return ExperimentReport(mode, rows, delivery_stats(earliest, config.deadline_ms), cost,
+                            failure_reason)
 
 
 def render_csv(report: ExperimentReport) -> str:

@@ -375,11 +375,13 @@ def paced(sim: Simulator, count: int, gap_ms: float, send: Callable[[int], list]
     return out
 
 
-def run_single_path(sim: Simulator, flow: FlowId, count: int, gap_ms: float, size_bytes: int,
+def run_single_path(sim: Simulator, count: int, gap_ms: float, size_bytes: int,
                     deadline_ms: float) -> list[list[DeliveryRecord]] | None:
-    """The single-path baseline: deploy `flow` over the default route, then pace
-    one copy per seq; each seq's records, or None when there is no route."""
-    if not deploy_default_route(sim, flow):
+    """The single-path baseline: deploy flow "baseline" over the default route
+    between the topology's first two hosts, then pace one copy per seq; each
+    seq's records, or None when there is no route (or no second host)."""
+    hosts = sim.topology.hosts()[:2]
+    if len(hosts) < 2 or not deploy_default_route(sim, flow := FlowId(*hosts, "baseline")):
         return None
     return paced(sim, count, gap_ms,
                  lambda seq: send_copies(sim, flow, 1, seq, size_bytes, deadline_ms))
@@ -397,23 +399,10 @@ class DeliveryStats:
     in_deadline_ratio: float
 
 
-def earliest_latency(records: Iterable[DeliveryRecord]) -> dict[int, float | None]:
-    """Each seq's earliest arrival latency over all its copies; None when no
-    copy of that seq was delivered."""
-    earliest: dict[int, float | None] = {}
-    for rec in records:
-        seq = rec.packet.seq
-        best = earliest.get(seq)
-        if rec.delivered and (best is None or rec.latency_ms < best):
-            earliest[seq] = rec.latency_ms
-        elif seq not in earliest:
-            earliest[seq] = None
-    return earliest
-
-
-def collect_stats(records: Iterable[DeliveryRecord], deadline_ms: float) -> DeliveryStats:
-    """Per-seq statistics over all mirror copies."""
-    return delivery_stats(earliest_latency(records).values(), deadline_ms)
+def earliest_latencies(per_seq: Iterable[list[DeliveryRecord]]) -> list[float | None]:
+    """Each seq's earliest delivered latency (None: lost), for each seq that sent a copy."""
+    return [min((rec.latency_ms for rec in records if rec.delivered), default=None)
+            for records in per_seq if records]
 
 
 def delivery_stats(latencies: Iterable[float | None], deadline_ms: float) -> DeliveryStats:

@@ -210,6 +210,10 @@ class Topology:
                 raise TopologyError(f"negative latency on link {link.id!r}")
             self.links[link.id] = link
 
+    def hosts(self) -> list[str]:
+        """The host ids in document order; a run sends from the first to the second."""
+        return [node.id for node in self.nodes.values() if node.kind is NodeKind.HOST]
+
 
 @dataclass(frozen=True)
 class _TopologyDoc:  # its entries are read one by one, each named "node" or "link"
@@ -439,9 +443,9 @@ class Simulator:
         delays, and why a packet on it is dropped (None if it arrives)."""
         flow = key[0]
         self.node(flow.src)
-        self.node(flow.dst)
-        route, cursor, links, drop_reason = self._routes.get(key, {}), flow.src, [], None
-        while cursor != flow.dst:
+        route, cursor, links = self._routes.get(key, {}), flow.src, []
+        drop_reason = None if flow.dst in self.topology.nodes else "unroutable destination"
+        while drop_reason is None and cursor != flow.dst:
             out = route.get(cursor)
             if out is None or len(links) > len(self.topology.links):
                 drop_reason = f"no rule at {cursor}" if out is None else "routing loop"
@@ -457,7 +461,8 @@ class Simulator:
     def send_packet(self, packet: Packet) -> DeliveryRecord:
         """Send the packet along its deployed path, sampling each link's
         delay at the traversal instant. No retransmission ever happens;
-        packets that hit a switch without a matching rule are dropped."""
+        packets to a node outside the topology, or that hit a switch without
+        a matching rule, are dropped. An unknown source raises."""
         key = (packet.flow, packet.path_index)
         links, base_ns, drop_reason = self._compiled.get(key) or self._compile(key)
         sent_ns = t_ns = ms_to_ns(packet.sent_at_ms)

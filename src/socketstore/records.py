@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
+import sys
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 
 # How a violation names each JSON leaf type, and its test; the wire schema
-# checks its string and object fields with these too. No number is a bool.
+# checks its string and object fields with these too. No number is a bool, and
+# a finite one is within the float range (no NaN, infinity or larger int).
 # `str.__instancecheck__(value)` is `isinstance(value, str)`, without a
 # Python-level call for each field of each record.
 LEAVES = {
@@ -23,7 +24,7 @@ LEAVES = {
     dict: ("an object", dict.__instancecheck__),
     bool: ("true or false", lambda value: type(value) is bool),
     int: ("an int", lambda value: type(value) is int),
-    float: ("a finite number", lambda value: type(value) in (int, float) and math.isfinite(value)),
+    float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
 }
 
 

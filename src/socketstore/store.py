@@ -24,9 +24,8 @@ from .fixtures import BUILTIN_METRICS, LATENCY_SPIKE_SCENARIO, TestbedScenario, 
 from .kmflash import (
     KMAgent,
     KMError,
-    _address_of,
-    collect_stats,
-    earliest_latency,
+    delivery_stats,
+    earliest_latencies,
     mirror_send,
     paced,
     run_single_path,
@@ -43,7 +42,7 @@ from .moduledef import (
     manifest_to_doc,
     validate_manifest,
 )
-from .netsim import FlowId, Simulator, build_topology
+from .netsim import Simulator, build_topology
 from .records import from_doc
 
 BASELINE_MODULE_ID = "baseline"
@@ -193,16 +192,12 @@ class SearchResult:
     aggregate: float | None
 
 
-# metric collectors the testbeds know how to measure
-def _mean_latency(records) -> float | None:
-    delivered = [lat for lat in earliest_latency(records).values() if lat is not None]
-    return statistics.fmean(delivered) if delivered else None
-
-
+# metric collectors the testbeds know how to measure, from `earliest_latencies` and its stats
 METRIC_COLLECTORS = {
-    "in_deadline_ratio": lambda records, stats: stats.in_deadline_ratio,
-    "loss_ratio": lambda records, stats: (stats.losses / stats.sent) if stats.sent else 0.0,
-    "mean_latency_ms": lambda records, stats: _mean_latency(records),
+    "in_deadline_ratio": lambda latencies, stats: stats.in_deadline_ratio,
+    "loss_ratio": lambda latencies, stats: (stats.losses / stats.sent) if stats.sent else 0.0,
+    "mean_latency_ms": lambda latencies, stats: statistics.fmean(
+        [lat for lat in latencies if lat is not None]) if stats.delivered_unique else None,
 }
 
 
@@ -592,12 +587,10 @@ class SocketStore:
         per_seq: list[list] | None = None
         failure: str | None = None
         if manifest is None:
-            flow = FlowId(_address_of(scenario.inputs["endpointA"]),
-                          _address_of(scenario.inputs["endpointB"]), "baseline")
-            per_seq = run_single_path(sim, flow, scenario.packet_count, scenario.gap_ms,
+            per_seq = run_single_path(sim, scenario.packet_count, scenario.gap_ms,
                                       scenario.size_bytes, scenario.deadline_ms)
             if per_seq is None:
-                failure = f"no route between {flow.src} and {flow.dst}"
+                failure = f"no route between {' and '.join(sim.topology.hosts()[:2])}"
         else:
             runtime = AgentRuntime(sim, self.library, action_log=self._runtime_log)
             env = f"testbed-{scenario.name}"
@@ -615,9 +608,8 @@ class SocketStore:
                         sim, km.handles, seq, scenario.size_bytes, scenario.deadline_ms)
                 ])
                 _destroy_agents(runtime, agent_ids)
-        records = [rec for recs in per_seq or () for rec in recs]
-
-        stats = collect_stats(records, scenario.deadline_ms)
+        latencies = earliest_latencies(per_seq or ())
+        stats = delivery_stats(latencies, scenario.deadline_ms)
         samples = []
         ts = self.now_ms()
         for metric_id in metric_ids:
@@ -625,7 +617,7 @@ class SocketStore:
             if failure is not None or collector is None:
                 value = None
             else:
-                value = collector(records, stats)
+                value = collector(latencies, stats)
             samples.append(MetricSample(module_id, metric_id, value, ts, "testbed"))
         self.samples.extend(samples)
         self.log_action("store", "testbed_evaluation",
@@ -686,8 +678,10 @@ class SocketStore:
         self.metrics: dict[str, MetricDef] = {
             m.metric_id: m for m in (*BUILTIN_METRICS, *state.metrics)}
         self.modules: dict[str, ModuleManifest] = {}
-        for doc in state.modules:
+        for i, doc in enumerate(state.modules):  # each checked as a submission is
             manifest = manifest_from_doc(doc, self.library)
+            if violations := validate_manifest(manifest, self.metrics, self.library):
+                raise StoreError(f"store.modules[{i}]: " + "; ".join(violations))
             self.modules[manifest.module_id] = manifest
         self.licenses: dict[tuple[str, str], License] = {}
         self._tokens: dict[str, License] = {}

@@ -490,11 +490,13 @@ class ReferenceSimulator:
     def send_packet(self, packet: Packet) -> DeliveryRecord:
         flow = packet.flow
         self._node(flow.src)
-        self._node(flow.dst)
         t_ns = _ns(packet.sent_at_ms)
         cursor = flow.src
         hops: list[Hop] = []
         delays: list[int] = []
+        if flow.dst not in self.topology.nodes:
+            return self._record(packet, False, None, None, False, hops, delays,
+                                drop_reason="unroutable destination")
         while cursor != flow.dst:
             if cursor == flow.src:
                 out = self._host_egress.get((flow, packet.path_index))

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socketstore.cli import build_parser, main
-from socketstore.fixtures import write_fixture_tree
+from socketstore.fixtures import flash_delivery_manifest, write_fixture_tree
+from socketstore.moduledef import manifest_to_doc
 
 from .test_wire import JSON
 
@@ -161,6 +162,7 @@ class TestRunExperiment:
         {"gap_ms": True},
         {"purchase": "no"},
         {"deadline_ms": float("inf")},
+        {"deadline_ms": 10**400},
     ])
     def test_mistyped_config_file_is_an_error(self, workdir, capsys, doc):
         path = workdir / "config.json"
@@ -171,6 +173,18 @@ class TestRunExperiment:
         assert err.startswith("error: ") and "Traceback" not in err
         assert err.count("\n") == 1
         assert "config" in err  # blamed on the file, not on what a bad value did
+
+    @pytest.mark.parametrize("argv, violation", [
+        (("--deadline", "nan"), "config.deadline_ms must be a finite number"),
+        (("--gap", "inf"), "config.gap_ms must be a finite number"),
+        (("--rate", "inf"), "config.rate_mbps must be a finite number"),
+        (("--inject", "R4-B:inf:40:60"), "config.injection.extra_ms must be a finite number"),
+    ])
+    def test_option_is_checked_as_a_config_field(self, workdir, capsys, argv, violation):
+        out_dir = workdir / "out"
+        assert run("run-experiment", *argv, "--out", str(out_dir)) == 1
+        assert assert_one_error_line(capsys) == f"error: {violation}\n"
+        assert not out_dir.exists()
 
     def test_negative_payload_size_is_an_error(self, workdir, capsys):
         path = workdir / "config.json"
@@ -240,8 +254,10 @@ class TestMalformedFiles:
         {"log": 5}, [], {"revoked_tokens": 7}, {"modules": [5]}, {"specialists": "abc"},
         {"logical_ms": "x"},
         {"licenses": [{"app_id": "a", "module_id": "m", "issued_at_ms": 1, "token": "t", "x": 1}]},
+        {"modules": [{**manifest_to_doc(flash_delivery_manifest()), "metric_ids": []}]},
+        {"logical_ms": 10**400},
     ], ids=["log", "not-an-object", "revoked-tokens", "module", "specialists", "logical-ms",
-            "license-key"])
+            "license-key", "module-no-metric", "logical-ms-beyond-float"])
     @pytest.mark.parametrize("argv", [("search",), ("register-specialist", AUTHOR)],
                              ids=["read", "write"])
     def test_malformed_store_file_is_one_error_line(self, workdir, capsys, doc, argv):

@@ -14,9 +14,10 @@ from socketstore.kmflash import (
     PathSet,
     allocate_disjoint_paths,
     allocate_on,
-    collect_stats,
     default_shortest_path,
+    delivery_stats,
     deploy_mirror_paths,
+    earliest_latencies,
     mirror_send,
     retract_mirror_paths,
 )
@@ -678,25 +679,29 @@ class TestMirrorSend:
         assert len(records) == 200
 
 
+def per_seq_stats(per_seq, deadline_ms: float):
+    return delivery_stats(earliest_latencies(per_seq), deadline_ms)
+
+
 class TestCollectStats:
+    """Statistics over each seq's earliest latency, from per-seq record lists."""
+
     def run_scenario(self, sim, mirrored: bool):
         sim.inject_latency(LatencyInjection("R4-B", 10.0, 40.0, 60.0))
-        records = []
+        per_seq = []
         if mirrored:
             handles = deployed_handles(sim)
             for seq in range(100):
                 sim.run_until(seq * 1.0)
-                records.extend(mirror_send(sim, handles, seq, 512, 5.0))
+                per_seq.append(mirror_send(sim, handles, seq, 512, 5.0))
         else:
             flow = FlowId("A", "B", "baseline")
             path = default_shortest_path(view_of(sim), "A", "B")
             sim.deploy_path(flow, path)
             for seq in range(100):
                 sim.run_until(seq * 1.0)
-                records.append(
-                    sim.send_packet(Packet(flow, seq, 512, sim.now_ms, 5.0))
-                )
-        return collect_stats(records, 5.0)
+                per_seq.append([sim.send_packet(Packet(flow, seq, 512, sim.now_ms, 5.0))])
+        return per_seq_stats(per_seq, 5.0)
 
     def test_mirrored_run_fully_in_deadline(self, sim):
         stats = self.run_scenario(sim, mirrored=True)
@@ -712,9 +717,10 @@ class TestCollectStats:
         assert stats.losses == 0
 
     def test_zero_sends_vacuous_success(self):
-        stats = collect_stats([], 5.0)
-        assert stats.in_deadline_ratio == 1.0
-        assert stats.sent == 0
+        for per_seq in ([], [[], []]):  # no seq, or seqs that sent no copy
+            stats = per_seq_stats(per_seq, 5.0)
+            assert stats.in_deadline_ratio == 1.0
+            assert stats.sent == 0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -730,14 +736,15 @@ class TestCollectStats:
         deadline=st.integers(min_value=1, max_value=100),
     )
     def test_property_matches_reference(self, copies, deadline):
-        """Lost copies, repeated seqs, copies in any order and no sends at
-        all give the same statistics as grouping every copy by seq first."""
-        records = []
+        """Lost copies, a seq's copies in any order and no sends at all give
+        the same statistics as judging each seq by its earliest delivered copy."""
+        records, per_seq = [], {}
         for seq, index, tenths in copies:
             latency = None if tenths is None else tenths / 10  # sent at 0: arrival = latency
             records.append(DeliveryRecord(Packet(FLOW, seq, 512, 0.0, 5.0, index),
                                           latency is not None, latency, latency, False, (), ()))
-        assert collect_stats(records, deadline / 10) == reference_collect_stats(
+            per_seq.setdefault(seq, []).append(records[-1])
+        assert per_seq_stats(per_seq.values(), deadline / 10) == reference_collect_stats(
             records, deadline / 10)
 
     def test_module_beats_baseline(self, sim):

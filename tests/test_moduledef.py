@@ -211,7 +211,9 @@ class TestManifestFromDoc:
                              "'revision_requested', 'published', 'retired'"),
         ({"nsd": 5}, "manifest.nsd must be a string"),
         ({"dsa_ref": None}, "manifest.dsa_ref must be a string"),
-    ], ids=["price-text", "price-nan", "name", "version", "metric-ids", "state", "nsd", "dsa-ref"])
+        ({"price": 10**400}, "manifest.price must be a finite number"),
+    ], ids=["price-text", "price-nan", "name", "version", "metric-ids", "state", "nsd", "dsa-ref",
+            "price-beyond-float"])
     def test_mistyped_field_is_a_manifest_error(self, library, change, violation):
         doc = {**json.loads(manifest_to_json(flash_delivery_manifest(library))), **change}
         with pytest.raises(ManifestError) as raised:

@@ -88,7 +88,10 @@ class TestBuildTopology:
          "link.endpoints must be a list of 2 items"),
         ({"links": [{"endpoints": ["A", "B"], "capacity_mbps": "1", "latency_ms": 1}]},
          "link.capacity_mbps must be a finite number"),
-    ], ids=["not-an-object", "nodes", "nic-count", "id", "no-id", "kind", "endpoints", "capacity"])
+        ({"links": [{"endpoints": ["A", "B"], "capacity_mbps": 1, "latency_ms": 10**400}]},
+         "link.latency_ms must be a finite number"),
+    ], ids=["not-an-object", "nodes", "nic-count", "id", "no-id", "kind", "endpoints", "capacity",
+            "latency-beyond-float"])
     def test_malformed_document_is_a_topology_error(self, spec, violation):
         with pytest.raises(TopologyError) as raised:
             build_topology(spec)
@@ -182,6 +185,18 @@ class TestSendPacket:
         assert not rec.delivered
         assert rec.drop_reason == "no rule at A"
         assert rec.arrive_at_ms is None
+
+    def test_unknown_destination_drops_as_unroutable(self, sim):
+        """The simulator records a send to a node outside the topology as a
+        drop, sampling no link; an unknown source is still an error."""
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        rec = sim.send_packet(packet(flow=FlowId("A", "Z", "lost"), path_index=1))
+        assert (rec.delivered, rec.drop_reason, rec.arrive_at_ms, rec.latency_ms, rec.hops) == (
+            False, "unroutable destination", None, None, ())
+        assert rec.packet.path_index == 1 and not rec.violated_deadline
+        assert all(sim.link_rate_mbps(lid) == 0 for lid in sim.topology.links)
+        with pytest.raises(TopologyError, match="unknown node 'Z'"):
+            sim.send_packet(packet(flow=FlowId("Z", "B")))
 
     def test_partial_rules_drop_at_switch(self, sim):
         sim.deploy_path(FLOW, DEFAULT_PATH)

@@ -654,19 +654,25 @@ class TestTestbedEvaluation:
 
     def test_baseline_without_route_records_absent_value(self):
         store = fresh_store()
-        scenario = store.testbeds["latency-spike"]
-        topology = dict(scenario.topology_doc, links=[
-            link for link in scenario.topology_doc["links"]
-            if link["endpoints"] in (["A", "R1"], ["R4", "B"])
-        ])
-        store.register_testbed(
-            dataclasses.replace(scenario, name="cut", topology_doc=topology)
-        )
+        register_cut_scenario(store)
         samples = store.run_testbed_evaluation("baseline", "cut")
         assert [s.value for s in samples] == [None]
         entry = store.log[-1]
         assert (entry.action, entry.outcome, entry.detail["reason"]) == (
             "testbed_evaluation", "error", "no route between A and B")
+
+    @pytest.mark.parametrize("name, values", [("latency-spike", [0.8]), ("cut", [None])])
+    def test_baseline_runs_between_the_topology_hosts(self, name, values):
+        """The baseline sends between its topology's first two hosts, as
+        `run_experiment` does, so a scenario without NSD inputs measures it
+        too; the values are those measured between the inputs' endpoints."""
+        store = fresh_store()
+        register_cut_scenario(store)
+        scenario = store.testbeds[name]
+        store.register_testbed(dataclasses.replace(scenario, name="no-inputs", inputs={}))
+        for scenario_name in (name, "no-inputs"):
+            samples = store.run_testbed_evaluation("baseline", scenario_name)
+            assert [s.value for s in samples] == values
 
     def test_all_declared_metrics_collected(self):
         store = fresh_store()
@@ -692,6 +698,16 @@ class TestTestbedEvaluation:
         mid = publish_flash(store)
         with pytest.raises(StoreError, match="unknown testbed scenario"):
             store.run_testbed_evaluation(mid, "nope")
+
+
+def register_cut_scenario(store: SocketStore) -> None:
+    """Register "cut": the latency-spike scenario with only links A-R1 and R4-B left."""
+    scenario = store.testbeds["latency-spike"]
+    topology = dict(scenario.topology_doc, links=[
+        link for link in scenario.topology_doc["links"]
+        if link["endpoints"] in (["A", "R1"], ["R4", "B"])
+    ])
+    store.register_testbed(dataclasses.replace(scenario, name="cut", topology_doc=topology))
 
 
 class TestActionLog:
@@ -948,8 +964,12 @@ class TestPersistence:
          "store.metrics[0].direction must be one of 'higher_better', 'lower_better'"),
         ({"samples": [{"module_id": "m", "metric_id": "x", "value": None, "ts_ms": 0.0,
                        "source": 1}]}, "store.samples[0].source must be a string"),
+        ({"modules": [{**manifest_to_doc(flash_delivery_manifest()), "metric_ids": []}]},
+         "store.modules[0]: module must declare a metric"),
+        ({"logical_ms": 10**400}, "store.logical_ms must be a finite number or null"),
     ], ids=["log", "not-an-object", "revoked-tokens", "module", "license-key", "specialists",
-            "logical-ms", "log-entry", "metric-direction", "sample-source"])
+            "logical-ms", "log-entry", "metric-direction", "sample-source", "module-no-metric",
+            "logical-ms-beyond-float"])
     def test_malformed_store_file_is_a_store_error(self, tmp_path, doc, violation):
         path = tmp_path / "store.json"
         path.write_text(json.dumps(doc))
