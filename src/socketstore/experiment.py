@@ -24,7 +24,7 @@ from .fixtures import (
     load_topology,
 )
 from .kmflash import DeliveryStats, delivery_stats, earliest_latencies, paced, run_single_path
-from .netsim import DeliveryRecord, LatencyInjection, Simulator
+from .netsim import MAX_MS, DeliveryRecord, LatencyInjection, Simulator
 from .records import from_doc
 from .store import BASELINE_MODULE_ID, CostReport, SocketStore
 from .wire import LocalTransport, StoreProtocol
@@ -70,6 +70,12 @@ class ExperimentConfig:
             raise ExperimentError("rate must be a positive number")
         if self.payload_size < 0:
             raise ExperimentError("payload size must be >= 0")
+        for name, ms in (("gap_ms", self.gap_ms), ("deadline_ms", self.deadline_ms),
+                         *((f"injection.{k}", v) for k, v in vars(self.injection).items()
+                           if k != "link")):
+            if abs(ms) > MAX_MS:
+                raise ExperimentError(
+                    f"config.{name} must be between -{MAX_MS:.3g} and {MAX_MS:.3g}")
 
 
 def config_from_file(path: str | None, **overrides) -> ExperimentConfig:

@@ -6,6 +6,7 @@ Everything here is pure data plus parsing; operations are side-effect-free.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -207,6 +208,7 @@ def _require_no_children(elem: ET.Element) -> None:
         raise NSDError(f"<{elem.tag}> must be empty")
 
 
+@functools.lru_cache(maxsize=64)  # an NSD is frozen; each store write dumps its modules
 def serialize_nsd(nsd: NSD) -> str:
     """Inverse of parse_nsd: parse(serialize(n)) is structurally equal to n."""
     root = ET.Element("nsd")
@@ -284,8 +286,9 @@ def manifest_to_doc(manifest: ModuleManifest) -> dict:
     return {**vars(manifest), "nsd": serialize_nsd(manifest.nsd)}
 
 
-def manifest_from_doc(doc: dict, library: AgentTypeLibrary) -> ModuleManifest:
-    return from_doc(ModuleManifest, doc, "manifest", ManifestError,
+def manifest_from_doc(doc: dict, library: AgentTypeLibrary, name: str = "manifest",
+                      error: type[Exception] = ManifestError) -> ModuleManifest:
+    return from_doc(ModuleManifest, doc, name, error,
                     nsd=lambda text: parse_nsd(text, library))
 
 

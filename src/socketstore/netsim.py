@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
@@ -18,6 +19,7 @@ from typing import Callable, Iterable
 from .records import from_doc
 
 NS_PER_MS = 1_000_000
+MAX_MS = sys.float_info.max / NS_PER_MS  # the largest time that ms_to_ns converts
 
 # window used for the monitored "transfer rate" attribute
 RATE_WINDOW_MS = 100.0

@@ -47,9 +47,6 @@ from .records import from_doc
 
 BASELINE_MODULE_ID = "baseline"
 PRODUCTION_ENV = "production"
-# log entries per encoder call: one call amortizes the encoder's set-up over
-# a freshly loaded log, and a bounded batch bounds its scratch memory
-LOG_ENCODE_BATCH = 64
 
 
 class StoreError(Exception):
@@ -629,57 +626,67 @@ class SocketStore:
     # -- persistence -------------------------------------------------------------------
 
     def _persist(self) -> None:
+        """Bring the file at `data_path` up to date: the snapshot line, then one line per
+        log entry. A write that only logged appends; any other replaces the file."""
         if not self.data_path:
             return
         # each record is its dataclass's fields; a str enum dumps as its value
-        state = {
+        snapshot = _encode({
             "specialists": sorted(self.specialists),
             "metrics": [vars(m) for m in self.metrics.values()],
             "modules": [manifest_to_doc(m) for m in self.modules.values()],
             "licenses": [vars(l) for l in self.licenses.values()],
             "revoked_tokens": sorted(self._revoked_tokens),
             "samples": [vars(s) for s in self.samples],
-            "log": [],  # spliced in below from the kept text of the encoded entries
             "logical_ms": self._logical_ms,
-        }
+        })
+        path, written, size, logged = self._file  # as this store last read or wrote it
+        same = (path, written) == (self.data_path, snapshot) and os.path.exists(path)
+        append = (on_disk := os.path.getsize(path) if same else -1) >= size
         tmp_path = f"{self.data_path}.tmp"  # renamed over the data file once complete
         try:
-            # the bytes of json.dump(state, indent=2, sort_keys=True): the log
-            # entries not yet encoded are encoded in batches, indented to their
-            # depth in the file and kept; a string never holds a raw newline,
-            # and only top-level keys sit two spaces deep
-            while self._log_encoded < len(self.log):
-                batch = self.log[self._log_encoded:self._log_encoded + LOG_ENCODE_BATCH]
-                new = json.dumps([vars(e) for e in batch], indent=2, sort_keys=True)
-                self._log_text.append(new[4:-2].replace("\n", "\n  "))  # less "[\n  ", "\n]"
-                self._log_encoded += len(batch)
-            log = "[\n    " + ",\n    ".join(self._log_text) + "\n  ]" if self.log else "[]"
-            text = (json.dumps(state, indent=2, sort_keys=True) + "\n").replace(
-                '\n  "log": []', '\n  "log": ' + log, 1)
-            os.makedirs(os.path.dirname(self.data_path) or ".", exist_ok=True)
-            with open(tmp_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            _swap_in(tmp_path, self.data_path)
+            if append:
+                text = "".join(_encode(vars(e)) + "\n" for e in self.log[logged:])
+                with open(path, "a", encoding="utf-8") as fh:
+                    if on_disk > size:  # a torn last line: cut back to the complete ones
+                        fh.truncate(size)
+                    fh.write(text)
+            else:
+                text = "".join([snapshot + "\n", *(_encode(vars(e)) + "\n" for e in self.log)])
+                os.makedirs(os.path.dirname(self.data_path) or ".", exist_ok=True)
+                with open(tmp_path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                _swap_in(tmp_path, self.data_path)
         except BaseException:
             with contextlib.suppress(OSError):
-                os.remove(tmp_path)
+                os.truncate(path, size) if append else os.remove(tmp_path)
             self._load()  # memory goes back to what the file holds
             raise
+        self._file = (self.data_path, snapshot, (size if append else 0) + len(text), len(self.log))
 
     def _load(self) -> None:
         """Set every persisted field from `data_path`, or to an empty store's
         when there is no file. State that is not persisted (agents, rules,
         instances, aliases) is left as it is."""
-        state = _StoreFile()
+        state, data, size = _StoreFile(), b"", 0
         if self.data_path and os.path.exists(self.data_path):
-            with open(self.data_path, "r", encoding="utf-8") as fh:
-                state = from_doc(_StoreFile, json.load(fh), "store", StoreError)
+            with open(self.data_path, "rb") as fh:
+                data = fh.read()
+            size = data.rfind(b"\n") + 1  # a last line without its "\n" is torn: dropped
+            try:  # one document: a file of the old format, or a snapshot alone
+                doc = json.loads(data)
+            except json.JSONDecodeError as exc:
+                if exc.msg != "Extra data" or not size:
+                    raise
+                doc, *log = json.loads(b"[" + data[:size - 1].replace(b"\n", b",") + b"]")
+                doc = {**doc, "log": log} if isinstance(doc, dict) else doc
+            state = from_doc(_StoreFile, doc, "store", StoreError)
         self.specialists: set[str] = set(state.specialists)
         self.metrics: dict[str, MetricDef] = {
             m.metric_id: m for m in (*BUILTIN_METRICS, *state.metrics)}
         self.modules: dict[str, ModuleManifest] = {}
         for i, doc in enumerate(state.modules):  # each checked as a submission is
-            manifest = manifest_from_doc(doc, self.library)
+            manifest = manifest_from_doc(doc, self.library, f"store.modules[{i}]", StoreError)
             if violations := validate_manifest(manifest, self.metrics, self.library):
                 raise StoreError(f"store.modules[{i}]: " + "; ".join(violations))
             self.modules[manifest.module_id] = manifest
@@ -690,15 +697,17 @@ class SocketStore:
         self._revoked_tokens = set(state.revoked_tokens)
         self.samples = state.samples
         self.log = state.log
-        # encoded runs of log entries, together the first `_log_encoded` of `log`
-        self._log_text: list[str] = []
-        self._log_encoded = 0
         self._logical_ms = float(len(self.log)) if state.logical_ms is None else state.logical_ms
+        # the file as read: a write appends to it only while its first line is
+        # this store's snapshot, so the first write to an old-format file rewrites it
+        self._file = (self.data_path, data[:size].partition(b"\n")[0].decode(), size,
+                      len(self.log))
 
 
 @dataclass(frozen=True)
 class _StoreFile:
-    """The document in a store file; the defaults are an empty store's."""
+    """A store file as one document, its entry lines as `log`; the defaults
+    are an empty store's."""
 
     specialists: tuple[str, ...] = ()
     metrics: tuple[MetricDef, ...] = ()
@@ -709,6 +718,9 @@ class _StoreFile:
     log: list[ActionLogEntry] = field(default_factory=list)
     logical_ms: float | None = None  # a file without it had one tick per entry
 
+
+# a store file line: compact, keys sorted, ASCII only (its length in bytes)
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 _AT_FDCWD, _RENAME_EXCHANGE = -100, 2  # from <fcntl.h> and <linux/fs.h>
 

@@ -405,6 +405,8 @@ class ReferenceSimulator:
         for hop_node in nodes_on_path[1:-1]:
             if self._node(hop_node).kind is not NodeKind.SWITCH:
                 raise RoutingError(f"path traverses host {hop_node!r}")
+        if len(set(nodes_on_path)) != len(nodes_on_path):
+            raise RoutingError("path revisits a node")
         rules = [
             FlowRule(hop_node, flow, path_index, links[i].id)
             for i, hop_node in enumerate(nodes_on_path[1:-1], start=1)

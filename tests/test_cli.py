@@ -116,6 +116,22 @@ class TestLog:
         assert "register_specialist" in out
         assert "submit_module" in out
 
+    @pytest.mark.parametrize("indent", [2, None], ids=["indented", "compact"])
+    def test_old_format_file_takes_a_write_and_lists_every_entry(self, workdir, capsys, indent):
+        """A store file of one JSON document, the format before the snapshot
+        line and entry lines: a CLI write rewrites it in the new format, and
+        `log` lists its entries and then the new one."""
+        path = workdir / "store.json"
+        path.write_text(json.dumps({"specialists": [AUTHOR], "logical_ms": 1.0, "log": [
+            {"ts_ms": 1.0, "actor": AUTHOR, "action": "register_specialist", "outcome": "ok",
+             "detail": {}}]}, indent=indent))
+        assert run("register-specialist", "second-author") == 0
+        assert path.read_text().count("\n") == 3  # the snapshot line and two entry lines
+        capsys.readouterr()
+        assert run("log") == 0
+        assert capsys.readouterr().out == (f"1.000\t{AUTHOR}\tregister_specialist\tok\t\n"
+                                           "2.000\tsecond-author\tregister_specialist\tok\t\n")
+
     def test_log_filter_by_actor(self, workdir, capsys):
         submit_flash(workdir)
         capsys.readouterr()
@@ -163,6 +179,8 @@ class TestRunExperiment:
         {"purchase": "no"},
         {"deadline_ms": float("inf")},
         {"deadline_ms": 10**400},
+        {"deadline_ms": 1e308},
+        {"injection": {"start_ms": -1e308}},
     ])
     def test_mistyped_config_file_is_an_error(self, workdir, capsys, doc):
         path = workdir / "config.json"
@@ -179,6 +197,12 @@ class TestRunExperiment:
         (("--gap", "inf"), "config.gap_ms must be a finite number"),
         (("--rate", "inf"), "config.rate_mbps must be a finite number"),
         (("--inject", "R4-B:inf:40:60"), "config.injection.extra_ms must be a finite number"),
+        (("--deadline", "1e308"), "config.deadline_ms must be between -1.8e+302 and 1.8e+302"),
+        (("--gap", "1e308"), "config.gap_ms must be between -1.8e+302 and 1.8e+302"),
+        (("--inject", "R4-B:1e308:40:60"),
+         "config.injection.extra_ms must be between -1.8e+302 and 1.8e+302"),
+        (("--inject", "R4-B:10:40:1e308"),
+         "config.injection.end_ms must be between -1.8e+302 and 1.8e+302"),
     ])
     def test_option_is_checked_as_a_config_field(self, workdir, capsys, argv, violation):
         out_dir = workdir / "out"
@@ -256,8 +280,10 @@ class TestMalformedFiles:
         {"licenses": [{"app_id": "a", "module_id": "m", "issued_at_ms": 1, "token": "t", "x": 1}]},
         {"modules": [{**manifest_to_doc(flash_delivery_manifest()), "metric_ids": []}]},
         {"logical_ms": 10**400},
+        json.loads(json.dumps({"modules": [{**manifest_to_doc(flash_delivery_manifest()),
+                                            "price": "x"}]})),
     ], ids=["log", "not-an-object", "revoked-tokens", "module", "specialists", "logical-ms",
-            "license-key", "module-no-metric", "logical-ms-beyond-float"])
+            "license-key", "module-no-metric", "logical-ms-beyond-float", "module-price"])
     @pytest.mark.parametrize("argv", [("search",), ("register-specialist", AUTHOR)],
                              ids=["read", "write"])
     def test_malformed_store_file_is_one_error_line(self, workdir, capsys, doc, argv):

@@ -86,8 +86,8 @@ def purchased_token(store: SocketStore, app=APP) -> str:
 
 
 def fault_store_writes(monkeypatch, write):
-    """Make every file the store module opens for writing pass each
-    `write(text)` to `write(fh, text)`, `fh` being the real file; files
+    """Make every file the store module opens for writing or appending pass
+    each `write(text)` to `write(fh, text)`, `fh` being the real file; files
     opened for reading are left alone."""
     real_open = open
 
@@ -104,9 +104,12 @@ def fault_store_writes(monkeypatch, write):
         def write(self, text):
             return write(self.fh, text)
 
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
     def faulty_open(path, mode="r", **kwargs):
         fh = real_open(path, mode, **kwargs)
-        return FaultyFile(fh) if "w" in mode else fh
+        return FaultyFile(fh) if "w" in mode or "a" in mode else fh
 
     monkeypatch.setattr(store_module, "open", faulty_open, raising=False)
 
@@ -116,18 +119,27 @@ def disk_full(fh, text):
 
 
 def reference_bytes(store: SocketStore) -> bytes:
-    """The store file as one `json.dump` of the whole in-memory state writes it."""
-    state = {
+    """The store file as a rewrite of the whole in-memory state writes it:
+    the snapshot line, every persisted field but the log, then one line per
+    log entry, each a compact `json.dumps` with sorted keys."""
+    snapshot = {
         "specialists": sorted(store.specialists),
         "metrics": [vars(m) for m in store.metrics.values()],
         "modules": [manifest_to_doc(m) for m in store.modules.values()],
         "licenses": [vars(l) for l in store.licenses.values()],
         "revoked_tokens": sorted(store._revoked_tokens),
         "samples": [vars(s) for s in store.samples],
-        "log": [vars(e) for e in store.log],
         "logical_ms": store._logical_ms,
     }
-    return (json.dumps(state, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return "".join(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+                   for doc in (snapshot, *map(vars, store.log))).encode("utf-8")
+
+
+def file_state(path) -> dict:
+    """The store file as one document: the snapshot line's fields, and the
+    entry lines as its "log"."""
+    snapshot, *log = map(json.loads, Path(path).read_text().splitlines())
+    return {**snapshot, "log": log}
 
 
 # `st.text` draws no surrogates; `log_action`'s own parameter names cannot be detail keys
@@ -780,7 +792,7 @@ class TestPersistence:
             hashlib.sha256(token.encode()).hexdigest()[:16],
             hashlib.sha256(b"bogus-token").hexdigest()[:16],
         ]
-        logged = json.dumps(json.loads(path.read_text())["log"])
+        logged = json.dumps(file_state(path)["log"])
         assert token not in logged and "bogus-token" not in logged
 
     def test_token_that_is_not_utf8_encodable_is_denied_and_logged(self, tmp_path):
@@ -798,7 +810,7 @@ class TestPersistence:
         store = fresh_store(with_sim=False, data_path=str(path))
         token = purchased_token(store)
         store.authorize(token, "flash-delivery")
-        state = json.loads(path.read_text())
+        state = file_state(path)  # written back in the old format, one compact document
         entry = state["log"][-1]
         entry["detail"] = {"module_id": "flash-delivery", "token": token}
         path.write_text(json.dumps(state))
@@ -843,7 +855,7 @@ class TestPersistence:
         monkeypatch.undo()
         assert store.licenses == {} and len(store.log) == logged
         assert store.authorize("lost-token", mid) is False
-        assert json.loads(path.read_text())["licenses"] == []
+        assert file_state(path)["licenses"] == []
 
     def test_failed_first_write_leaves_an_empty_store(self, tmp_path, monkeypatch):
         path = tmp_path / "store.json"
@@ -855,22 +867,31 @@ class TestPersistence:
         assert not path.exists()
 
     @settings(max_examples=100, deadline=None)
-    @given(writes=st.lists(st.lists(DETAIL, min_size=1, max_size=3), min_size=1, max_size=6))
-    def test_property_file_is_one_dump_of_the_state(self, writes):
+    @given(writes=st.lists(st.lists(DETAIL, min_size=1, max_size=3), min_size=1, max_size=6),
+           with_sim=st.booleans())
+    def test_property_file_is_the_snapshot_and_one_line_per_entry(self, writes, with_sim):
         """Runs of log entries whose details are arbitrary JSON (unicode, lone
         surrogates, floats, nesting), each run persisted by its last entry, as
-        agent runtime entries are by the next store action: the file always
-        holds the bytes of one `json.dump` of the whole state, though each
-        write encodes only the entries logged since the last."""
+        agent runtime entries are by the next store action: after every
+        write the file is the snapshot line and one line per entry, and a
+        store that reloads it holds the same JSON values (JSON reads an
+        escaped surrogate pair back as one character). With a simulator each
+        write appends; without one each write also ticks `logical_ms` and
+        rewrites the file."""
+        def values(data):  # each line's JSON value, as canonical text
+            return [json.dumps(json.loads(line), sort_keys=True) for line in data.splitlines()]
+
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "store.json"
-            store = fresh_store(with_sim=False, data_path=str(path))
+            store = fresh_store(with_sim=with_sim, data_path=str(path))
             publish_flash(store)
             for *unwritten, detail in writes:
                 for runtime_detail in unwritten:
                     store._runtime_log("agent-1", "probe", "ok", **runtime_detail)
                 store.log_action("prop", "probe", "ok", **detail)
                 assert path.read_bytes() == reference_bytes(store)
+                reloaded = SocketStore(data_path=str(path))
+                assert values(reference_bytes(reloaded)) == values(path.read_bytes())
 
     def test_good_write_after_a_failed_one_writes_the_whole_state(self, tmp_path, monkeypatch):
         path = tmp_path / "store.json"
@@ -884,16 +905,15 @@ class TestPersistence:
         assert path.read_bytes() == reference_bytes(store)
 
     def test_reopened_store_writes_the_whole_state(self, tmp_path):
-        """The reopened store's first write encodes the whole log, over more
-        than one batch."""
+        """The reopened store's first write holds the whole log."""
         path = tmp_path / "store.json"
         store = fresh_store(with_sim=False, data_path=str(path))
         mid = publish_flash(store)
-        for _ in range(store_module.LOG_ENCODE_BATCH):
+        for _ in range(64):
             store.authorize("bogus-token", mid)
         reopened = SocketStore(data_path=str(path))
         reopened.authorize("bogus-token", mid)
-        assert len(reopened.log) == store_module.LOG_ENCODE_BATCH + 5
+        assert len(reopened.log) == 64 + 5
         assert path.read_bytes() == reference_bytes(reopened)
 
     @pytest.mark.parametrize("exchange", [True, False], ids=["exchange", "rename"])
@@ -930,7 +950,7 @@ class TestPersistence:
         path = seeded_workflow_store_file(tmp_path)
         log = [vars(e) for e in SocketStore(data_path=str(path)).log]
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "cab9af24c1f1453351a18c9594a3556233fa95f8c3036a009dac3ff18a60a28f")
+            "ee3c9241db3fe6ecb6fcdd7b77ecca4bc1ee78b471a04bd20593db30da470b2f")
         assert hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest() == (
             "f65ae8d0ca8900722c87a071527a0164bedc7f62d396e9ca08119d985ddd9671")
 
@@ -939,15 +959,92 @@ class TestPersistence:
         walk's file, and the same file with an int `issued_at_ms`, are written
         back byte for byte, the int still an int."""
         path = seeded_workflow_store_file(tmp_path)
-        state = json.loads(path.read_text())
-        state["licenses"][0]["issued_at_ms"] = 12
-        with_int = (json.dumps(state, indent=2, sort_keys=True) + "\n").encode()
+        snapshot, *log = map(json.loads, path.read_text().splitlines())
+        snapshot["licenses"][0]["issued_at_ms"] = 12
+        with_int = "".join(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+                           for doc in (snapshot, *log)).encode()
+        copy = tmp_path / "copy.json"
         for expected in (path.read_bytes(), with_int):
             path.write_bytes(expected)
             store = SocketStore(data_path=str(path))
+            store.data_path = str(copy)  # a file it did not read: the write rewrites it whole
             store._persist()
-            assert path.read_bytes() == expected
+            assert copy.read_bytes() == expected
         assert [type(l.issued_at_ms) for l in store.licenses.values()] == [int]
+
+    @pytest.mark.parametrize("runtime_entries", [0, 2], ids=["one-line", "three-lines"])
+    def test_process_crash_at_any_byte_of_an_append(self, tmp_path, runtime_entries):
+        """A process killed partway through an append leaves some prefix of
+        its bytes. At every length from the old file to the new one, a
+        reloaded store holds the state before the write plus a prefix of its
+        entries: for a one-line append, the state before or after it."""
+        path = tmp_path / "store.json"
+        store = fresh_store(data_path=str(path))
+        token = purchased_token(store)
+        before = path.read_bytes()
+        for n in range(runtime_entries):
+            store._runtime_log("agent-1", "probe", "ok", n=n)
+        store.authorize(token, "flash-delivery")
+        after = path.read_bytes()
+        new_lines = after[len(before):].splitlines(keepends=True)
+        assert after.startswith(before) and len(new_lines) == runtime_entries + 1
+        states = {before + b"".join(new_lines[:i]) for i in range(len(new_lines) + 1)}
+        copy = tmp_path / "copy.json"
+        for size in range(len(before), len(after) + 1):
+            copy.write_bytes(after[:size])
+            assert reference_bytes(SocketStore(data_path=str(copy))) in states, size
+
+    def test_append_that_fails_mid_line_leaves_the_file_and_reloads_memory(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+        store = fresh_store(data_path=str(path))
+        token = purchased_token(store)
+        before, logged = path.read_bytes(), len(store.log)
+        appended = []
+
+        def half_line(fh, text):
+            fh.write(text[:len(text) // 2])
+            fh.flush()
+            appended.append(os.path.getsize(fh.name) - len(before))
+            raise OSError("disk gone mid-line")
+
+        fault_store_writes(monkeypatch, half_line)
+        with pytest.raises(OSError, match="mid-line"):
+            store.authorize(token, "flash-delivery")
+        monkeypatch.undo()
+        assert appended and appended[0] > 0  # half a line reached the store file itself
+        assert path.read_bytes() == before
+        assert len(store.log) == logged and reference_bytes(store) == before
+        store.authorize(token, "flash-delivery")
+        assert path.read_bytes() == reference_bytes(store)
+
+    def test_torn_tail_is_dropped_and_cut_back_before_the_next_append(self, tmp_path):
+        path = tmp_path / "store.json"
+        store = fresh_store(data_path=str(path))
+        token = purchased_token(store)
+        complete = path.read_bytes()
+        path.write_bytes(complete + b'{"action":"authorize","actor":"demo-')
+        inode = path.stat().st_ino
+        reopened = SocketStore(sim=Simulator(evaluation_topology()), data_path=str(path))
+        assert reference_bytes(reopened) == complete
+        reopened.authorize(token, "flash-delivery")
+        assert path.stat().st_ino == inode  # appended, not rewritten
+        assert path.read_bytes() == reference_bytes(reopened)
+        assert reference_bytes(SocketStore(data_path=str(path))) == path.read_bytes()
+
+    @pytest.mark.parametrize("indent", [2, None], ids=["indented", "compact"])
+    def test_old_format_file_loads_and_its_first_write_rewrites_it(self, tmp_path, indent):
+        """A store file of one JSON document, the format before the snapshot
+        line and entry lines, loads as it did; the first write replaces it
+        with the new format."""
+        path = seeded_workflow_store_file(tmp_path)
+        expected, state = path.read_bytes(), file_state(path)
+        path.write_text(json.dumps(state, indent=indent, sort_keys=True))
+        old = SocketStore(sim=Simulator(evaluation_topology()), data_path=str(path))
+        assert reference_bytes(old) == expected
+        old.authorize("bogus-token", "flash-delivery")
+        assert path.read_bytes() == reference_bytes(old)
+        assert file_state(path)["log"][:-1] == state["log"]
 
     @pytest.mark.parametrize("doc, violation", [
         ({"log": 5}, "store.log must be a list"),
@@ -967,9 +1064,11 @@ class TestPersistence:
         ({"modules": [{**manifest_to_doc(flash_delivery_manifest()), "metric_ids": []}]},
          "store.modules[0]: module must declare a metric"),
         ({"logical_ms": 10**400}, "store.logical_ms must be a finite number or null"),
+        ({"modules": [{**manifest_to_doc(flash_delivery_manifest()), "price": "x"}]},
+         "store.modules[0].price must be a finite number"),
     ], ids=["log", "not-an-object", "revoked-tokens", "module", "license-key", "specialists",
             "logical-ms", "log-entry", "metric-direction", "sample-source", "module-no-metric",
-            "logical-ms-beyond-float"])
+            "logical-ms-beyond-float", "module-price"])
     def test_malformed_store_file_is_a_store_error(self, tmp_path, doc, violation):
         path = tmp_path / "store.json"
         path.write_text(json.dumps(doc))
