@@ -10,7 +10,6 @@ object); reads may happen at any point between mutations.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import json
 import os
@@ -627,7 +626,8 @@ class SocketStore:
 
     def _persist(self) -> None:
         """Bring the file at `data_path` up to date: the snapshot line, then one line per
-        log entry. A write that only logged appends; any other replaces the file."""
+        log entry. A write that only logged appends; any other writes the whole
+        file to `<file>.tmp` and renames that over the file."""
         if not self.data_path:
             return
         # each record is its dataclass's fields; a str enum dumps as its value
@@ -638,7 +638,6 @@ class SocketStore:
             "licenses": [vars(l) for l in self.licenses.values()],
             "revoked_tokens": sorted(self._revoked_tokens),
             "samples": [vars(s) for s in self.samples],
-            "logical_ms": self._logical_ms,
         })
         path, written, size, logged = self._file  # as this store last read or wrote it
         same = (path, written) == (self.data_path, snapshot) and os.path.exists(path)
@@ -656,7 +655,7 @@ class SocketStore:
                 os.makedirs(os.path.dirname(self.data_path) or ".", exist_ok=True)
                 with open(tmp_path, "w", encoding="utf-8") as fh:
                     fh.write(text)
-                _swap_in(tmp_path, self.data_path)
+                os.replace(tmp_path, self.data_path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.truncate(path, size) if append else os.remove(tmp_path)
@@ -697,7 +696,8 @@ class SocketStore:
         self._revoked_tokens = set(state.revoked_tokens)
         self.samples = state.samples
         self.log = state.log
-        self._logical_ms = float(len(self.log)) if state.logical_ms is None else state.logical_ms
+        # the clock resumes from the latest entry, so a write that only logs appends
+        self._logical_ms = float(max((e.ts_ms for e in self.log), default=0.0))
         # the file as read: a write appends to it only while its first line is
         # this store's snapshot, so the first write to an old-format file rewrites it
         self._file = (self.data_path, data[:size].partition(b"\n")[0].decode(), size,
@@ -716,42 +716,11 @@ class _StoreFile:
     revoked_tokens: tuple[str, ...] = ()
     samples: list[MetricSample] = field(default_factory=list)  # lists: the store appends
     log: list[ActionLogEntry] = field(default_factory=list)
-    logical_ms: float | None = None  # a file without it had one tick per entry
+    logical_ms: float | None = None  # the clock, in older files; ignored: the log sets it
 
 
 # a store file line: compact, keys sorted, ASCII only (its length in bytes)
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-_AT_FDCWD, _RENAME_EXCHANGE = -100, 2  # from <fcntl.h> and <linux/fs.h>
-
-
-@functools.cache
-def _renameat2():
-    """Linux renameat2(2) from the C library, or None. Looked up on the
-    first write, so stores without a file never load ctypes."""
-    import ctypes
-    try:
-        call = ctypes.CDLL(None, use_errno=True).renameat2
-    except (AttributeError, OSError, TypeError):
-        return None
-    call.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
-    return call
-
-
-def _swap_in(tmp_path: str, path: str) -> None:
-    """Put the complete file at `tmp_path` in place of `path` in one atomic
-    step: exchange the two names and remove the old file, or, with no file
-    at `path` yet or no exchange here, rename over it. A rename over a file
-    makes ext4 write the new one out inside the call (auto_da_alloc), so
-    each store write would wait on the disk; a removed old file never
-    reaches it."""
-    renameat2 = _renameat2()
-    if renameat2 is not None and renameat2(_AT_FDCWD, os.fsencode(tmp_path), _AT_FDCWD,
-                                           os.fsencode(path), _RENAME_EXCHANGE) == 0:
-        with contextlib.suppress(OSError):  # a stale temp file is overwritten next time
-            os.remove(tmp_path)
-    else:
-        os.replace(tmp_path, path)
 
 
 def _resolve_param(value: str, inputs: Mapping):

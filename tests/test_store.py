@@ -129,7 +129,6 @@ def reference_bytes(store: SocketStore) -> bytes:
         "licenses": [vars(l) for l in store.licenses.values()],
         "revoked_tokens": sorted(store._revoked_tokens),
         "samples": [vars(s) for s in store.samples],
-        "logical_ms": store._logical_ms,
     }
     return "".join(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
                    for doc in (snapshot, *map(vars, store.log))).encode("utf-8")
@@ -875,9 +874,9 @@ class TestPersistence:
         agent runtime entries are by the next store action: after every
         write the file is the snapshot line and one line per entry, and a
         store that reloads it holds the same JSON values (JSON reads an
-        escaped surrogate pair back as one character). With a simulator each
-        write appends; without one each write also ticks `logical_ms` and
-        rewrites the file."""
+        escaped surrogate pair back as one character). With a simulator or
+        without one, each write appends: the file's previous bytes stay its
+        prefix."""
         def values(data):  # each line's JSON value, as canonical text
             return [json.dumps(json.loads(line), sort_keys=True) for line in data.splitlines()]
 
@@ -886,9 +885,11 @@ class TestPersistence:
             store = fresh_store(with_sim=with_sim, data_path=str(path))
             publish_flash(store)
             for *unwritten, detail in writes:
+                before = path.read_bytes()
                 for runtime_detail in unwritten:
                     store._runtime_log("agent-1", "probe", "ok", **runtime_detail)
                 store.log_action("prop", "probe", "ok", **detail)
+                assert path.read_bytes().startswith(before)
                 assert path.read_bytes() == reference_bytes(store)
                 reloaded = SocketStore(data_path=str(path))
                 assert values(reference_bytes(reloaded)) == values(path.read_bytes())
@@ -916,33 +917,54 @@ class TestPersistence:
         assert len(reopened.log) == 64 + 5
         assert path.read_bytes() == reference_bytes(reopened)
 
-    @pytest.mark.parametrize("exchange", [True, False], ids=["exchange", "rename"])
-    def test_write_swaps_in_a_complete_file(self, tmp_path, monkeypatch, exchange):
-        """A write puts the new complete file in place, by exchanging names
-        where the system can and by a rename otherwise, and leaves no temp
-        file; a reader that opened the file before the write still reads the
-        previous complete file."""
-        real = store_module._renameat2()
-        if exchange and real is None:
-            pytest.skip("no renameat2 in this C library")
-        swaps = []
-
-        def spy(*args):
-            swaps.append(real(*args))
-            return swaps[-1]
-
-        monkeypatch.setattr(store_module, "_renameat2", lambda: spy if exchange else None)
+    def test_write_swaps_in_a_complete_file(self, tmp_path):
+        """A write that changes the snapshot renames a new complete file over
+        the old one and leaves no temp file; a reader that opened the file
+        before the write still reads the previous complete file."""
         path = tmp_path / "store.json"
         store = fresh_store(with_sim=False, data_path=str(path))
         mid = publish_flash(store)
         before = path.read_bytes()
         with open(path, "rb") as reader:
-            store.authorize("bogus-token", mid)
+            store.purchase("second-app", mid)
             assert reader.read() == before
         assert path.read_bytes() == reference_bytes(store)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
-        if exchange:  # the first write had no file to exchange with
-            assert swaps[0] != 0 and swaps[-1] == 0
+
+    def test_clock_never_runs_behind_the_log(self, tmp_path):
+        """A store reopened without a simulator resumes its clock from the
+        latest entry, even when a simulator logged past one tick per entry."""
+        path = tmp_path / "store.json"
+        store = fresh_store(data_path=str(path))
+        mid = publish_flash(store)
+        store.sim.run_until(len(store.log) + 100.0)
+        store.authorize("bogus-token", mid)
+        last = store.log[-1].ts_ms
+        assert last > len(store.log)
+        reopened = SocketStore(data_path=str(path))
+        reopened.authorize("bogus-token", mid)
+        new = reopened.log[-1]
+        assert all(new.ts_ms > e.ts_ms for e in reopened.log[:-1])
+        assert reopened.read_log(since_ms=last)[-1] == new
+
+    def test_file_with_a_stored_clock_loads_and_its_first_write_drops_it(self, tmp_path):
+        """A file whose snapshot line holds `logical_ms`, the clock the store
+        once kept there, loads with the clock at its latest entry whatever
+        that value; its first write rewrites it without the field."""
+        path = tmp_path / "store.json"
+        store = fresh_store(with_sim=False, data_path=str(path))
+        mid = publish_flash(store)
+        snapshot, *log = path.read_text().splitlines()
+        for stored in (2.0, 1000.0):
+            path.write_text("\n".join([json.dumps({**json.loads(snapshot), "logical_ms": stored},
+                                                  sort_keys=True, separators=(",", ":")),
+                                       *log]) + "\n")
+            old = SocketStore(data_path=str(path))
+            assert old.now_ms() == max(e.ts_ms for e in old.log) == 4.0
+            old.authorize("bogus-token", mid)  # a log-only write: the old line forces the rewrite
+            assert old.log[-1].ts_ms == 5.0
+            assert path.read_bytes() == reference_bytes(old)
+            assert "logical_ms" not in file_state(path)
 
     def test_seeded_workflow_store_file_pinned(self, tmp_path):
         """Pins the store file bytes of the seeded walk and the reloaded
@@ -950,7 +972,7 @@ class TestPersistence:
         path = seeded_workflow_store_file(tmp_path)
         log = [vars(e) for e in SocketStore(data_path=str(path)).log]
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "ee3c9241db3fe6ecb6fcdd7b77ecca4bc1ee78b471a04bd20593db30da470b2f")
+            "5c623aa90cd8e21bb9d580f32bdda5e5ea5e9dddb0a9f7099927fc191580a17f")
         assert hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest() == (
             "f65ae8d0ca8900722c87a071527a0164bedc7f62d396e9ca08119d985ddd9671")
 
