@@ -12,8 +12,8 @@ import io
 import json
 import os
 import random
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dsa import ConnectOptions, DsaClient
 from .fixtures import (
@@ -91,8 +91,7 @@ def config_from_file(path: str | None, **overrides) -> ExperimentConfig:
     return from_doc(ExperimentConfig, doc, "config", ExperimentError)
 
 
-@dataclass(frozen=True, slots=True)
-class PacketRow:
+class PacketRow(NamedTuple):
     seq: int
     sent_at_ms: float
     latency_path0_ms: float | None
@@ -101,7 +100,7 @@ class PacketRow:
     violated: int
 
 
-CSV_COLUMNS = [f.name for f in fields(PacketRow)]
+CSV_COLUMNS = list(PacketRow._fields)
 
 
 @dataclass
@@ -202,7 +201,7 @@ def render_csv(report: ExperimentReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")  # None -> "", a float -> its repr
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(attrgetter(*CSV_COLUMNS), report.rows))
+    writer.writerows(report.rows)
     return buf.getvalue()
 
 

@@ -359,10 +359,9 @@ def mirror_send(
 def send_copies(sim: Simulator, flow: FlowId, copies: int, seq: int,
                 size_bytes: int, deadline_ms: float) -> list[DeliveryRecord]:
     """Send one packet now on each path index 0..copies-1, all with `seq`."""
-    return [
-        sim.send_packet(Packet(flow, seq, size_bytes, sim.now_ms, deadline_ms, index))
-        for index in range(copies)
-    ]
+    now = sim.now_ms
+    return [sim.send_packet(Packet(flow, seq, size_bytes, now, deadline_ms, index))
+            for index in range(copies)]
 
 
 def paced(sim: Simulator, count: int, gap_ms: float, send: Callable[[int], list]) -> list[list]:
@@ -401,7 +400,7 @@ class DeliveryStats:
 
 def earliest_latencies(per_seq: Iterable[list[DeliveryRecord]]) -> list[float | None]:
     """Each seq's earliest delivered latency (None: lost), for each seq that sent a copy."""
-    return [min((rec.latency_ms for rec in records if rec.delivered), default=None)
+    return [min([rec.latency_ms for rec in records if rec.delivered], default=None)
             for records in per_seq if records]
 
 

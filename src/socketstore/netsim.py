@@ -14,7 +14,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .records import from_doc
 
@@ -83,8 +83,7 @@ class Link:
         return node in self.endpoints
 
 
-@dataclass(frozen=True, slots=True)
-class FlowId:
+class FlowId(NamedTuple):
     src: str
     dst: str
     tag: str = ""
@@ -108,8 +107,7 @@ class LatencyInjection:
     end_ms: float
 
 
-@dataclass(frozen=True, slots=True)
-class Packet:
+class Packet(NamedTuple):
     flow: FlowId
     seq: int
     size_bytes: int
@@ -125,8 +123,7 @@ class Hop:
     delay_ms: float
 
 
-@dataclass(frozen=True, slots=True)
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     packet: Packet
     delivered: bool
     arrive_at_ms: float | None
@@ -268,7 +265,8 @@ class Simulator:
         # (flow, path_index) -> {node: out_link}; the flow source's entry is
         # its egress link, every other entry is a switch rule
         self._routes: dict[tuple[FlowId, int], dict[str, str]] = {}
-        # the _compile form of each _routes key sent on since its last change
+        # the _compile form of each _routes key sent on since its last change,
+        # an injection or a link removal
         self._compiled: dict[tuple[FlowId, int], tuple] = {}
         # link -> [(start_ns, end_ns, extra_ns)] of its latency injections
         self._injections: dict[str, list[tuple[int, int, int]]] = {}
@@ -329,7 +327,7 @@ class Simulator:
             key: {node: out for node, out in route.items() if out != link_id}
             for key, route in self._routes.items()
         }
-        self._compiled.clear()  # the loop bound of every walk counts links
+        self._compiled.clear()  # a hop holds its link's samples; a walk's bound counts links
         self._link_changed(link_id)
         for per_link in (self._injections, self._reservations, self._transfers):
             per_link.pop(link_id, None)
@@ -407,6 +405,7 @@ class Simulator:
         if inj.start_ms >= inj.end_ms:
             raise NetsimError("inverted window")
         self._link_changed(inj.link)
+        self._compiled.clear()  # a compiled hop holds its link's injection list, or none
         self._injections.setdefault(inj.link, []).append(
             (ms_to_ns(inj.start_ms), ms_to_ns(inj.end_ms), ms_to_ns(inj.extra_ms)))
 
@@ -441,8 +440,9 @@ class Simulator:
     # -- packet delivery -----------------------------------------------------
 
     def _compile(self, key: tuple[FlowId, int]) -> tuple:
-        """Walk the route of `key` once: the links it forwards on, their base
-        delays, and why a packet on it is dropped (None if it arrives)."""
+        """Walk the route of `key` once: the links it forwards on, each as a hop
+        (base delay, that link's injections, its transfer samples), and why a
+        packet on it is dropped (None if it arrives)."""
         flow = key[0]
         self.node(flow.src)
         route, cursor, links = self._routes.get(key, {}), flow.src, []
@@ -455,7 +455,8 @@ class Simulator:
             links.append(self.link(out))
             cursor = links[-1].other_end(cursor)
         compiled = (tuple(lk.id for lk in links),
-                    tuple(ms_to_ns(lk.base_latency_ms) for lk in links), drop_reason)
+                    tuple((ms_to_ns(lk.base_latency_ms), self._injections.get(lk.id, ()),
+                           self._transfers[lk.id]) for lk in links), drop_reason)
         if key in self._routes:
             self._compiled[key] = compiled
         return compiled
@@ -466,16 +467,15 @@ class Simulator:
         packets to a node outside the topology, or that hit a switch without
         a matching rule, are dropped. An unknown source raises."""
         key = (packet.flow, packet.path_index)
-        links, base_ns, drop_reason = self._compiled.get(key) or self._compile(key)
+        links, hops, drop_reason = self._compiled.get(key) or self._compile(key)
         sent_ns = t_ns = ms_to_ns(packet.sent_at_ms)
         cutoff_ns = self._now_ns - RATE_WINDOW_NS
         delays = []
-        for out, delay_ns in zip(links, base_ns):
-            for start, end, extra in self._injections.get(out, ()):
+        for delay_ns, injections, samples in hops:
+            for start, end, extra in injections:
                 if start <= t_ns < end:
                     delay_ns += extra
             delays.append(delay_ns)
-            samples = self._transfers[out]
             # samples are not time-ordered (a later hop enters in the future),
             # so the head pop bounds memory while link_rate_mbps still filters
             while samples and samples[0][0] <= cutoff_ns:

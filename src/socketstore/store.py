@@ -212,7 +212,7 @@ class SocketStore:
         self.data_path = data_path
         self._token_factory = token_factory or (lambda: secrets.token_hex(16))
         self._load()
-        self.sim = sim
+        self.sim: Simulator | None = None
         self.runtime: AgentRuntime | None = None
         if sim is not None:
             self.attach_network(sim)
@@ -226,7 +226,7 @@ class SocketStore:
 
     def now_ms(self) -> float:
         if self.sim is not None:
-            return self.sim.now_ms
+            return self._sim_base_ms + self.sim.now_ms
         return self._logical_ms
 
     def _tick(self) -> float:
@@ -259,6 +259,8 @@ class SocketStore:
     # -- network attachment -------------------------------------------------------
 
     def attach_network(self, sim: Simulator) -> None:
+        # the simulator's clock runs on from the latest entry (0.0 in a fresh store)
+        self._sim_base_ms = self.now_ms()
         self.sim = sim
         self.runtime = AgentRuntime(sim, self.library, action_log=self._runtime_log)
         self.runtime.create_environment(PRODUCTION_ENV, "production network")
@@ -537,7 +539,7 @@ class SocketStore:
             return
         if self.runtime is not None:
             _destroy_agents(self.runtime, instance.agent_ids)
-        instance.ledger.close_all(self.now_ms())
+        instance.ledger.close_all(self.sim.now_ms)  # the ledger runs on simulator time
         instance.torn_down_at_ms = self.now_ms()
         self.log_action("store", "teardown", "ok", instance_id=instance_id)
 
@@ -547,7 +549,7 @@ class SocketStore:
         instance = self.instances.get(instance_id)
         if instance is None:
             raise StoreError(f"unknown instance {instance_id!r}")
-        now = self.now_ms()
+        now = self.sim.now_ms
         rows = tuple(
             CostRow(
                 resource_id=e.resource_id,

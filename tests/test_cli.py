@@ -132,6 +132,21 @@ class TestLog:
         assert capsys.readouterr().out == (f"1.000\t{AUTHOR}\tregister_specialist\tok\t\n"
                                            "2.000\tsecond-author\tregister_specialist\tok\t\n")
 
+    def test_log_times_never_decrease_across_experiment_runs(self, workdir, capsys):
+        """A simulator attached to a store read from its file runs on from the
+        latest entry, so each run's entries follow the last run's."""
+        submit_flash(workdir)
+        assert run("publish", "flash-delivery") == 0
+        for _ in range(2):
+            assert run("run-experiment", "--use-data", "--packets", "200",
+                       "--out", str(workdir / "out")) == 0
+        run("authorize", "--token", "bogus", "--module", "flash-delivery")
+        capsys.readouterr()
+        assert run("log") == 0
+        times = [float(line.split("\t")[0]) for line in capsys.readouterr().out.splitlines()]
+        assert len(times) > 20
+        assert times == sorted(times)
+
     def test_log_filter_by_actor(self, workdir, capsys):
         submit_flash(workdir)
         capsys.readouterr()

@@ -137,7 +137,15 @@ class TestCSV:
         report = run_experiment(ExperimentConfig(packet_count=3))
         lines = render_csv(report).splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
+        assert CSV_COLUMNS == ["seq", "sent_at_ms", "latency_path0_ms", "latency_path1_ms",
+                               "earliest_ms", "violated"]
         assert len(lines) == 4
+
+    def test_rows_are_immutable(self):
+        row = run_experiment(ExperimentConfig(packet_count=1)).rows[0]
+        with pytest.raises(AttributeError):
+            row.violated = 1
+        assert row == tuple(getattr(row, column) for column in CSV_COLUMNS)
 
     def test_summary_recomputable_from_rows(self):
         for module in ("flash-delivery", "baseline"):

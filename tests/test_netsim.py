@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,18 @@ FLOW = FlowId("A", "B", "f")
 
 def packet(seq=0, sent_at=0.0, deadline=5.0, path_index=0, flow=FLOW, size=512):
     return Packet(flow, seq, size, sent_at, deadline, path_index)
+
+
+@pytest.mark.parametrize("record, field", [
+    (FLOW, "tag"),
+    (packet(), "seq"),
+    (Simulator(evaluation_topology()).send_packet(packet()), "delivered"),
+], ids=["FlowId", "Packet", "DeliveryRecord"])
+def test_records_are_immutable_tuples(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert record == tuple(getattr(record, name) for name in type(record)._fields)
+    assert hash(record) == hash(tuple(record))
 
 
 class TestBuildTopology:
@@ -295,6 +309,33 @@ class TestRouteChangesAfterSend:
         rec = sim.send_packet(packet(seq=1))
         assert rec.drop_reason == "routing loop"
         assert len(rec.hops) == len(sim.topology.links) + 1
+
+    def test_injection_on_a_link_that_had_none(self, sim):
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        base = sim.send_packet(packet()).latency_ms
+        sim.inject_latency(LatencyInjection("R3-R4", 7.0, 0.0, 100.0))
+        assert sim.send_packet(packet(seq=1)).latency_ms == pytest.approx(base + 7.0)
+
+    def test_injection_on_a_link_that_had_one(self, sim):
+        sim.inject_latency(LatencyInjection("R4-B", 10.0, 500.0, 600.0))  # not active at 0
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        base = sim.send_packet(packet()).latency_ms
+        sim.inject_latency(LatencyInjection("R4-B", 7.0, 0.0, 100.0))
+        assert sim.send_packet(packet(seq=1)).latency_ms == pytest.approx(base + 7.0)
+
+    def test_remove_link_and_redeploy_samples_only_the_new_route(self, sim):
+        for index in (0, 1):
+            sim.deploy_path(FLOW, DEFAULT_PATH, index)
+            sim.send_packet(packet(path_index=index, size=12500))  # 1 Mbps in the window
+        sim.remove_link("R3-R4")
+        sim.deploy_path(FLOW, SECOND_PATH, 0)
+        moved, cut = (sim.send_packet(packet(seq=1, path_index=i, size=12500)) for i in (0, 1))
+        assert moved.delivered and moved.hop_links == tuple(SECOND_PATH)
+        assert cut.drop_reason == "no rule at R3" and cut.hop_links == ("A-R1", "R1-R3")
+        walked = Counter(DEFAULT_PATH * 2 + SECOND_PATH + list(cut.hop_links))
+        assert {link: sim.link_rate_mbps(link) for link in sim.topology.links} == {
+            link: float(walked[link]) for link in sim.topology.links}
+        assert sim.link_rate_mbps("R3-R4") == 0.0 and "R3-R4" not in sim._transfers
 
     def test_compiled_routes_only_for_deployed_keys(self, sim):
         sim.deploy_path(FLOW, DEFAULT_PATH, 0)

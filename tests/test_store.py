@@ -947,6 +947,24 @@ class TestPersistence:
         assert all(new.ts_ms > e.ts_ms for e in reopened.log[:-1])
         assert reopened.read_log(since_ms=last)[-1] == new
 
+    def test_simulator_on_a_reopened_store_runs_on_from_the_log(self, tmp_path):
+        """A simulator attached to a store read from its file stamps entries from
+        the latest one on, while usage cost stays in simulator time."""
+        path = tmp_path / "store.json"
+        store = fresh_store(data_path=str(path))
+        token = purchased_token(store)
+        store.sim.run_until(500.0)
+        store.authorize("bogus-token", "flash-delivery")
+        reopened = SocketStore(sim=Simulator(evaluation_topology()), data_path=str(path))
+        instance = reopened.instantiate(token, "flash-delivery", KM_INPUTS)
+        reopened.sim.run_until(10_000.0)
+        cost = reopened.cost(instance.instance_id).raw_total  # live: priced up to now
+        assert cost == pytest.approx(2 * 10.0 * 10.0 * 0.001, abs=1e-9)
+        reopened.teardown_instance(instance.instance_id)
+        assert reopened.cost(instance.instance_id).raw_total == cost
+        times = [e.ts_ms for e in reopened.log]
+        assert times == sorted(times) and times[-1] == 500.0 + 10_000.0
+
     def test_file_with_a_stored_clock_loads_and_its_first_write_drops_it(self, tmp_path):
         """A file whose snapshot line holds `logical_ms`, the clock the store
         once kept there, loads with the clock at its latest entry whatever
