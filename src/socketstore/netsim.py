@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import json
 import sys
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -278,9 +278,9 @@ class Simulator:
         # link -> number of its last load, injection or removal change, oldest first
         self._changed: dict[str, int] = {}
         self.changes = 0  # a change's number is this count just after it
-        # per-link (t_ns, bytes) samples backing the monitored transfer rate;
-        # samples that left the rate window are popped from the head on send
-        self._transfers: defaultdict[str, deque[tuple[int, int]]] = defaultdict(deque)
+        # (end_ns, record) of each recent send, backing the monitored transfer
+        # rate; records that ended before the rate window are popped from the head
+        self._recent: deque[tuple[int, DeliveryRecord]] = deque()
 
     # -- clock and events ------------------------------------------------
 
@@ -288,13 +288,10 @@ class Simulator:
     def now_ms(self) -> float:
         return ns_to_ms(self._now_ns)
 
-    def schedule_at(self, at_ms: float, action: Callable[[], None]) -> None:
-        at_ns = max(ms_to_ns(at_ms), self._now_ns)
+    def schedule_in(self, delta_ms: float, action: Callable[[], None]) -> None:
+        at_ns = max(ms_to_ns(self.now_ms + delta_ms), self._now_ns)
         heapq.heappush(self._events, (at_ns, self._event_seq, action))
         self._event_seq += 1
-
-    def schedule_in(self, delta_ms: float, action: Callable[[], None]) -> None:
-        self.schedule_at(self.now_ms + delta_ms, action)
 
     def run_until(self, until_ms: float) -> None:
         """Process events with fire time <= until_ms, then advance the clock."""
@@ -327,9 +324,9 @@ class Simulator:
             key: {node: out for node, out in route.items() if out != link_id}
             for key, route in self._routes.items()
         }
-        self._compiled.clear()  # a hop holds its link's samples; a walk's bound counts links
+        self._compiled.clear()  # a walk's bound counts links
         self._link_changed(link_id)
-        for per_link in (self._injections, self._reservations, self._transfers):
+        for per_link in (self._injections, self._reservations):
             per_link.pop(link_id, None)
 
     # -- flow rules -------------------------------------------------------
@@ -441,8 +438,8 @@ class Simulator:
 
     def _compile(self, key: tuple[FlowId, int]) -> tuple:
         """Walk the route of `key` once: the links it forwards on, each as a hop
-        (base delay, that link's injections, its transfer samples), and why a
-        packet on it is dropped (None if it arrives)."""
+        (base delay, that link's injections), and why a packet on it is dropped
+        (None if it arrives)."""
         flow = key[0]
         self.node(flow.src)
         route, cursor, links = self._routes.get(key, {}), flow.src, []
@@ -455,46 +452,49 @@ class Simulator:
             links.append(self.link(out))
             cursor = links[-1].other_end(cursor)
         compiled = (tuple(lk.id for lk in links),
-                    tuple((ms_to_ns(lk.base_latency_ms), self._injections.get(lk.id, ()),
-                           self._transfers[lk.id]) for lk in links), drop_reason)
+                    tuple((ms_to_ns(lk.base_latency_ms), self._injections.get(lk.id, ()))
+                          for lk in links), drop_reason)
         if key in self._routes:
             self._compiled[key] = compiled
         return compiled
 
     def send_packet(self, packet: Packet) -> DeliveryRecord:
-        """Send the packet along its deployed path, sampling each link's
-        delay at the traversal instant. No retransmission ever happens;
-        packets to a node outside the topology, or that hit a switch without
-        a matching rule, are dropped. An unknown source raises."""
+        """Send the packet along its deployed path, sampling each link's delay at the
+        traversal instant, and keep its record for `link_rate_mbps`. No retransmission
+        ever happens; packets to a node outside the topology, or that hit a switch
+        without a matching rule, are dropped. An unknown source raises."""
         key = (packet.flow, packet.path_index)
         links, hops, drop_reason = self._compiled.get(key) or self._compile(key)
         sent_ns = t_ns = ms_to_ns(packet.sent_at_ms)
-        cutoff_ns = self._now_ns - RATE_WINDOW_NS
         delays = []
-        for delay_ns, injections, samples in hops:
+        for delay_ns, injections in hops:
             for start, end, extra in injections:
                 if start <= t_ns < end:
                     delay_ns += extra
             delays.append(delay_ns)
-            # samples are not time-ordered (a later hop enters in the future),
-            # so the head pop bounds memory while link_rate_mbps still filters
-            while samples and samples[0][0] <= cutoff_ns:
-                samples.popleft()
-            samples.append((t_ns, packet.size_bytes))
             t_ns += delay_ns
+        delays, latency_ns = tuple(delays), t_ns - sent_ns
         if drop_reason is not None:
-            return DeliveryRecord(packet, False, None, None, False, links, tuple(delays),
-                                  drop_reason)
-        latency_ns = t_ns - sent_ns
-        return DeliveryRecord(packet, True, ns_to_ms(t_ns), ns_to_ms(latency_ns),
-                              latency_ns > ms_to_ns(packet.deadline_ms), links, tuple(delays))
+            record = DeliveryRecord(packet, False, None, None, False, links, delays, drop_reason)
+        else:
+            record = DeliveryRecord(packet, True, ns_to_ms(t_ns), ns_to_ms(latency_ns),
+                                    latency_ns > ms_to_ns(packet.deadline_ms), links, delays)
+        # records end out of send order, so link_rate_mbps filters what this pop keeps
+        while self._recent and self._recent[0][0] <= self._now_ns - RATE_WINDOW_NS:
+            self._recent.popleft()
+        self._recent.append((t_ns, record))
+        return record
 
     # -- monitoring ------------------------------------------------------------
 
     def link_rate_mbps(self, link_id: str) -> float:
-        samples = self._transfers.get(link_id, ())
-        cutoff = self._now_ns - RATE_WINDOW_NS
-        total_bytes = sum(b for t, b in samples if t > cutoff)
+        """Bytes of traversals entering the link in the rate window, as Mbps."""
+        self.link(link_id)
+        cutoff_ns = self._now_ns - RATE_WINDOW_NS
+        total_bytes = sum(record.packet.size_bytes for _, record in self._recent
+                          for link, enter_ns in zip(record.hop_links, accumulate(
+                              record.hop_delays_ns, initial=ms_to_ns(record.packet.sent_at_ms)))
+                          if link == link_id and enter_ns > cutoff_ns)
         return total_bytes * 8 / (RATE_WINDOW_MS / 1000.0) / 1e6
 
     def link_stats(self, link_id: str) -> LinkStats:

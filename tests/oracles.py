@@ -348,7 +348,7 @@ class ReferenceSimulator:
     (switch, flow, path_index), the source's egress link in a second table
     keyed by (flow, path_index), reservations keyed by an integer handle and
     one list of every latency injection. Its clock only moves on
-    `run_until`, and it keeps no rate samples; `send_packet` returns the same
+    `run_until`, and it keeps no delivery records; `send_packet` returns the same
     records as the simulator and keeps the per-hop trace it built in
     `last_hops`, and `topology_snapshot` views every link afresh."""
 

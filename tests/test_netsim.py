@@ -42,6 +42,13 @@ def test_records_are_immutable_tuples(record, field):
     assert hash(record) == hash(tuple(record))
 
 
+def two_hosts(endpoint_pairs, latency_ms=0.5):
+    """A document of hosts A and B with one 10 Mbps link per endpoint pair."""
+    return {"nodes": [{"id": h, "kind": "host", "nic_count": 1} for h in "AB"],
+            "links": [{"endpoints": pair, "capacity_mbps": 10, "latency_ms": latency_ms}
+                      for pair in endpoint_pairs]}
+
+
 class TestBuildTopology:
     def test_evaluation_topology_counts(self):
         topo = evaluation_topology()
@@ -104,8 +111,14 @@ class TestBuildTopology:
          "link.capacity_mbps must be a finite number"),
         ({"links": [{"endpoints": ["A", "B"], "capacity_mbps": 1, "latency_ms": 10**400}]},
          "link.latency_ms must be a finite number"),
+        ({"nodes": [{"id": "S", "kind": "switch", "nic_count": 1}]},
+         "switch 'S' must not carry nic_count"),
+        (two_hosts([["A", "B"], ["A", "B"]]), "duplicate id 'A-B'"),
+        (two_hosts([["A", "A"]]), "link 'A-A' endpoints must be distinct"),
+        (two_hosts([["A", "B"]], latency_ms=-0.5), "negative latency on link 'A-B'"),
     ], ids=["not-an-object", "nodes", "nic-count", "id", "no-id", "kind", "endpoints", "capacity",
-            "latency-beyond-float"])
+            "latency-beyond-float", "switch-nic-count", "duplicate-link", "equal-endpoints",
+            "negative-latency"])
     def test_malformed_document_is_a_topology_error(self, spec, violation):
         with pytest.raises(TopologyError) as raised:
             build_topology(spec)
@@ -125,6 +138,16 @@ class TestDeployRetract:
     def test_non_contiguous_path_rejected(self, sim):
         with pytest.raises(RoutingError, match="non-contiguous"):
             sim.deploy_path(FLOW, ["A-R1", "R3-R4", "R4-B"])
+
+    def test_empty_path_rejected(self, sim):
+        with pytest.raises(RoutingError, match="empty path"):
+            sim.deploy_path(FLOW, [])
+        assert sim.all_rules() == []
+
+    def test_other_end_of_a_link_not_touching_the_node(self, sim):
+        assert sim.link("A-R1").other_end("R1") == "A"
+        with pytest.raises(RoutingError, match="node 'B' is not an endpoint of link 'A-R1'"):
+            sim.link("A-R1").other_end("B")
 
     def test_path_must_end_at_flow_destination(self, sim):
         with pytest.raises(RoutingError, match="not flow destination"):
@@ -335,7 +358,8 @@ class TestRouteChangesAfterSend:
         walked = Counter(DEFAULT_PATH * 2 + SECOND_PATH + list(cut.hop_links))
         assert {link: sim.link_rate_mbps(link) for link in sim.topology.links} == {
             link: float(walked[link]) for link in sim.topology.links}
-        assert sim.link_rate_mbps("R3-R4") == 0.0 and "R3-R4" not in sim._transfers
+        with pytest.raises(TopologyError, match="unknown link 'R3-R4'"):
+            sim.link_rate_mbps("R3-R4")
 
     def test_compiled_routes_only_for_deployed_keys(self, sim):
         sim.deploy_path(FLOW, DEFAULT_PATH, 0)
@@ -374,11 +398,11 @@ class TestLinkStatsAndSnapshot:
         assert sim.link_rate_mbps("A-R1") == 0.0
 
     def test_rate_samples_bounded_and_rate_exact_over_long_stream(self, sim):
-        """Twenty rate windows of traffic keep a bounded number of samples per
-        link, while the rate still equals a sum over every sample ever taken,
-        including later hops whose entry time lies in the future."""
+        """Twenty rate windows of traffic keep a bounded number of delivery
+        records, while the rate still equals a sum over every traversal ever
+        made, including later hops whose entry time lies in the future."""
         sim.deploy_path(FLOW, DEFAULT_PATH)
-        # a spike mid-path makes later-hop samples land out of time order
+        # a spike mid-path makes records end out of send order
         sim.inject_latency(LatencyInjection("R1-R3", 30.0, 700.0, 760.0))
         history = []  # (link, enter_ns, bytes) of every traversal
         window_ns = ms_to_ns(RATE_WINDOW_MS)
@@ -397,10 +421,21 @@ class TestLinkStatsAndSnapshot:
                 for link in DEFAULT_PATH:
                     assert sim.link_rate_mbps(link) == reference_rate(link)
                     assert sim.link_stats(link).rate_mbps == reference_rate(link)
-            # one window at a 0.5 ms gap is 200 samples, plus the spike's lag
-            assert max(len(sim._transfers[link]) for link in DEFAULT_PATH) <= 400
+            # one window at a 0.5 ms gap is 200 records, plus the spike's lag
+            assert len(sim._recent) <= 400
         sim.run_until(sim.now_ms + 2 * RATE_WINDOW_MS)
         assert all(sim.link_rate_mbps(link) == 0.0 for link in DEFAULT_PATH)
+
+    def test_hop_entered_after_a_spike_longer_than_the_window_counts(self, sim):
+        """A record is kept until its last hop ends, not until it was sent."""
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        sim.inject_latency(LatencyInjection("R1-R3", 150.0, 0.0, 1.0))
+        spiked = sim.send_packet(packet(size=12500))  # enters R3-R4 at 151 ms
+        assert spiked.arrive_at_ms == pytest.approx(152.0)
+        sim.run_until(200.0)
+        sim.send_packet(packet(seq=1, sent_at=200.0, size=12500))  # pops what ended by 100 ms
+        assert {link: sim.link_rate_mbps(link) for link in DEFAULT_PATH} == {
+            "A-R1": 1.0, "R1-R3": 1.0, "R3-R4": 2.0, "R4-B": 2.0}
 
     def test_snapshot_counts(self, sim):
         view = sim.topology_snapshot()
@@ -455,6 +490,12 @@ class TestReservations:
         sim.reserve_capacity("A-R1", 80.0)
         with pytest.raises(CapacityError, match="capacity exceeded"):
             sim.reserve_capacity("A-R1", 30.0)
+
+    @pytest.mark.parametrize("mbps", [0.0, -5.0])
+    def test_non_positive_reservation_rejected(self, sim, mbps):
+        with pytest.raises(CapacityError, match="reservation must be positive"):
+            sim.reserve_capacity("A-R1", mbps)
+        assert sim.link_load_mbps("A-R1") == 0.0 and sim.changes == 0
 
     def test_load_never_exceeds_capacity(self, sim):
         sim.reserve_capacity("A-R1", 100.0)

@@ -35,8 +35,8 @@ KM_INPUTS = {
 }
 
 
-def published_store(**kwargs):
-    s = SocketStore(sim=Simulator(evaluation_topology()), **kwargs)
+def published_store(network=True, **kwargs):
+    s = SocketStore(sim=Simulator(evaluation_topology()) if network else None, **kwargs)
     s.register_specialist(AUTHOR)
     mid = s.submit_module(flash_delivery_manifest(s.library))
     s.start_review(mid, "review-board")
@@ -204,6 +204,16 @@ class TestInstantiateOverWire:
         assert reply["allocation"]["k"] == 2
         assert len(reply["allocation"]["paths"]) == 2
 
+    def test_store_without_network_answers_instantiate_fail(self):
+        store = published_store(network=False)
+        transport = LocalTransport(StoreProtocol(store))
+        auth_ok(store, transport)
+        reply = transport.request(
+            {"kind": "INSTANTIATE", "module_id": "flash-delivery", "inputs": KM_INPUTS}
+        )
+        assert reply == {"kind": "INSTANTIATE_FAIL", "reason": "no network attached"}
+        assert store.instances == {}
+
     def test_allocation_failure_reported(self, store, transport):
         auth_ok(store, transport)
         reply = transport.request(
@@ -364,6 +374,18 @@ class TestTCPHostileStore:
             assert client._sock is None  # the rest of the flood is never read
         assert peak < 4 * 1024 * 1024
 
+    def test_store_closing_mid_reply_is_a_transport_error(self):
+        def cut(conn):
+            conn.sendall(b'{"kind": "HELLO_')
+            conn.shutdown(socket.SHUT_WR)
+
+        with fake_store(cut) as address:
+            client = TCPTransport(*address)
+            with pytest.raises(TransportError, match="connection closed by store") as raised:
+                client.request({"kind": "HELLO", "app_id": "x"})
+            assert not isinstance(raised.value, TransportTimeout)
+            assert client._sock is None
+
     def test_trickled_reply_is_bounded_by_one_deadline(self):
         def trickle(conn):
             for byte in encode({"kind": "HELLO_OK", "app_id": "x"}).encode("utf-8"):
@@ -395,6 +417,12 @@ class TestTCP:
             assert json.loads(replies.readline())["kind"] == "PROTOCOL_ERROR"
             sock.sendall(encode({"kind": "HELLO", "app_id": "x"}).encode("utf-8"))
             assert json.loads(replies.readline())["kind"] == "HELLO_OK"
+
+    def test_blank_lines_skipped_and_next_request_answered(self, server):
+        with socket.create_connection(server.address, timeout=2.0) as sock:
+            replies = sock.makefile("rb")
+            sock.sendall(b"\n \t\r\n" + encode({"kind": "HELLO", "app_id": "x"}).encode("utf-8"))
+            assert json.loads(replies.readline()) == {"kind": "HELLO_OK", "app_id": "x"}
 
     @staticmethod
     def bad_inputs_answered_and_session_kept(store, server, bad_inputs):
