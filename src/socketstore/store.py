@@ -235,9 +235,9 @@ class SocketStore:
             self._logical_ms += 1.0
         return self.now_ms()
 
-    def log_action(self, actor: str, action: str, outcome: str, **detail) -> None:
+    def log_action(self, actor: str, action: str, outcome: str, changed=False, **detail) -> None:
         self._runtime_log(actor, action, outcome, **detail)
-        self._persist()
+        self._persist(changed)
 
     def read_log(
         self,
@@ -271,7 +271,7 @@ class SocketStore:
         if not specialist_id:
             raise StoreError("empty specialist id")
         self.specialists.add(specialist_id)
-        self.log_action(specialist_id, "register_specialist", "ok")
+        self.log_action(specialist_id, "register_specialist", "ok", changed=True)
 
     def register_testbed(self, scenario: TestbedScenario) -> None:
         self.testbeds[scenario.name] = scenario
@@ -302,7 +302,8 @@ class SocketStore:
                     f"duplicate version: {manifest.name} v{manifest.version} already submitted"
                 )
         self.modules[manifest.module_id] = manifest.with_state(ModuleState.SUBMITTED)
-        self.log_action(manifest.author, "submit_module", "ok", module_id=manifest.module_id)
+        self.log_action(manifest.author, "submit_module", "ok", changed=True,
+                        module_id=manifest.module_id)
         return manifest.module_id
 
     def _transition(self, module_id: str, new_state: ModuleState) -> ModuleState:
@@ -316,7 +317,7 @@ class SocketStore:
         if reviewer == manifest.author:
             raise StoreError("self-review")
         state = self._transition(module_id, ModuleState.IN_REVIEW)
-        self.log_action(reviewer, "start_review", "ok", module_id=module_id)
+        self.log_action(reviewer, "start_review", "ok", changed=True, module_id=module_id)
         return state
 
     def review_decision(self, module_id: str, decision: str, reviewer: str) -> ModuleState:
@@ -327,7 +328,7 @@ class SocketStore:
             raise StoreError("self-review")
         target = ModuleState.PUBLISHED if decision == "accept" else ModuleState.REVISION_REQUESTED
         state = self._transition(module_id, target)
-        self.log_action(reviewer, "review_decision", "ok",
+        self.log_action(reviewer, "review_decision", "ok", changed=True,
                         module_id=module_id, decision=decision, new_state=state.value)
         return state
 
@@ -347,13 +348,13 @@ class SocketStore:
         if violations:
             raise StoreError("; ".join(violations))
         self.modules[module_id] = revised.with_state(ModuleState.IN_REVIEW)
-        self.log_action(current.author, "resubmit_revision", "ok",
+        self.log_action(current.author, "resubmit_revision", "ok", changed=True,
                         module_id=module_id, version=revised.version)
         return ModuleState.IN_REVIEW
 
     def retire_module(self, module_id: str) -> ModuleState:
         state = self._transition(module_id, ModuleState.RETIRED)
-        self.log_action("store", "retire_module", "ok", module_id=module_id)
+        self.log_action("store", "retire_module", "ok", changed=True, module_id=module_id)
         return state
 
     # -- search and ranking ------------------------------------------------------------
@@ -411,7 +412,7 @@ class SocketStore:
             token = self._token_factory()
         license = License(app_id, module_id, self.now_ms(), token)
         self._add_license(license)
-        self.log_action(app_id, "purchase", "ok", module_id=module_id)
+        self.log_action(app_id, "purchase", "ok", changed=True, module_id=module_id)
         return license
 
     def _add_license(self, license: License) -> None:
@@ -424,7 +425,7 @@ class SocketStore:
             raise StoreError("no such license")
         self._tokens.pop(license.token, None)
         self._revoked_tokens.add(license.token)
-        self.log_action(app_id, "revoke_license", "ok", module_id=module_id)
+        self.log_action(app_id, "revoke_license", "ok", changed=True, module_id=module_id)
 
     def authorize(self, token: str, module_id: str) -> bool:
         """Allow iff an unrevoked license binds this token to this module.
@@ -618,22 +619,16 @@ class SocketStore:
                 value = collector(latencies, stats)
             samples.append(MetricSample(module_id, metric_id, value, ts, "testbed"))
         self.samples.extend(samples)
-        self.log_action("store", "testbed_evaluation",
-                        "ok" if failure is None else "error",
-                        module_id=module_id, scenario=scenario_name,
+        self.log_action("store", "testbed_evaluation", "ok" if failure is None else "error",
+                        changed=True, module_id=module_id, scenario=scenario_name,
                         **({"reason": failure} if failure else {}))
         return samples
 
     # -- persistence -------------------------------------------------------------------
 
-    def _persist(self) -> None:
-        """Bring the file at `data_path` up to date: the snapshot line, then one line per
-        log entry. A write that only logged appends; any other writes the whole
-        file to `<file>.tmp` and renames that over the file."""
-        if not self.data_path:
-            return
+    def _snapshot(self) -> str:
         # each record is its dataclass's fields; a str enum dumps as its value
-        snapshot = _encode({
+        return _encode({
             "specialists": sorted(self.specialists),
             "metrics": [vars(m) for m in self.metrics.values()],
             "modules": [manifest_to_doc(m) for m in self.modules.values()],
@@ -641,45 +636,64 @@ class SocketStore:
             "revoked_tokens": sorted(self._revoked_tokens),
             "samples": [vars(s) for s in self.samples],
         })
-        path, written, size, logged = self._file  # as this store last read or wrote it
-        same = (path, written) == (self.data_path, snapshot) and os.path.exists(path)
-        append = (on_disk := os.path.getsize(path) if same else -1) >= size
+
+    def _persist(self, changed: bool = False) -> None:
+        """Bring the file at `data_path` up to date: the snapshot line, then one line per log
+        entry. A write appends, unless the snapshot `changed` (only store methods change it and
+        say so) or the file was replaced or shrank; then it renames a whole `<file>.tmp` over it."""
+        if not self.data_path:
+            return
+        path, ino, size, logged, first_line = self._file  # as this store last read or wrote it
+        st = None  # the file as it is now, if at the path this store last read or wrote
+        with contextlib.suppress(FileNotFoundError):
+            st = os.stat(path) if path == self.data_path else None
+        append = (not changed and st is not None and st.st_ino == ino and st.st_size >= size
+                  and (first_line is None or self._snapshot().encode() == first_line))
         tmp_path = f"{self.data_path}.tmp"  # renamed over the data file once complete
         try:
             if append:
                 text = "".join(_encode(vars(e)) + "\n" for e in self.log[logged:])
                 with open(path, "a", encoding="utf-8") as fh:
-                    if on_disk > size:  # a torn last line: cut back to the complete ones
+                    if st.st_size > size:  # a torn last line: cut back to the complete ones
                         fh.truncate(size)
                     fh.write(text)
             else:
-                text = "".join([snapshot + "\n", *(_encode(vars(e)) + "\n" for e in self.log)])
+                text = self._snapshot() + "\n" + "".join(_encode(vars(e)) + "\n" for e in self.log)
                 os.makedirs(os.path.dirname(self.data_path) or ".", exist_ok=True)
                 with open(tmp_path, "w", encoding="utf-8") as fh:
                     fh.write(text)
+                    ino = os.fstat(fh.fileno()).st_ino
                 os.replace(tmp_path, self.data_path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.truncate(path, size) if append else os.remove(tmp_path)
             self._load()  # memory goes back to what the file holds
             raise
-        self._file = (self.data_path, snapshot, (size if append else 0) + len(text), len(self.log))
+        self._file = (self.data_path, ino, (size if append else 0) + len(text), len(self.log),
+                      None)
 
     def _load(self) -> None:
         """Set every persisted field from `data_path`, or to an empty store's
         when there is no file. State that is not persisted (agents, rules,
         instances, aliases) is left as it is."""
-        state, data, size = _StoreFile(), b"", 0
+        state, data, size, ino = _StoreFile(), b"", 0, None
         if self.data_path and os.path.exists(self.data_path):
             with open(self.data_path, "rb") as fh:
-                data = fh.read()
+                data, ino = fh.read(), os.fstat(fh.fileno()).st_ino
             size = data.rfind(b"\n") + 1  # a last line without its "\n" is torn: dropped
             try:  # one document: a file of the old format, or a snapshot alone
                 doc = json.loads(data)
             except json.JSONDecodeError as exc:
                 if exc.msg != "Extra data" or not size:
                     raise
-                doc, *log = json.loads(b"[" + data[:size - 1].replace(b"\n", b",") + b"]")
+                try:  # one array of the lines
+                    doc, *log = json.loads(b"[" + data[:size - 1].replace(b"\n", b",") + b"]")
+                except json.JSONDecodeError:  # each line alone, to name the first at fault
+                    for n, line in enumerate(data[:size - 1].split(b"\n"), 1):
+                        try:
+                            json.loads(line.decode("utf-8", "surrogatepass"))  # as the joined text
+                        except json.JSONDecodeError as exc:
+                            raise StoreError(f"store line {n}: {exc.msg}") from None
                 doc = {**doc, "log": log} if isinstance(doc, dict) else doc
             state = from_doc(_StoreFile, doc, "store", StoreError)
         self.specialists: set[str] = set(state.specialists)
@@ -700,10 +714,8 @@ class SocketStore:
         self.log = state.log
         # the clock resumes from the latest entry, so a write that only logs appends
         self._logical_ms = float(max((e.ts_ms for e in self.log), default=0.0))
-        # the file as read: a write appends to it only while its first line is
-        # this store's snapshot, so the first write to an old-format file rewrites it
-        self._file = (self.data_path, data[:size].partition(b"\n")[0].decode(), size,
-                      len(self.log))
+        # as read; the first write rewrites it unless line 1 is this store's snapshot
+        self._file = (self.data_path, ino, size, len(self.log), data[:max(data.find(b"\n"), 0)])
 
 
 @dataclass(frozen=True)

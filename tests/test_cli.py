@@ -308,6 +308,22 @@ class TestMalformedFiles:
         assert "store" in assert_one_error_line(capsys)
         assert json.loads(path.read_text()) == doc  # left as it was
 
+    @pytest.mark.parametrize("line, text", [
+        (3, '{"action":"authorize",'), (3, '{"action":"authorize","actor":"demo-'),
+        (2, None), (3, ""),
+    ], ids=["cut-after-a-comma", "cut-in-a-string", "no-closing-brace", "empty"])
+    def test_malformed_entry_line_is_named_by_its_line_in_the_file(
+            self, workdir, capsys, line, text):
+        path = workdir / "store.json"
+        for author in ("a", "b", "c"):
+            assert run("--data", str(path), "register-specialist", author) == 0
+        lines = path.read_text().splitlines()
+        lines[line - 1] = lines[line - 1][:-1] if text is None else text
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("--data", str(path), "search") == 1
+        assert assert_one_error_line(capsys).startswith(f"error: store line {line}: ")
+
     def test_store_file_nested_too_deep_is_one_error_line(self, workdir, capsys):
         path = workdir / "store.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

@@ -31,6 +31,7 @@ from socketstore.moduledef import (
     manifest_to_doc,
 )
 from socketstore import store as store_module
+from socketstore.cli import main as cli_main
 from socketstore.netsim import Simulator, build_topology
 from socketstore.store import (
     RATE_CARD,
@@ -70,11 +71,15 @@ def publish_flash(store: SocketStore) -> str:
     return mid
 
 
+def variant(store: SocketStore, module_id: str, **changes):
+    """A copy of the flash-delivery manifest under another id and name."""
+    return dataclasses.replace(flash_delivery_manifest(store.library),
+                               module_id=module_id, name=module_id, **changes)
+
+
 def publish_variant(store: SocketStore, module_id: str, **changes) -> str:
     """Publish a copy of flash-delivery under another id and name."""
-    manifest = dataclasses.replace(flash_delivery_manifest(store.library),
-                                   module_id=module_id, name=module_id, **changes)
-    store.submit_module(manifest)
+    store.submit_module(variant(store, module_id, **changes))
     store.start_review(module_id, REVIEWER)
     store.review_decision(module_id, "accept", REVIEWER)
     return module_id
@@ -145,7 +150,7 @@ def file_state(path) -> dict:
 LONE_SURROGATES = st.text(st.characters(categories=["Cs"]), min_size=1, max_size=3)
 DETAIL = st.dictionaries(
     (st.text(max_size=6) | LONE_SURROGATES).filter(
-        lambda key: key not in {"self", "actor", "action", "outcome"}),
+        lambda key: key not in {"self", "actor", "action", "outcome", "changed"}),
     JSON | LONE_SURROGATES, max_size=3)
 
 
@@ -740,6 +745,89 @@ class TestActionLog:
             assert e.actor == REVIEWER
 
 
+def register_short_scenario(store: SocketStore) -> None:
+    """Register "short": the latency-spike scenario with 5 packets."""
+    store.register_testbed(dataclasses.replace(
+        store.testbeds["latency-spike"], name="short", packet_count=5))
+
+
+def drawn(pick: int, candidates: list):
+    """The candidate `pick` selects, or None when there is none."""
+    return candidates[pick % len(candidates)] if candidates else None
+
+
+def modules_in(store: SocketStore, *states: ModuleState) -> list[str]:
+    return [m.module_id for m in store.modules.values() if m.state in states]
+
+
+def submit_drawn(store, pick):
+    if (module_id := f"module-{pick}") not in store.modules:
+        store.submit_module(variant(store, module_id))
+
+
+def transition_drawn(store, pick):
+    """Move a drawn module one lifecycle step: review, accept or revise, or retire."""
+    module_id = drawn(pick, modules_in(store, ModuleState.SUBMITTED, ModuleState.IN_REVIEW,
+                                       ModuleState.PUBLISHED))
+    state = module_id and store.module(module_id).state
+    if state is ModuleState.SUBMITTED:
+        store.start_review(module_id, REVIEWER)
+    elif state is ModuleState.IN_REVIEW:
+        store.review_decision(module_id, ("accept", "revise")[pick % 2], REVIEWER)
+    elif state is ModuleState.PUBLISHED:
+        store.retire_module(module_id)
+
+
+def resubmit_drawn(store, pick):
+    if module_id := drawn(pick, modules_in(store, ModuleState.REVISION_REQUESTED)):
+        current = store.module(module_id)
+        store.resubmit_revision(module_id, dataclasses.replace(current,
+                                                               version=current.version + 1))
+
+
+def purchase_drawn(store, pick):
+    if module_id := drawn(pick, modules_in(store, ModuleState.PUBLISHED)):
+        store.purchase((APP, "second-app")[pick % 2], module_id)
+
+
+def revoke_drawn(store, pick):
+    if key := drawn(pick, list(store.licenses)):
+        store.revoke_license(*key)
+
+
+def evaluate_drawn(store, pick):
+    if module_id := drawn(pick, modules_in(store, ModuleState.IN_REVIEW, ModuleState.PUBLISHED)):
+        store.run_testbed_evaluation(module_id, "short")
+
+
+def authorize_drawn(store, pick):
+    token = drawn(pick, [l.token for l in store.licenses.values()]) or "bogus-token"
+    store.authorize(token, drawn(pick, list(store.modules)) or "flash-delivery")
+
+
+def runtime_then_log(store, pick):
+    store._runtime_log("agent-1", "probe", "ok", n=pick)
+    store.log_action("prop", "probe", "ok")
+
+
+# the seven writes that change a snapshot field, and writes that only log
+SNAPSHOT_WRITES = {
+    "register_specialist": lambda store, pick: store.register_specialist(f"author-{pick % 2}"),
+    "submit_module": submit_drawn,
+    "transition": transition_drawn,
+    "resubmit_revision": resubmit_drawn,
+    "purchase": purchase_drawn,
+    "revoke_license": revoke_drawn,
+    "run_testbed_evaluation": evaluate_drawn,
+}
+LOG_ONLY_WRITES = {
+    "authorize": authorize_drawn,
+    "bind_alias": lambda store, pick: store.bind_alias(
+        f"device-{pick % 2}", [KM_INPUTS["endpointA"]], "device-owner"),
+    "runtime_then_log": runtime_then_log,
+}
+
+
 class TestPersistence:
     def test_state_survives_reload(self, tmp_path):
         path = str(tmp_path / "store.json")
@@ -1057,6 +1145,72 @@ class TestPersistence:
         assert len(store.log) == logged and reference_bytes(store) == before
         store.authorize(token, "flash-delivery")
         assert path.read_bytes() == reference_bytes(store)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.tuples(st.sampled_from([*SNAPSHOT_WRITES, *LOG_ONLY_WRITES, "reopen"]),
+                                    st.integers(0, 5)), min_size=1, max_size=30),
+           with_sim=st.booleans())
+    def test_property_every_write_leaves_the_file_of_the_state(self, steps, with_sim):
+        """Drawn runs of the seven kinds of write that change the snapshot, log-only
+        writes and reopens, from a store where each kind has a target: after every step
+        the file is the snapshot line and one line per entry of the store's state, and a
+        store that reloads it writes the same bytes. A snapshot change whose write
+        appended would leave a stale line 1."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.json"
+            store = fresh_store(with_sim=with_sim, data_path=str(path))
+            register_short_scenario(store)
+            purchased_token(store)
+            store.submit_module(variant(store, "jitter-delivery"))
+            store.start_review("jitter-delivery", REVIEWER)
+            store.review_decision("jitter-delivery", "revise", REVIEWER)
+            store.submit_module(variant(store, "spare-delivery"))
+            for name, pick in steps:
+                if name == "reopen":
+                    sim = Simulator(evaluation_topology()) if with_sim else None
+                    store = SocketStore(sim=sim, data_path=str(path))
+                    register_short_scenario(store)
+                else:
+                    {**SNAPSHOT_WRITES, **LOG_ONLY_WRITES}[name](store, pick)
+                assert path.read_bytes() == reference_bytes(store), name
+                assert reference_bytes(SocketStore(data_path=str(path))) == path.read_bytes()
+
+    def test_log_only_write_encodes_no_snapshot(self, tmp_path, monkeypatch):
+        """A store that wrote the file appends an authorize without encoding a manifest; a
+        reopened store encodes the snapshot once, on its first write, to compare it with
+        line 1, and appends too. A CLI `search` encodes nothing."""
+        path = tmp_path / "store.json"
+        store = fresh_store(data_path=str(path))
+        token = purchased_token(store)
+        encoded = []
+        real = store_module.manifest_to_doc
+        monkeypatch.setattr(store_module, "manifest_to_doc",
+                            lambda manifest: encoded.append(manifest) or real(manifest))
+        inode = path.stat().st_ino
+        store.authorize(token, "flash-delivery")
+        assert encoded == [] and path.stat().st_ino == inode
+        reopened = SocketStore(sim=Simulator(evaluation_topology()), data_path=str(path))
+        assert cli_main(["--data", str(path), "search"]) == 0
+        assert encoded == []
+        reopened.authorize(token, "flash-delivery")
+        assert len(encoded) == len(reopened.modules) == 1  # the line-1 compare
+        reopened.authorize(token, "flash-delivery")
+        assert len(encoded) == 1 and path.stat().st_ino == inode
+        assert path.read_bytes() == reference_bytes(reopened)
+
+    def test_write_after_another_store_rewrote_the_file_rewrites_it(self, tmp_path):
+        """A second store on the same file rewrites it with a longer line 1; the first
+        store's next write must not append to it as if it were the file it wrote, which
+        would cut that line short. The second store's purchase is overwritten, not merged:
+        a file has one writer at a time."""
+        path = tmp_path / "store.json"
+        first = fresh_store(with_sim=False, data_path=str(path))
+        mid = publish_flash(first)
+        first.authorize("bogus-token", mid)
+        SocketStore(data_path=str(path)).purchase(APP, mid)
+        first.authorize("bogus-token", mid)
+        assert path.read_bytes() == reference_bytes(first)
+        assert reference_bytes(SocketStore(data_path=str(path))) == path.read_bytes()
 
     def test_torn_tail_is_dropped_and_cut_back_before_the_next_append(self, tmp_path):
         path = tmp_path / "store.json"
