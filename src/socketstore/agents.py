@@ -288,9 +288,9 @@ class AgentRuntime:
         `release_agent`. An agent destroyed or moved out of band is never
         handed out again."""
         key = (env_id, spec.type_name, frozenset(spec.params.items()))
-        if self._shared.get(key) not in self.agents:
-            self._shared[key] = self.spawn_agent(env_id, spec)
-        agent_id = self._shared[key]
+        agent_id = self._shared.get(key)
+        if agent_id not in self.agents:
+            agent_id = self._shared[key] = self.spawn_agent(env_id, spec)
         self._holds[agent_id] = self._holds.get(agent_id, 0) + 1
         return agent_id
 

@@ -323,7 +323,7 @@ def deploy_mirror_paths(
     handles = MirrorHandles(flow=flow, pathset=pathset, reservation_handles=[])
     try:
         for index, path in enumerate(pathset.paths):
-            handles.switches += [r.switch for r in sim.deploy_path(flow, list(path), index)]
+            handles.switches += [r.switch for r in sim.deploy_path(flow, path, index)]
             for lid in path:
                 handles.reservation_handles.append(sim.reserve_capacity(lid, rate_mbps))
     except NetsimError as exc:
@@ -482,16 +482,20 @@ class KMAgent(Agent):
 
     def _spawn_composed(self, runtime, env_id) -> None:
         """Acquire the environment's LinkAgent per link, then SwitchAgent per
-        hop switch, of the deployed paths in path order. Each id enters
-        `composed` as it is acquired, so a failure partway leaves exactly
-        the ones to release on rollback."""
+        hop switch, of the deployed paths in path order. The ids acquired
+        enter `composed` even when an acquire fails partway, so a failure
+        leaves exactly the ones to release on rollback."""
         paths = self.handles.pathset.paths
         specs = [AgentSpec("LinkAgent", {"link": lid})
                  for lid in dict.fromkeys(lid for path in paths for lid in path)]
         specs += [AgentSpec("SwitchAgent", {"switch": sw})
                   for sw in dict.fromkeys(self.handles.switches)]
-        for spec in specs:
-            self.composed += (runtime.acquire_agent(env_id, spec),)
+        acquired = []
+        try:
+            for spec in specs:
+                acquired.append(runtime.acquire_agent(env_id, spec))
+        finally:
+            self.composed = tuple(acquired)
 
     def release(self, runtime) -> None:
         """Retract paths, release reservations and stop cost accrual. The

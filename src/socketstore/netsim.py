@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .records import from_doc
 
@@ -89,8 +89,7 @@ class FlowId(NamedTuple):
     tag: str = ""
 
 
-@dataclass(frozen=True)
-class FlowRule:
+class FlowRule(NamedTuple):
     switch: str
     flow: FlowId
     path_index: int
@@ -265,9 +264,11 @@ class Simulator:
         # (flow, path_index) -> {node: out_link}; the flow source's entry is
         # its egress link, every other entry is a switch rule
         self._routes: dict[tuple[FlowId, int], dict[str, str]] = {}
-        # the _compile form of each _routes key sent on since its last change,
-        # an injection or a link removal
+        # the _compile form of each _routes key deployed or sent on since its
+        # last change, an injection or a link removal
         self._compiled: dict[tuple[FlowId, int], tuple] = {}
+        # (src, dst, path_index) -> (nodes, compiled form) of the path last checked for it
+        self._walks: dict[tuple[str, str, int], tuple[tuple[str, ...], tuple]] = {}
         # link -> [(start_ns, end_ns, extra_ns)] of its latency injections
         self._injections: dict[str, list[tuple[int, int, int]]] = {}
         # link -> {seq: mbps}; a reservation handle is (link, seq)
@@ -325,41 +326,53 @@ class Simulator:
             for key, route in self._routes.items()
         }
         self._compiled.clear()  # a walk's bound counts links
+        self._walks.clear()
         self._link_changed(link_id)
         for per_link in (self._injections, self._reservations):
             per_link.pop(link_id, None)
 
     # -- flow rules -------------------------------------------------------
 
-    def deploy_path(self, flow: FlowId, path: list[str], path_index: int = 0) -> list[FlowRule]:
+    def deploy_path(self, flow: FlowId, path: Sequence[str], path_index: int = 0) -> list[FlowRule]:
         """Install one rule per switch along `path`, replacing any rules
         previously deployed for the same (flow, path_index)."""
+        walk_key, path = (flow.src, flow.dst, path_index), tuple(path)
+        walk = self._walks.get(walk_key)
+        if walk is None or walk[1][0] != path:
+            walk = self._walks[walk_key] = self._walk(flow, path)
+        nodes, compiled = walk
+        # atomic replacement of the old deployment; every node on the path
+        # but the destination maps to the link it forwards on
+        self._routes[(flow, path_index)] = dict(zip(nodes, path))
+        self._compiled[(flow, path_index)] = compiled
+        return [FlowRule(node, flow, path_index, out) for node, out in zip(nodes[1:], path[1:])]
+
+    def _walk(self, flow: FlowId, path: tuple[str, ...]) -> tuple[tuple[str, ...], tuple]:
+        """Check `path` for `flow`: its nodes in order and its _compile form."""
         if not path:
             raise RoutingError("empty path")
-        links = [self.link(lid) for lid in path]
+        topo_links, topo_nodes = self.topology.links, self.topology.nodes
+        try:
+            links = [topo_links[lid] for lid in path]
+        except KeyError as missing:
+            raise TopologyError(f"unknown link {missing.args[0]!r}") from None
         cursor = flow.src
         self.node(cursor)
         nodes_on_path = [cursor]
         for lk in links:
-            if not lk.touches(cursor):
-                raise RoutingError(
-                    f"non-contiguous path: link {lk.id!r} does not touch {cursor!r}"
-                )
-            cursor = lk.other_end(cursor)
+            a, b = lk.endpoints
+            if cursor != a and cursor != b:
+                raise RoutingError(f"non-contiguous path: link {lk.id!r} does not touch {cursor!r}")
+            cursor = b if cursor == a else a
             nodes_on_path.append(cursor)
         if cursor != flow.dst:
             raise RoutingError(f"path ends at {cursor!r}, not flow destination {flow.dst!r}")
         for hop_node in nodes_on_path[1:-1]:
-            if self.node(hop_node).kind is not NodeKind.SWITCH:
+            if topo_nodes[hop_node].kind is not NodeKind.SWITCH:
                 raise RoutingError(f"path traverses host {hop_node!r}")
         if len(set(nodes_on_path)) != len(nodes_on_path):
             raise RoutingError("path revisits a node")
-        # atomic replacement of the old deployment; every node on the path
-        # but the destination maps to the link it forwards on
-        self._routes[(flow, path_index)] = dict(zip(nodes_on_path, path))
-        self._compiled.pop((flow, path_index), None)
-        return [FlowRule(node, flow, path_index, out)
-                for node, out in zip(nodes_on_path[1:], path[1:])]
+        return tuple(nodes_on_path), (path, self._hops(links), None)
 
     def retract_path(self, flow: FlowId, path_index: int = 0) -> int:
         """Remove the deployment of (flow, path_index); returns its switch rule count."""
@@ -403,6 +416,7 @@ class Simulator:
             raise NetsimError("inverted window")
         self._link_changed(inj.link)
         self._compiled.clear()  # a compiled hop holds its link's injection list, or none
+        self._walks.clear()
         self._injections.setdefault(inj.link, []).append(
             (ms_to_ns(inj.start_ms), ms_to_ns(inj.end_ms), ms_to_ns(inj.extra_ms)))
 
@@ -451,12 +465,14 @@ class Simulator:
                 break
             links.append(self.link(out))
             cursor = links[-1].other_end(cursor)
-        compiled = (tuple(lk.id for lk in links),
-                    tuple((ms_to_ns(lk.base_latency_ms), self._injections.get(lk.id, ()))
-                          for lk in links), drop_reason)
+        compiled = (tuple(lk.id for lk in links), self._hops(links), drop_reason)
         if key in self._routes:
             self._compiled[key] = compiled
         return compiled
+
+    def _hops(self, links: list[Link]) -> tuple:
+        return tuple((ms_to_ns(lk.base_latency_ms), self._injections.get(lk.id, ()))
+                     for lk in links)
 
     def send_packet(self, packet: Packet) -> DeliveryRecord:
         """Send the packet along its deployed path, sampling each link's delay at the

@@ -81,8 +81,12 @@ class Session:
     bound_aliases: dict[str, str] = field(default_factory=dict)  # alias -> owner
 
 
+# built once: json.dumps with sort_keys builds a new encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def encode(message: dict) -> str:
-    return json.dumps(message, sort_keys=True) + "\n"
+    return _ENCODER.encode(message) + "\n"
 
 
 def _finite(text: str) -> float:

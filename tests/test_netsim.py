@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socketstore.fixtures import evaluation_topology
+from socketstore.kmflash import AllocationFailure, allocate_on, deploy_mirror_paths, retract_mirror_paths
 from socketstore.netsim import (
     CapacityError,
     FlowId,
@@ -12,6 +14,7 @@ from socketstore.netsim import (
     LatencyInjection,
     RATE_WINDOW_MS,
     NetsimError,
+    NodeKind,
     Packet,
     RoutingError,
     Simulator,
@@ -22,6 +25,7 @@ from socketstore.netsim import (
 
 from .conftest import DEFAULT_PATH, SECOND_PATH
 from .oracles import ReferenceSimulator, recompute_latency_ms
+from .test_kmflash import _churn_grid
 
 FLOW = FlowId("A", "B", "f")
 
@@ -33,8 +37,9 @@ def packet(seq=0, sent_at=0.0, deadline=5.0, path_index=0, flow=FLOW, size=512):
 @pytest.mark.parametrize("record, field", [
     (FLOW, "tag"),
     (packet(), "seq"),
+    (FlowRule("R1", FLOW, 0, "R1-R3"), "out_link"),
     (Simulator(evaluation_topology()).send_packet(packet()), "delivered"),
-], ids=["FlowId", "Packet", "DeliveryRecord"])
+], ids=["FlowId", "Packet", "FlowRule", "DeliveryRecord"])
 def test_records_are_immutable_tuples(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
@@ -369,6 +374,60 @@ class TestRouteChangesAfterSend:
                 sim.send_packet(packet(seq=seq, path_index=index))
             sim.retract_path(FLOW, 1)
         assert set(sim._compiled) <= set(sim._routes)
+
+
+class TestWalkReuse:
+    """A deploy checks its path once per (src, dst, path index) and reuses that
+    walk until an injection or a link removal."""
+
+    @pytest.mark.parametrize("bad, error", [
+        (["A-R1", "A-R2"], "path traverses host 'A'"),
+        (["R1-R3", "A-R2"], "non-contiguous path: link 'A-R2' does not touch 'R3'"),
+    ], ids=["host-transit", "non-contiguous"])
+    def test_another_path_of_the_same_length_is_checked_again(self, sim, bad, error):
+        flow = FlowId("R1", "R2")
+        sim.deploy_path(flow, ["R1-R3", "R2-R3"])
+        with pytest.raises(RoutingError, match=error):
+            sim.deploy_path(FlowId("R1", "R2", "other"), bad)
+        assert sim.all_rules() == [FlowRule("R3", flow, 0, "R2-R3")]
+
+    def test_an_injection_delays_a_later_deploy_over_the_kept_walk(self, sim):
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        base = sim.send_packet(packet()).latency_ms
+        sim.inject_latency(LatencyInjection("R3-R4", 7.0, 0.0, 100.0))
+        later = FlowId("A", "B", "later")
+        sim.deploy_path(later, DEFAULT_PATH)
+        assert sim.send_packet(packet(flow=later)).latency_ms == pytest.approx(base + 7.0)
+
+    def test_a_redeploy_over_a_removed_link_raises(self, sim):
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        sim.remove_link("R3-R4")
+        with pytest.raises(TopologyError, match="unknown link 'R3-R4'"):
+            sim.deploy_path(FlowId("A", "B", "later"), DEFAULT_PATH)
+
+    def test_churn_keeps_one_walk_per_pair_and_index(self):
+        """2,000 K=2 connect/close cycles on the 100 Mbps churn grid, up to 20
+        live, so loaded links move some pairs onto other paths: every deploy
+        forwards on the paths just allocated, and the kept walks never
+        outnumber the pairs connected times K."""
+        rng = random.Random("walks")
+        sim = Simulator(_churn_grid(rng, 0.5, 100.0))
+        hosts = sorted(n.id for n in sim.topology.nodes.values() if n.kind is NodeKind.HOST)
+        live, paths = [], {}
+        for cycle in range(2000):
+            src, dst = rng.sample(hosts, 2)
+            got = allocate_on(sim, src, dst, 2, 10.0, 5.0)
+            if not isinstance(got, AllocationFailure):
+                flow = FlowId(src, dst, f"c{cycle}")
+                live.append(deploy_mirror_paths(sim, flow, got, 10.0))
+                paths.setdefault((src, dst), set()).add(got.paths)
+                for index, path in enumerate(got.paths):
+                    sent = sim.send_packet(packet(flow=flow, path_index=index))
+                    assert sent.delivered and sent.hop_links == path
+            if len(live) > 20:
+                retract_mirror_paths(sim, live.pop(rng.randrange(len(live))))
+            assert len(sim._walks) <= 2 * len(paths)
+        assert sum(len(sets) > 1 for sets in paths.values()) > 10
 
 
 class TestLinkStatsAndSnapshot:
