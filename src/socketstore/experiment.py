@@ -185,15 +185,15 @@ def _store_for(sim: Simulator, config: ExperimentConfig,
 def _report(mode: str, per_seq: list[list[DeliveryRecord]], config: ExperimentConfig,
             cost: CostReport | None, failure_reason: str | None = None) -> ExperimentReport:
     """One CSV row per seq from the records of that seq's copies (a send gives
-    at least one), and the stats over each seq's earliest latency."""
+    at least one, copy i on path index i), and the stats over each seq's
+    earliest latency."""
     earliest = earliest_latencies(per_seq)
-    rows = []
-    for seq, (records, first) in enumerate(zip(per_seq, earliest)):
-        latency = {rec.packet.path_index: rec.latency_ms for rec in records}
-        violated = 0 if (first is not None and first <= config.deadline_ms) else 1
-        rows.append(PacketRow(seq, records[0].packet.sent_at_ms, latency.get(0),
-                              latency.get(1), first, violated))
-    return ExperimentReport(mode, rows, delivery_stats(earliest, config.deadline_ms), cost,
+    deadline_ms = config.deadline_ms
+    rows = [PacketRow(seq, records[0].packet.sent_at_ms, records[0].latency_ms,
+                      records[1].latency_ms if len(records) > 1 else None, first,
+                      0 if first is not None and first <= deadline_ms else 1)
+            for seq, (records, first) in enumerate(zip(per_seq, earliest))]
+    return ExperimentReport(mode, rows, delivery_stats(earliest, deadline_ms), cost,
                             failure_reason)
 
 

@@ -350,7 +350,8 @@ def mirror_send(
     deadline_ms: float,
 ) -> list[DeliveryRecord]:
     """Send exactly one copy per live path, all with the same seq. There are
-    no ACKs and no retransmissions: one traversal attempt per copy."""
+    no ACKs and no retransmissions: one traversal attempt per copy, copy i
+    on path index i."""
     if not handles.open:
         raise KMError("handles closed")
     return send_copies(sim, handles.flow, handles.k, seq, size_bytes, deadline_ms)
@@ -358,7 +359,8 @@ def mirror_send(
 
 def send_copies(sim: Simulator, flow: FlowId, copies: int, seq: int,
                 size_bytes: int, deadline_ms: float) -> list[DeliveryRecord]:
-    """Send one packet now on each path index 0..copies-1, all with `seq`."""
+    """Send one packet now on each path index 0..copies-1, all with `seq`;
+    copy i is sent on path index i."""
     now = sim.now_ms
     return [sim.send_packet(Packet(flow, seq, size_bytes, now, deadline_ms, index))
             for index in range(copies)]

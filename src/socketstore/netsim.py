@@ -269,6 +269,9 @@ class Simulator:
         self._compiled: dict[tuple[FlowId, int], tuple] = {}
         # (src, dst, path_index) -> (nodes, compiled form) of the path last checked for it
         self._walks: dict[tuple[str, str, int], tuple[tuple[str, ...], tuple]] = {}
+        # link -> its hop (base_ns, injections), shared by every compiled route on
+        # the link until its next injection or removal
+        self._link_hops: dict[str, tuple[int, Sequence[tuple[int, int, int]]]] = {}
         # link -> [(start_ns, end_ns, extra_ns)] of its latency injections
         self._injections: dict[str, list[tuple[int, int, int]]] = {}
         # link -> {seq: mbps}; a reservation handle is (link, seq)
@@ -327,6 +330,7 @@ class Simulator:
         }
         self._compiled.clear()  # a walk's bound counts links
         self._walks.clear()
+        self._link_hops.pop(link_id, None)
         self._link_changed(link_id)
         for per_link in (self._injections, self._reservations):
             per_link.pop(link_id, None)
@@ -372,7 +376,7 @@ class Simulator:
                 raise RoutingError(f"path traverses host {hop_node!r}")
         if len(set(nodes_on_path)) != len(nodes_on_path):
             raise RoutingError("path revisits a node")
-        return tuple(nodes_on_path), (path, self._hops(links), None)
+        return tuple(nodes_on_path), self._route(path, links, None)
 
     def retract_path(self, flow: FlowId, path_index: int = 0) -> int:
         """Remove the deployment of (flow, path_index); returns its switch rule count."""
@@ -415,8 +419,9 @@ class Simulator:
         if inj.start_ms >= inj.end_ms:
             raise NetsimError("inverted window")
         self._link_changed(inj.link)
-        self._compiled.clear()  # a compiled hop holds its link's injection list, or none
+        self._compiled.clear()  # a compiled route holds its injection windows
         self._walks.clear()
+        self._link_hops.pop(inj.link, None)  # its hop holds the injection list, or none
         self._injections.setdefault(inj.link, []).append(
             (ms_to_ns(inj.start_ms), ms_to_ns(inj.end_ms), ms_to_ns(inj.extra_ms)))
 
@@ -451,9 +456,7 @@ class Simulator:
     # -- packet delivery -----------------------------------------------------
 
     def _compile(self, key: tuple[FlowId, int]) -> tuple:
-        """Walk the route of `key` once: the links it forwards on, each as a hop
-        (base delay, that link's injections), and why a packet on it is dropped
-        (None if it arrives)."""
+        """Walk the route of `key` once into its `_route` form."""
         flow = key[0]
         self.node(flow.src)
         route, cursor, links = self._routes.get(key, {}), flow.src, []
@@ -465,14 +468,27 @@ class Simulator:
                 break
             links.append(self.link(out))
             cursor = links[-1].other_end(cursor)
-        compiled = (tuple(lk.id for lk in links), self._hops(links), drop_reason)
+        compiled = self._route(tuple(lk.id for lk in links), links, drop_reason)
         if key in self._routes:
             self._compiled[key] = compiled
         return compiled
 
-    def _hops(self, links: list[Link]) -> tuple:
-        return tuple((ms_to_ns(lk.base_latency_ms), self._injections.get(lk.id, ()))
-                     for lk in links)
+    def _route(self, path: tuple[str, ...], links: list[Link], drop_reason: str | None) -> tuple:
+        """A compiled route: the links it forwards on; each as a hop (base delay,
+        that link's injections); why a packet on it is dropped (None if it
+        arrives); the base delays and their sum; and each send-time window
+        [start - offset, end - offset) in which a hop's injection could apply,
+        offset being the base delays before that hop. A send outside every
+        window meets no injection, so its delays are the base ones."""
+        link_hops = self._link_hops
+        hops = tuple(link_hops.get(lk.id) or link_hops.setdefault(
+            lk.id, (ms_to_ns(lk.base_latency_ms), self._injections.get(lk.id, ())))
+            for lk in links)
+        base = tuple([delay_ns for delay_ns, _ in hops])
+        windows = tuple((start - offset, end - offset)
+                        for offset, (_, injections) in zip(accumulate(base, initial=0), hops)
+                        for start, end, _ in injections) if self._injections else ()
+        return path, hops, drop_reason, base, sum(base), windows
 
     def send_packet(self, packet: Packet) -> DeliveryRecord:
         """Send the packet along its deployed path, sampling each link's delay at the
@@ -480,16 +496,15 @@ class Simulator:
         ever happens; packets to a node outside the topology, or that hit a switch
         without a matching rule, are dropped. An unknown source raises."""
         key = (packet.flow, packet.path_index)
-        links, hops, drop_reason = self._compiled.get(key) or self._compile(key)
-        sent_ns = t_ns = ms_to_ns(packet.sent_at_ms)
-        delays = []
-        for delay_ns, injections in hops:
-            for start, end, extra in injections:
-                if start <= t_ns < end:
-                    delay_ns += extra
-            delays.append(delay_ns)
-            t_ns += delay_ns
-        delays, latency_ns = tuple(delays), t_ns - sent_ns
+        links, hops, drop_reason, delays, latency_ns, windows = (
+            self._compiled.get(key) or self._compile(key))
+        sent_ns = ms_to_ns(packet.sent_at_ms)
+        for lo, hi in windows:
+            if lo <= sent_ns < hi:  # an injection may apply on the way
+                delays = _walk_delays(hops, sent_ns)
+                latency_ns = sum(delays)
+                break
+        t_ns = sent_ns + latency_ns
         if drop_reason is not None:
             record = DeliveryRecord(packet, False, None, None, False, links, delays, drop_reason)
         else:
@@ -558,3 +573,16 @@ class Simulator:
         if lk.id not in self._injections:
             self._views[lk.id] = view
         return view
+
+
+def _walk_delays(hops: tuple, t_ns: int) -> tuple[int, ...]:
+    """Each hop's delay for a packet entering the first hop at `t_ns`, adding the
+    injections active at each hop's entry time."""
+    delays = []
+    for delay_ns, injections in hops:
+        for start, end, extra in injections:
+            if start <= t_ns < end:
+                delay_ns += extra
+        delays.append(delay_ns)
+        t_ns += delay_ns
+    return tuple(delays)

@@ -20,6 +20,7 @@ from socketstore.kmflash import (
     earliest_latencies,
     mirror_send,
     retract_mirror_paths,
+    send_copies,
 )
 from socketstore.netsim import (
     DeliveryRecord,
@@ -363,6 +364,30 @@ class TestReferenceAllocator:
         assert got.latencies_ms == (11.0, 11.0)
 
 
+def _zero_latency_cycle() -> dict:
+    """Hosts A and B (three NICs each) over switches s0, s2, s3 and s4. A K=3
+    min-latency flow from A to B also circles s3 -> s0 -> s2 -> s3 over three
+    0 ms links, so the walk A-s4-s3 that takes s3's first outgoing link in
+    link-id order, s0-s3, comes back to s3 before it leaves for B."""
+    edges = [("s4", "A", 1.0), ("s2", "B", 0.0), ("s0", "s3", 0.0), ("s2", "s0", 0.0),
+             ("s3", "B", 1.0), ("s2", "s3", 0.0), ("B", "s0", 1.0), ("s3", "s4", 0.0),
+             ("s2", "A", 1.0), ("s0", "A", 0.0)]
+    return {"nodes": [{"id": h, "kind": "host", "nic_count": 3} for h in "AB"]
+            + [{"id": s, "kind": "switch"} for s in ("s0", "s2", "s3", "s4")],
+            "links": [{"endpoints": [a, b], "capacity_mbps": 100.0, "latency_ms": ms}
+                      for a, b, ms in edges]}
+
+
+class TestZeroLatencyCycle:
+    def test_a_zero_latency_loop_is_cut_from_the_path(self):
+        sim = Simulator(build_topology(_zero_latency_cycle()))
+        got = allocate_disjoint_paths(sim.topology_snapshot(), "A", "B", 3, 10.0, 5.0)
+        assert got == PathSet((("s0-A", "B-s0"), ("s2-A", "s2-B"), ("s4-A", "s3-s4", "s3-B")),
+                              (1.0, 1.0, 2.0))
+        handles = deploy_mirror_paths(sim, FLOW, got, 10.0)
+        assert [rec.hop_links for rec in mirror_send(sim, handles, 0, 512, 5.0)] == list(got.paths)
+
+
 def _grid3():
     """A 3x3 switch grid of 0.1 ms, 20 Mbps links, so most pairs tie between
     paths and two 10 Mbps reservations fill a link."""
@@ -662,6 +687,13 @@ class TestMirrorSend:
         records = mirror_send(sim, handles, 0, 512, 5.0)
         assert len(records) == 2
         assert {r.packet.path_index for r in records} == {0, 1}
+
+    def test_copy_i_goes_on_path_index_i(self, sim):
+        """The experiment's CSV reads copy i of a seq as path index i."""
+        handles = deployed_handles(sim)
+        for records in (mirror_send(sim, handles, 0, 512, 5.0),
+                        send_copies(sim, FLOW, 3, 1, 512, 5.0)):
+            assert [rec.packet.path_index for rec in records] == list(range(len(records)))
 
     def test_injection_hits_one_copy_only(self, sim):
         handles = deployed_handles(sim)

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from socketstore.netsim import (
     FlowId,
     FlowRule,
     LatencyInjection,
+    NS_PER_MS,
     RATE_WINDOW_MS,
     NetsimError,
     NodeKind,
@@ -405,6 +407,20 @@ class TestWalkReuse:
         with pytest.raises(TopologyError, match="unknown link 'R3-R4'"):
             sim.deploy_path(FlowId("A", "B", "later"), DEFAULT_PATH)
 
+    def test_walks_over_a_link_share_its_hop_until_an_injection_or_removal(self, sim):
+        def hops(flow):
+            return sim._compiled[(flow, 0)][1]
+
+        other = FlowId("R1", "B")
+        sim.deploy_path(FLOW, DEFAULT_PATH)
+        sim.deploy_path(other, DEFAULT_PATH[1:])
+        assert all(a is b for a, b in zip(hops(FLOW)[1:], hops(other)))
+        sim.inject_latency(LatencyInjection("R4-B", 1.0, 0.0, 1.0))
+        sim.deploy_path(other, DEFAULT_PATH[1:])
+        assert hops(other)[-1][1] == [(0, NS_PER_MS, NS_PER_MS)]
+        sim.remove_link("R4-B")
+        assert "R4-B" not in sim._link_hops
+
     def test_churn_keeps_one_walk_per_pair_and_index(self):
         """2,000 K=2 connect/close cycles on the 100 Mbps churn grid, up to 20
         live, so loaded links move some pairs onto other paths: every deploy
@@ -428,6 +444,42 @@ class TestWalkReuse:
                 retract_mirror_paths(sim, live.pop(rng.randrange(len(live))))
             assert len(sim._walks) <= 2 * len(paths)
         assert sum(len(sets) > 1 for sets in paths.values()) > 10
+
+
+class TestBaseDelays:
+    """A send outside every injection window of its route, each window shifted
+    back by the base delays before its hop, takes the route's base delays
+    as they are; any other send walks the hops."""
+
+    INJECTIONS = [
+        LatencyInjection("R1-R3", 2.0, 5.0, 9.0),
+        LatencyInjection("R1-R3", 1.5, 7.0, 12.0),  # overlaps the window above
+        LatencyInjection("R3-R4", 3.0, -4.0, 2.0),  # starts before 0
+        LatencyInjection("R4-B", 0.5, 3.0, 6.0),  # two back-to-back windows on one link
+        LatencyInjection("R4-B", 0.25, 6.0, 8.0),
+    ]
+
+    def test_sends_on_every_window_edge_match_the_reference(self, sim):
+        ref = ReferenceSimulator(evaluation_topology())
+        for target in (sim, ref):
+            target.deploy_path(FLOW, DEFAULT_PATH)
+            for inj in self.INJECTIONS:  # after the deploy, which compiled the route
+                target.inject_latency(inj)
+        offsets = dict(zip(DEFAULT_PATH, accumulate(
+            (ms_to_ns(sim.link(lid).base_latency_ms) for lid in DEFAULT_PATH), initial=0)))
+        windows = [(ms_to_ns(inj.start_ms) - offsets[inj.link],
+                    ms_to_ns(inj.end_ms) - offsets[inj.link]) for inj in self.INJECTIONS]
+        base = sim.send_packet(packet(sent_at=1000.0)).hop_delays_ns
+        for lo, hi in windows:
+            for sent_ns in (lo - 1, lo, hi - 1, hi):
+                pkt = packet(sent_at=sent_ns / NS_PER_MS)
+                assert ms_to_ns(pkt.sent_at_ms) == sent_ns
+                record = sim.send_packet(pkt)
+                assert record == ref.send_packet(pkt)
+                assert record.hops == ref.last_hops
+                if not any(w_lo <= sent_ns < w_hi for w_lo, w_hi in windows):
+                    assert record.hop_delays_ns is base  # shared, not walked again
+        assert sim.send_packet(packet(sent_at=windows[0][0] / NS_PER_MS)).hop_delays_ns != base
 
 
 class TestLinkStatsAndSnapshot:
