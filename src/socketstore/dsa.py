@@ -128,9 +128,10 @@ class Connection:
         self._seq += 1
         records = send_copies(self.client.sim, self.flow, self.paths, seq, size_bytes,
                               self.deadline_ms)
+        offer = self._rx.offer
         for rec in records:
             if rec.delivered:
-                self._rx.offer(seq, rec.arrive_at_ms, payload)
+                offer(seq, rec.arrive_at_ms, payload)
         return records
 
     def recv(self) -> list[tuple[int, object]]:

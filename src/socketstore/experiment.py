@@ -24,7 +24,7 @@ from .fixtures import (
     load_topology,
 )
 from .kmflash import DeliveryStats, delivery_stats, earliest_latencies, paced, run_single_path
-from .netsim import MAX_MS, DeliveryRecord, LatencyInjection, Simulator
+from .netsim import MAX_MS, DeliveryRecord, LatencyInjection, Simulator, new_tuple
 from .records import from_doc
 from .store import BASELINE_MODULE_ID, CostReport, SocketStore
 from .wire import LocalTransport, StoreProtocol
@@ -189,20 +189,21 @@ def _report(mode: str, per_seq: list[list[DeliveryRecord]], config: ExperimentCo
     earliest latency."""
     earliest = earliest_latencies(per_seq)
     deadline_ms = config.deadline_ms
-    rows = [PacketRow(seq, records[0].packet.sent_at_ms, records[0].latency_ms,
-                      records[1].latency_ms if len(records) > 1 else None, first,
-                      0 if first is not None and first <= deadline_ms else 1)
+    rows = [new_tuple(PacketRow, (seq, records[0].packet.sent_at_ms, records[0].latency_ms,
+                                  records[1].latency_ms if len(records) > 1 else None, first,
+                                  0 if first is not None and first <= deadline_ms else 1))
             for seq, (records, first) in enumerate(zip(per_seq, earliest))]
     return ExperimentReport(mode, rows, delivery_stats(earliest, deadline_ms), cost,
                             failure_reason)
 
 
 def render_csv(report: ExperimentReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")  # None -> "", a float -> its repr
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(report.rows)
-    return buf.getvalue()
+    """The bytes `csv.writer(lineterminator="\\n")` writes for the header and
+    rows: a float as its repr, None as "", an int as it is; no field needs quotes."""
+    rows = [f"{seq},{sent!r},{'' if lat0 is None else repr(lat0)},"
+            f"{'' if lat1 is None else repr(lat1)},{'' if first is None else repr(first)},"
+            f"{violated}" for seq, sent, lat0, lat1, first, violated in report.rows]
+    return "\n".join([",".join(CSV_COLUMNS), *rows, ""])
 
 
 def stats_from_csv(text: str, deadline_ms: float) -> DeliveryStats:

@@ -29,6 +29,7 @@ from .netsim import (
     Simulator,
     TopologyView,
     ms_to_ns,
+    new_tuple,
 )
 
 DEFAULT_SPREAD_MS = 1.0
@@ -361,8 +362,8 @@ def send_copies(sim: Simulator, flow: FlowId, copies: int, seq: int,
                 size_bytes: int, deadline_ms: float) -> list[DeliveryRecord]:
     """Send one packet now on each path index 0..copies-1, all with `seq`;
     copy i is sent on path index i."""
-    now = sim.now_ms
-    return [sim.send_packet(Packet(flow, seq, size_bytes, now, deadline_ms, index))
+    now, send = sim.now_ms, sim.send_packet
+    return [send(new_tuple(Packet, (flow, seq, size_bytes, now, deadline_ms, index)))
             for index in range(copies)]
 
 
@@ -402,8 +403,15 @@ class DeliveryStats:
 
 def earliest_latencies(per_seq: Iterable[list[DeliveryRecord]]) -> list[float | None]:
     """Each seq's earliest delivered latency (None: lost), for each seq that sent a copy."""
-    return [min([rec.latency_ms for rec in records if rec.delivered], default=None)
-            for records in per_seq if records]
+    out = []
+    for records in per_seq:
+        if records:
+            first = None
+            for rec in records:
+                if rec.delivered and (first is None or rec.latency_ms < first):
+                    first = rec.latency_ms
+            out.append(first)
+    return out
 
 
 def delivery_stats(latencies: Iterable[float | None], deadline_ms: float) -> DeliveryStats:

@@ -34,6 +34,11 @@ def ns_to_ms(ns: int) -> float:
     return ns / NS_PER_MS
 
 
+# `new_tuple(Cls, values)`: the named tuple `Cls` of all its field values in order,
+# without the argument parsing of `Cls.__new__`; per-packet records use it.
+new_tuple = tuple.__new__
+
+
 class NetsimError(Exception):
     """Base error for topology and simulator misuse."""
 
@@ -290,7 +295,7 @@ class Simulator:
 
     @property
     def now_ms(self) -> float:
-        return ns_to_ms(self._now_ns)
+        return self._now_ns / NS_PER_MS  # ns_to_ms, inlined as on the send path
 
     def schedule_in(self, delta_ms: float, action: Callable[[], None]) -> None:
         at_ns = max(ms_to_ns(self.now_ms + delta_ms), self._now_ns)
@@ -299,7 +304,7 @@ class Simulator:
 
     def run_until(self, until_ms: float) -> None:
         """Process events with fire time <= until_ms, then advance the clock."""
-        until_ns = ms_to_ns(until_ms)
+        until_ns = round(until_ms * NS_PER_MS)  # ms_to_ns, inlined as on the send path
         while self._events and self._events[0][0] <= until_ns:
             fire_ns, _, action = heapq.heappop(self._events)
             self._now_ns = max(self._now_ns, fire_ns)
@@ -498,7 +503,8 @@ class Simulator:
         key = (packet.flow, packet.path_index)
         links, hops, drop_reason, delays, latency_ns, windows = (
             self._compiled.get(key) or self._compile(key))
-        sent_ns = ms_to_ns(packet.sent_at_ms)
+        # ms_to_ns and ns_to_ms inlined: the same arithmetic without a call per send
+        sent_ns = round(packet.sent_at_ms * NS_PER_MS)
         for lo, hi in windows:
             if lo <= sent_ns < hi:  # an injection may apply on the way
                 delays = _walk_delays(hops, sent_ns)
@@ -506,10 +512,12 @@ class Simulator:
                 break
         t_ns = sent_ns + latency_ns
         if drop_reason is not None:
-            record = DeliveryRecord(packet, False, None, None, False, links, delays, drop_reason)
+            record = new_tuple(DeliveryRecord, (packet, False, None, None, False, links, delays,
+                                                drop_reason))
         else:
-            record = DeliveryRecord(packet, True, ns_to_ms(t_ns), ns_to_ms(latency_ns),
-                                    latency_ns > ms_to_ns(packet.deadline_ms), links, delays)
+            record = new_tuple(DeliveryRecord, (
+                packet, True, t_ns / NS_PER_MS, latency_ns / NS_PER_MS,
+                latency_ns > round(packet.deadline_ms * NS_PER_MS), links, delays, None))
         # records end out of send order, so link_rate_mbps filters what this pop keeps
         while self._recent and self._recent[0][0] <= self._now_ns - RATE_WINDOW_NS:
             self._recent.popleft()

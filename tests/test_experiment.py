@@ -1,13 +1,20 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socketstore.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
     ExperimentError,
+    ExperimentReport,
     InjectionConfig,
+    PacketRow,
+    _report,
     config_from_file,
     render_csv,
     run_experiment,
@@ -15,6 +22,8 @@ from socketstore.experiment import (
     write_report,
 )
 from socketstore.fixtures import EVALUATION_TOPOLOGY
+from socketstore.kmflash import delivery_stats, earliest_latencies
+from socketstore.netsim import DeliveryRecord, FlowId, Packet
 
 
 class TestModuleRun:
@@ -198,6 +207,31 @@ class TestCSV:
         assert hashlib.sha256(render_csv(report).encode()).hexdigest() == csv_sha256
         assert report.stats.deadline_violations == violations
 
+    def test_edge_rows_written_as_csv_writer_writes_them(self):
+        """None in each optional column, zeros of both signs, the least
+        subnormal, a float past 2**53, a sum that rounds, a float that repr
+        writes in exponent form, a seq of seven digits, and both violated values;
+        the statistics read back from the text are the report's."""
+        rows = [PacketRow(0, 0.0, None, 1.5, 1.5, 0),
+                PacketRow(1, -0.0, 0.0, None, 0.0, 0),
+                PacketRow(2, 5e-324, 1e-05, 0.1 + 0.2, 1e-05, 0),
+                PacketRow(3, 1e16, 1e16, 2.5, None, 1),
+                PacketRow(10**6, 0.1 + 0.2, None, None, None, 1),
+                PacketRow(10**6 + 1, 1e-05, 5e-324, 1e16, 1e16, 1)]
+        deadline_ms = 2.0
+        report = ExperimentReport("module", rows, delivery_stats(
+            [row.earliest_ms for row in rows], deadline_ms), None)
+        assert render_csv(report).encode() == csv_writer_text(rows).encode()
+        assert stats_from_csv(render_csv(report), deadline_ms) == report.stats
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.builds(
+        PacketRow, st.integers(min_value=0, max_value=10**7), st.floats(allow_nan=False),
+        *[st.none() | st.floats(allow_nan=False)] * 3, st.sampled_from([0, 1]))))
+    def test_property_rows_written_as_csv_writer_writes_them(self, rows):
+        report = ExperimentReport("module", rows, delivery_stats([], 1.0), None)
+        assert render_csv(report) == csv_writer_text(rows)
+
     def test_write_report_files(self, tmp_path):
         report = run_experiment(ExperimentConfig(packet_count=5))
         paths = write_report(report, str(tmp_path), prefix="demo")
@@ -208,3 +242,58 @@ class TestCSV:
         assert "cost" in summary
         with open(paths["csv"], "r", encoding="utf-8") as fh:
             assert fh.readline().strip() == ",".join(CSV_COLUMNS)
+
+
+def csv_writer_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
+    return buf.getvalue()
+
+
+def record(seq: int, index: int, sent_at_ms: float, latency_ms: float | None) -> DeliveryRecord:
+    """Copy `index` of `seq`; a latency of None is a lost copy."""
+    delivered = latency_ms is not None
+    return DeliveryRecord(Packet(FlowId("A", "B", "f"), seq, 512, sent_at_ms, 5.0, index),
+                          delivered, sent_at_ms + latency_ms if delivered else None, latency_ms,
+                          False, (), ())
+
+
+# a few latencies, so that a seq's copies often tie; None is a lost copy
+LATENCIES = st.none() | st.sampled_from([0.0, 1.0, 1.5, 2.0, 12.0])
+
+
+def per_seq_lists(min_copies: int):
+    """Each seq's records, copy i on path index i, all sent at the seq's time."""
+    return st.lists(st.tuples(st.sampled_from([0.0, 0.37, 1e-05, 250.0]),
+                              st.lists(LATENCIES, min_size=min_copies, max_size=3)),
+                    max_size=12).map(lambda seqs: [
+                        [record(seq, index, sent, lat) for index, lat in enumerate(lats)]
+                        for seq, (sent, lats) in enumerate(seqs)])
+
+
+class TestReduction:
+    """The per-seq reduction that the report and the testbed share, against
+    its definition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(per_seq=per_seq_lists(min_copies=0))
+    def test_property_earliest_is_the_least_delivered_latency(self, per_seq):
+        assert earliest_latencies(per_seq) == [
+            min([rec.latency_ms for rec in records if rec.delivered], default=None)
+            for records in per_seq if records]
+
+    @settings(max_examples=300, deadline=None)
+    @given(per_seq=per_seq_lists(min_copies=1), deadline_ms=st.sampled_from([0.5, 1.5, 2.0]))
+    def test_property_report_rows_match_their_definition(self, per_seq, deadline_ms):
+        report = _report("module", per_seq, ExperimentConfig(deadline_ms=deadline_ms), None)
+        expected = []
+        for seq, records in enumerate(per_seq):
+            first = min([rec.latency_ms for rec in records if rec.delivered], default=None)
+            expected.append(PacketRow(
+                seq=seq, sent_at_ms=records[0].packet.sent_at_ms,
+                latency_path0_ms=records[0].latency_ms,
+                latency_path1_ms=records[1].latency_ms if len(records) > 1 else None,
+                earliest_ms=first, violated=0 if first is not None and first <= deadline_ms else 1))
+        assert all(type(row) is PacketRow for row in report.rows)
+        assert [row._asdict() for row in report.rows] == [row._asdict() for row in expected]
+        assert report.stats == delivery_stats([row.earliest_ms for row in expected], deadline_ms)

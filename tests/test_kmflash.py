@@ -695,6 +695,19 @@ class TestMirrorSend:
                         send_copies(sim, FLOW, 3, 1, 512, 5.0)):
             assert [rec.packet.path_index for rec in records] == list(range(len(records)))
 
+    def test_closed_handles_send_nothing_and_retract_once(self, sim):
+        """Retracting closes the handles: a send on them raises before any
+        copy leaves, and a second retract changes nothing."""
+        handles = deployed_handles(sim)
+        retract_mirror_paths(sim, handles)
+        state = (sim.changes, sim.links_changed_since(0), set(sim.all_rules()))
+        with pytest.raises(KMError, match="handles closed"):
+            mirror_send(sim, handles, 0, 512, 5.0)
+        assert sim.link_rate_mbps(DEFAULT_PATH[0]) == 0.0
+        retract_mirror_paths(sim, handles)
+        assert not handles.open
+        assert (sim.changes, sim.links_changed_since(0), set(sim.all_rules())) == state
+
     def test_injection_hits_one_copy_only(self, sim):
         handles = deployed_handles(sim)
         sim.inject_latency(LatencyInjection("R4-B", 10.0, 0.0, 100.0))
