@@ -15,6 +15,7 @@ import json
 import os
 import secrets
 import statistics
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -211,6 +212,7 @@ class SocketStore:
         self.library = library or default_library()
         self.data_path = data_path
         self._token_factory = token_factory or (lambda: secrets.token_hex(16))
+        self._fh = None  # the store file, kept open for appends between writes (see _persist)
         self._load()
         self.sim: Simulator | None = None
         self.runtime: AgentRuntime | None = None
@@ -639,8 +641,9 @@ class SocketStore:
 
     def _persist(self, changed: bool = False) -> None:
         """Bring the file at `data_path` up to date: the snapshot line, then one line per log
-        entry. A write appends, unless the snapshot `changed` (only store methods change it and
-        say so) or the file was replaced or shrank; then it renames a whole `<file>.tmp` over it."""
+        entry. A write appends, through a handle kept open while the file stays at the path,
+        unless the snapshot `changed` (only store methods change it and say so) or the file was
+        replaced or shrank; then it renames a whole `<file>.tmp` over it."""
         if not self.data_path:
             return
         path, ino, size, logged, first_line = self._file  # as this store last read or wrote it
@@ -653,11 +656,17 @@ class SocketStore:
         try:
             if append:
                 text = "".join(_encode(vars(e)) + "\n" for e in self.log[logged:])
-                with open(path, "a", encoding="utf-8") as fh:
-                    if st.st_size > size:  # a torn last line: cut back to the complete ones
-                        fh.truncate(size)
-                    fh.write(text)
+                if self._fh is None:  # the first append since the file was read or rewritten
+                    self._fh = open(path, "ab", buffering=0)
+                    self._fh_closer = weakref.finalize(self, self._fh.close)
+                    ino = os.fstat(self._fh.fileno()).st_ino  # appends go on while at the path
+                if st.st_size > size:  # a torn last line: cut back to the complete ones
+                    self._fh.truncate(size)
+                data = memoryview(text.encode())
+                while data:  # a raw write may take only part of the bytes
+                    data = data[self._fh.write(data):]
             else:
+                self._close_file()
                 text = self._snapshot() + "\n" + "".join(_encode(vars(e)) + "\n" for e in self.log)
                 os.makedirs(os.path.dirname(self.data_path) or ".", exist_ok=True)
                 with open(tmp_path, "w", encoding="utf-8") as fh:
@@ -672,10 +681,17 @@ class SocketStore:
         self._file = (self.data_path, ino, (size if append else 0) + len(text), len(self.log),
                       None)
 
+    def _close_file(self) -> None:
+        """Close the handle appends go through, if open; the next append opens the file anew."""
+        if self._fh is not None:
+            self._fh_closer()  # closes it now, and not again when the store is collected
+            self._fh = None
+
     def _load(self) -> None:
         """Set every persisted field from `data_path`, or to an empty store's
         when there is no file. State that is not persisted (agents, rules,
         instances, aliases) is left as it is."""
+        self._close_file()
         state, data, size, ino = _StoreFile(), b"", 0, None
         if self.data_path and os.path.exists(self.data_path):
             with open(self.data_path, "rb") as fh:

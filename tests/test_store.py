@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import os
 import random
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -123,6 +125,19 @@ def disk_full(fh, text):
     raise OSError("disk full")
 
 
+def appends_opened(monkeypatch) -> list:
+    """Make the store module's `open` record the path of each file it opens for appending."""
+    opened = []
+
+    def recording_open(path, mode="r", **kwargs):
+        if "a" in mode:
+            opened.append(path)
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(store_module, "open", recording_open, raising=False)
+    return opened
+
+
 def reference_bytes(store: SocketStore) -> bytes:
     """The store file as a rewrite of the whole in-memory state writes it:
     the snapshot line, every persisted field but the log, then one line per
@@ -227,6 +242,45 @@ class TestReview:
         assert store.module(mid).state is ModuleState.RETIRED
         with pytest.raises(IllegalTransition):
             store.start_review(mid, REVIEWER)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda store, mid: UsageLedger().open("bogus", "r1", 1.0, 0.0),
+         StoreError, "unknown resource kind 'bogus'"),
+        (lambda store, mid: store.register_specialist(""), StoreError, "empty specialist id"),
+        (lambda store, mid: store.submit_module(variant(store, mid)),
+         StoreError, "duplicate module 'flash-delivery'"),
+        (lambda store, mid: store.start_review(mid, AUTHOR), StoreError, "self-review"),
+        (lambda store, mid: store.review_decision(mid, "maybe", REVIEWER),
+         StoreError, "unknown decision 'maybe'"),
+        (lambda store, mid: store.resubmit_revision("other", variant(store, "other", version=2)),
+         IllegalTransition, "illegal transition submitted -> in_review"),
+        (lambda store, mid: store.resubmit_revision(mid, variant(store, "other", version=2)),
+         StoreError, "revision must keep module_id and author"),
+        (lambda store, mid: store.resubmit_revision(mid, dataclasses.replace(
+            flash_delivery_manifest(store.library), version=2, author="someone-else")),
+         StoreError, "revision must keep module_id and author"),
+        (lambda store, mid: store.resubmit_revision(mid, dataclasses.replace(
+            flash_delivery_manifest(store.library), version=2, metric_ids=())),
+         StoreError, "module must declare a metric"),
+        (lambda store, mid: store.revoke_license(APP, mid), StoreError, "no such license"),
+    ], ids=["unknown-resource-kind", "empty-specialist-id", "duplicate-module",
+            "self-review-at-start", "unknown-decision", "resubmit-not-requested",
+            "revision-changes-module-id", "revision-changes-author", "revision-violations",
+            "revoke-missing-license"])
+    def test_refused_call_changes_nothing(self, call, error, message):
+        """Each refusal of the lifecycle raises its own message and leaves the persisted
+        state as it was, beside a module whose review asked for a revision and one only
+        submitted."""
+        store = fresh_store(with_sim=False)
+        mid = store.submit_module(flash_delivery_manifest(store.library))
+        store.start_review(mid, REVIEWER)
+        store.review_decision(mid, "revise", REVIEWER)
+        store.submit_module(variant(store, "other"))
+        before = reference_bytes(store)
+        with pytest.raises(error) as raised:
+            call(store, mid)
+        assert str(raised.value) == message
+        assert reference_bytes(store) == before
 
 
 class TestSearch:
@@ -1211,6 +1265,101 @@ class TestPersistence:
         first.authorize("bogus-token", mid)
         assert path.read_bytes() == reference_bytes(first)
         assert reference_bytes(SocketStore(data_path=str(path))) == path.read_bytes()
+
+    def test_log_only_writes_between_rewrites_open_the_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+        store = fresh_store(with_sim=False, data_path=str(path))
+        mid = publish_flash(store)
+        opened = appends_opened(monkeypatch)
+        for _ in range(5):
+            store.authorize("bogus-token", mid)
+        store.purchase(APP, mid)  # a rewrite: the next append opens the new file
+        for _ in range(3):
+            store.authorize("bogus-token", mid)
+        assert opened == [str(path)] * 2
+        assert path.read_bytes() == reference_bytes(store)
+
+    def test_kept_handle_never_writes_to_a_replaced_file(self, tmp_path):
+        """Once another store has renamed a new file over the path, the first store's next
+        writes land in that file, and the one its kept handle was open on gets no byte."""
+        path = tmp_path / "store.json"
+        first = fresh_store(with_sim=False, data_path=str(path))
+        mid = publish_flash(first)
+        first.authorize("bogus-token", mid)  # an append: the handle stays open on this file
+        with open(path, "rb") as replaced:
+            SocketStore(data_path=str(path)).purchase(APP, mid)
+            size = os.fstat(replaced.fileno()).st_size
+            for _ in range(2):
+                first.authorize("bogus-token", mid)
+            assert os.fstat(replaced.fileno()).st_size == size
+            assert os.fstat(replaced.fileno()).st_nlink == 0  # unlinked by the rename
+        assert path.read_bytes() == reference_bytes(first)
+        assert SocketStore(data_path=str(path)).log[-1].action == "authorize"
+
+    def test_append_takes_every_byte_through_short_writes(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+        store = fresh_store(data_path=str(path))
+        token = purchased_token(store)
+        taken = []
+
+        def seven_bytes(fh, data):
+            taken.append(fh.write(data[:7]))
+            return taken[-1]
+
+        fault_store_writes(monkeypatch, seven_bytes)
+        store._runtime_log("agent-1", "probe", "ok", n=1)
+        store.authorize(token, "flash-delivery")
+        assert len(taken) > 2 and set(taken) <= set(range(1, 8))
+        assert path.read_bytes() == reference_bytes(store)
+
+    def test_append_after_a_failed_one_opens_the_file_anew(self, tmp_path, monkeypatch):
+        """The handle that one append went through fails halfway through the next line; the
+        append after that opens the file again, and none goes through the failed handle."""
+        path = tmp_path / "store.json"
+        store = fresh_store(data_path=str(path))
+        token = purchased_token(store)
+        writes = []
+
+        def second_write_fails_mid_line(fh, data):
+            writes.append(len(data))
+            if len(writes) != 2:
+                return fh.write(data)
+            fh.write(data[:len(data) // 2])
+            raise OSError("disk gone mid-line")
+
+        fault_store_writes(monkeypatch, second_write_fails_mid_line)
+        store.authorize(token, "flash-delivery")
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="mid-line"):
+            store.authorize(token, "flash-delivery")
+        assert path.read_bytes() == before
+        monkeypatch.undo()
+        opened = appends_opened(monkeypatch)
+        store.authorize(token, "flash-delivery")
+        assert opened == [str(path)] and len(writes) == 2
+        assert path.read_bytes() == reference_bytes(store)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_collected_stores_leave_no_descriptor_open(self, tmp_path):
+        """Stores that each appended once hold one descriptor each; once they are collected,
+        none is left open and no file was closed by its own collection."""
+        seed = tmp_path / "seed.json"
+        fresh_store(with_sim=False, data_path=str(seed))
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        stores = []
+        for i in range(300):
+            path = tmp_path / f"store-{i}.json"
+            path.write_bytes(seed.read_bytes())
+            stores.append(SocketStore(data_path=str(path)))
+            stores[-1].authorize("bogus-token", "flash-delivery")
+        assert len(os.listdir("/proc/self/fd")) >= before + 300
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del stores
+            gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_torn_tail_is_dropped_and_cut_back_before_the_next_append(self, tmp_path):
         path = tmp_path / "store.json"
