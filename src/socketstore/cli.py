@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import fixtures
+from .dsa import DsaError
 from .experiment import (
     ExperimentConfig,
     ExperimentError,
@@ -125,8 +126,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:  # each command's handler is named after it: cmd_run_experiment for run-experiment
         return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
-    except (StoreError, IllegalTransition, ExperimentError, NetsimError, OSError,
-            ValueError, RecursionError) as exc:  # a file nested too deep to decode
+    except (StoreError, IllegalTransition, ExperimentError, NetsimError, DsaError,
+            OSError, ValueError, RecursionError) as exc:  # a file nested too deep to decode
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

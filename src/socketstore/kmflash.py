@@ -136,33 +136,29 @@ def allocate_on(sim: Simulator, src: str, dst: str, k: int, rate_mbps: float,
                 ) -> PathSet | AllocationFailure:
     """`allocate_disjoint_paths` on a snapshot of `sim`, memoized per simulator
     until the links whose residual covers the rate, or their latencies, change
-    (all the search reads: node kinds and link ends are fixed), rechecking only
-    links changed since the last call; it snapshots only on a miss or a new rate.
+    (all the search reads: node kinds and link ends are fixed). One loop rechecks
+    that map: every link on a first call or a new rate, else the links changed
+    since the last call; results go only when it differs, and only a miss snapshots.
     A pair keeps a PathSet per k up to its disjoint-path count n and one failure
     for every k above n; the latency and spread bounds are checked on every call."""
-    memo, view = _ALLOCATIONS.get(sim), None
-    if memo is None or memo[2] != rate_mbps:
-        view = sim.topology_snapshot()
-        eligible = {lk.id: lk.latency_ms for lk in view.links
-                    if lk.residual_mbps + 1e-12 >= rate_mbps}
-        if memo is None or memo[0] != eligible:
-            memo = _ALLOCATIONS[sim] = [eligible, {}, rate_mbps, 0]
-    else:
-        eligible, now = memo[0], sim.now_ms
-        for lid, injected in sim.links_changed_since(memo[3]).items():
-            lk, old = sim.topology.links.get(lid), eligible.pop(lid, None)
-            if lk is not None and lk.capacity_mbps - sim.link_load_mbps(lid) + 1e-12 >= rate_mbps:
-                # without injections a link keeps its base delay
-                eligible[lid] = sim.link_delay_ms(lid, now) if injected or old is None else old
-            if eligible.get(lid) != old:
-                memo[1].clear()
+    memo = _ALLOCATIONS.setdefault(sim, [{}, {}, None, 0])
+    eligible, now = memo[0], sim.now_ms
+    recheck = (sim.links_changed_since(memo[3]) if memo[2] == rate_mbps
+               else dict.fromkeys([*eligible, *sim.topology.links], True))
+    for lid, injected in recheck.items():
+        lk, old = sim.topology.links.get(lid), eligible.pop(lid, None)
+        if lk is not None and lk.capacity_mbps - sim.link_load_mbps(lid) + 1e-12 >= rate_mbps:
+            # without injections a link keeps its base delay
+            eligible[lid] = sim.link_delay_ms(lid, now) if injected or old is None else old
+        if eligible.get(lid) != old:
+            memo[1].clear()
     memo[2:] = rate_mbps, sim.changes
     found = memo[1].get((src, dst, None))
     if found is None or k <= found.max_feasible_k:
         found = memo[1].get((src, dst, k))
     if found is None:
-        found = allocate_disjoint_paths(view or sim.topology_snapshot(), src, dst, k,
-                                        rate_mbps, math.inf, math.inf)
+        found = allocate_disjoint_paths(sim.topology_snapshot(), src, dst, k, rate_mbps,
+                                        math.inf, math.inf)
         memo[1][src, dst, k if isinstance(found, PathSet) else None] = found
     if isinstance(found, AllocationFailure):
         return found
@@ -210,47 +206,34 @@ def _shortest_residual_path(arcs, used, src, dst):
         return None
     path: list[tuple[str, str, str]] = []
     cursor = dst
-    hops = 0
     while cursor != src:
         u, lid = pred[cursor]
         path.append((u, cursor, lid))
         cursor = u
-        hops += 1
-        if hops > len(out):
+        if len(path) > len(out):
             raise KMError("predecessor cycle during path reconstruction")
     path.reverse()
     return path
 
 
 def _decompose(used, src, dst, k):
+    """The K src->dst paths of the flow `used` (link id -> direction): each walk
+    leaves a node by its lowest-id unwalked link and, on coming back to a node
+    it holds, cuts the zero-cost loop since then, so no path revisits a switch."""
     out: dict[str, list[tuple[str, str]]] = {}
     for lid, (u, v) in sorted(used.items()):
         out.setdefault(u, []).append((lid, v))
     paths = []
     for _ in range(k):
-        cursor = src
-        walk: list[str] = []
-        nodes = [src]
+        cursor, walk = src, {src: None}  # each node walked -> the link into it, in walk order
         while cursor != dst:
-            lid, nxt = out[cursor].pop(0)
-            walk.append(lid)
-            nodes.append(nxt)
-            cursor = nxt
-        # strip zero-cost loops so the deployed path never revisits a switch
-        seen: dict[str, int] = {}
-        i = 0
-        while i < len(nodes):
-            node = nodes[i]
-            if node in seen:
-                j = seen[node]
-                del nodes[j + 1 : i + 1]
-                walk[j:i] = []
-                seen = {n: idx for idx, n in enumerate(nodes[: j + 1])}
-                i = j + 1
-                continue
-            seen[node] = i
-            i += 1
-        paths.append(tuple(walk))
+            lid, cursor = out[cursor].pop(0)
+            if cursor in walk:
+                while next(reversed(walk)) != cursor:
+                    walk.popitem()
+            else:
+                walk[cursor] = lid
+        paths.append(tuple(walk.values())[1:])
     return tuple(paths)
 
 
@@ -273,7 +256,7 @@ def default_shortest_path(view: TopologyView, src: str, dst: str) -> list[str] |
         if node in done:
             continue
         done.add(node)
-        for w, nxt, lid in sorted(adj[node], key=lambda t: (t[0], t[1])):
+        for w, nxt, lid in adj[node]:
             if nxt not in done:
                 heapq.heappush(heap, (dist + w, nodes + (nxt,), linkids + (lid,)))
     return None

@@ -7,7 +7,8 @@ BFS max-flow for the unit-capacity bound, a duplicate filter that
 rebuilds its seen-set on every new highest seq, per-seq delivery
 statistics that group every copy by seq before reducing, simulator
 route, reservation and injection tables that filter every entry on read,
-and a residual Bellman-Ford that relaxes every arc on every pass.
+a residual Bellman-Ford that relaxes every arc on every pass, and a flow
+decomposition that cuts a walk's loops only after the whole walk.
 """
 
 from __future__ import annotations
@@ -208,9 +209,11 @@ def max_flow_unit(view: TopologyView, src: str, dst: str, min_residual: float = 
         flow += 1
 
 
-def random_connected_view(rng: random.Random, max_nodes: int = 8) -> TopologyView:
+def random_connected_view(rng: random.Random, max_nodes: int = 8,
+                          tenths: tuple[int, int] = (1, 50)) -> TopologyView:
     """Random connected graph of switches as a TopologyView, with latencies
-    in tenths of a millisecond so sums stay exactly comparable."""
+    of a whole number of tenths of a millisecond drawn from the range
+    `tenths`, so sums stay exactly comparable."""
     n = rng.randint(2, max_nodes)
     ids = [f"n{i}" for i in range(n)]
     nodes = tuple(Node(i, NodeKind.SWITCH) for i in ids)
@@ -230,7 +233,7 @@ def random_connected_view(rng: random.Random, max_nodes: int = 8) -> TopologyVie
             id=f"{a}-{b}",
             endpoints=(a, b),
             capacity_mbps=100.0,
-            latency_ms=rng.randint(1, 50) / 10.0,
+            latency_ms=rng.randint(*tenths) / 10.0,
             load_mbps=0.0,
         )
         for a, b in sorted(edges)
@@ -282,6 +285,29 @@ def reference_shortest_residual_path(node_ids, links, used, src, dst):
             raise KMError("predecessor cycle during path reconstruction")
     path.reverse()
     return path
+
+
+def reference_decompose(used, src, dst, k):
+    """The K src->dst paths of the flow `used` (link id -> (u, v)): each walk
+    takes the lowest-id unwalked link out of its node until it reaches dst,
+    and only then, while a node appears twice, cuts the walk between the
+    earliest repeat and that node's first visit."""
+    left = sorted(used.items())
+    paths = []
+    for _ in range(k):
+        nodes, links = [src], []
+        while nodes[-1] != dst:
+            i = next(i for i, (_, (u, _)) in enumerate(left) if u == nodes[-1])
+            lid, (_, v) = left.pop(i)
+            nodes.append(v)
+            links.append(lid)
+        while len(set(nodes)) < len(nodes):
+            i = next(i for i, n in enumerate(nodes) if n in nodes[:i])
+            j = nodes.index(nodes[i])
+            del nodes[j + 1 : i + 1]
+            del links[j:i]
+        paths.append(tuple(links))
+    return tuple(paths)
 
 
 class ReferenceDedupReceiver:

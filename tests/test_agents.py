@@ -8,6 +8,7 @@ from socketstore.agents import (
     AgentKind,
     AgentRuntime,
     AgentSpec,
+    AgentError,
     AgentTypeDef,
     BindingError,
     LifecycleState,
@@ -102,6 +103,23 @@ class TestSpawn:
         with pytest.raises(BindingError, match="resource binding failure"):
             spawn_link(runtime, link="R9-B")
 
+    def test_switch_agent_on_unknown_node_rejected(self, runtime):
+        with pytest.raises(BindingError, match="resource binding failure: unknown node 'R9'"):
+            runtime.spawn_agent("testbed", AgentSpec("SwitchAgent", {"switch": "R9"}))
+
+    def test_type_registered_twice_rejected(self, library):
+        library.register(RECORDING_TYPE)
+        with pytest.raises(AgentError, match="type 'Recording' already registered"):
+            library.register(RECORDING_TYPE)
+
+    def test_environment_created_twice_rejected(self, runtime):
+        with pytest.raises(AgentError, match="environment 'testbed' exists"):
+            runtime.create_environment("testbed", "second concern")
+
+    def test_unknown_agent_id_rejected(self, runtime):
+        with pytest.raises(AgentError, match="unknown agent 'no-such-agent'"):
+            runtime.agent("no-such-agent")
+
     def test_schema_violation_unknown_param(self, runtime):
         with pytest.raises(SchemaViolation):
             runtime.spawn_agent("testbed", AgentSpec("LinkAgent", {"lonk": "R4-B"}))
@@ -175,6 +193,15 @@ class TestMessaging:
         with pytest.raises(MessageRejected):
             runtime.send_message(a, b, {"kind": "read"})
 
+    def test_reply_to_a_sender_that_is_no_agent_is_dropped_and_logged(self):
+        """A note from an address that is neither the store nor an agent is
+        delivered, and the ack the recipient sends back is dropped."""
+        log = []
+        rt, (b,) = recording_runtime(1, lambda *entry, **detail: log.append((*entry, detail)))
+        assert rt.send_message("device-1", b, {"kind": "note", "n": 3}) == []
+        assert received(rt, b, "note", "device-1") == [3]
+        assert log[-1] == ("device-1", "drop_message", "ok", {"from_": b, "kind": "ack"})
+
     def test_unknown_payload_kind_rejected(self, runtime):
         a = spawn_link(runtime, "A-R1")
         with pytest.raises(MessageRejected, match="does not accept"):
@@ -242,6 +269,12 @@ class TestSwitchAgent:
     def test_fresh_switch_empty(self, runtime):
         aid = runtime.spawn_agent("testbed", AgentSpec("SwitchAgent", {"switch": "R3"}))
         assert runtime.agent(aid).read_rules(runtime) == []
+
+    def test_write_rule_for_another_switch_rejected(self, runtime, sim):
+        aid = runtime.spawn_agent("testbed", AgentSpec("SwitchAgent", {"switch": "R3"}))
+        with pytest.raises(AgentError, match="rule targets 'R4', agent manages 'R3'"):
+            runtime.agent(aid).write_rule(runtime, FlowRule("R4", FLOW, 0, "R4-B"))
+        assert sim.rules_at("R4") == []
 
     def test_write_rule_non_incident_rejected(self, runtime):
         aid = runtime.spawn_agent("testbed", AgentSpec("SwitchAgent", {"switch": "R3"}))

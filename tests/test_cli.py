@@ -254,6 +254,20 @@ class TestRunExperiment:
             err = capsys.readouterr().err
             assert err == "error: the experiment needs two hosts, the topology has 1\n"
 
+    def test_host_with_more_nics_than_ports_is_an_error(self, workdir, capsys):
+        """NIC i of a DSA host binds port 5000 + i, so a host of 70,000 NICs
+        runs past port 65535."""
+        topology = Path(__file__).resolve().parents[1] / "fixtures" / "evaluation_topology.json"
+        doc = json.loads(topology.read_text())
+        for node in doc["nodes"]:
+            if node["kind"] == "host":
+                node["nic_count"] = 70_000
+        path = workdir / "many-nics.json"
+        path.write_text(json.dumps(doc))
+        assert run("run-experiment", "--topology", str(path), "--packets", "5",
+                   "--out", str(workdir / "out")) == 1
+        assert assert_one_error_line(capsys) == "error: port 65536 out of range\n"
+
     @pytest.mark.parametrize("argv", [
         ("--inject", "R9-X:10:40:60"),
         ("--inject", "R4-B:10:60:40"),

@@ -41,6 +41,7 @@ from .oracles import (
     max_flow_unit,
     random_connected_view,
     reference_collect_stats,
+    reference_decompose,
     reference_shortest_residual_path,
 )
 
@@ -172,6 +173,17 @@ class TestHostTransit:
         assert default_shortest_path(view, "A", "B") is None
 
 
+def assert_simple_path(view, src, dst, path):
+    """`path` is a chain of links from src to dst that visits no node twice."""
+    ends = {lk.id: lk.endpoints for lk in view.links}
+    nodes = [src]
+    for lid in path:
+        a, b = ends[lid]
+        assert nodes[-1] in (a, b), (path, lid)
+        nodes.append(b if nodes[-1] == a else a)
+    assert nodes[-1] == dst and len(set(nodes)) == len(nodes), (path, nodes)
+
+
 class TestOracleEquivalence:
     def test_random_graphs_match_brute_force(self):
         rng = random.Random(7)
@@ -222,6 +234,47 @@ class TestOracleEquivalence:
                     for path in got.paths:
                         ends = {e for lid in path for e in lid.split("-")}
                         assert all(kinds[n] is NodeKind.SWITCH for n in ends - {src, dst})
+
+    def test_random_graphs_with_zero_latency_links_match_brute_force(self, monkeypatch):
+        """Many K-sets tie on a core of 0 ms links, so a minimum-latency flow
+        often circles the core at no cost and the decomposition cuts that loop
+        out of a walk: every path is a simple src->dst chain, no two share a
+        link, and the total is the brute-force optimum."""
+        decompose, cut = kmflash._decompose, []
+
+        def counted(used, src, dst, k):
+            paths = decompose(used, src, dst, k)
+            cut.append(len(used) > sum(map(len, paths)))
+            return paths
+
+        monkeypatch.setattr(kmflash, "_decompose", counted)
+        rng = random.Random(13)
+        for _ in range(300):
+            view = _zero_core_view(rng)
+            for k in (1, 2, 3, 4):
+                got = allocate_against_reference(view, "A", "B", k)
+                feasible, best = brute_force_disjoint(view, "A", "B", k, 1.0)
+                if isinstance(got, AllocationFailure):
+                    assert not feasible, (view, k)
+                    assert got.max_feasible_k == max_flow_unit(view, "A", "B", 1.0)
+                    continue
+                assert feasible
+                assert sum(got.latencies_ms) == pytest.approx(best, abs=1e-9)
+                used = [lid for p in got.paths for lid in p]
+                assert len(used) == len(set(used)), "paths share a link"
+                for path in got.paths:
+                    assert_simple_path(view, "A", "B", path)
+        assert sum(cut) > 20
+
+
+def _zero_core_view(rng):
+    """Four-NIC hosts A and B, each wired at 0 to 0.9 ms to every switch of a
+    random connected core of 0 ms links."""
+    core = random_connected_view(rng, max_nodes=6, tenths=(0, 0))
+    access = tuple(LinkView(f"{h}-{n.id}", (h, n.id), 100.0, rng.randint(0, 9) / 10.0, 0.0)
+                   for h in "AB" for n in core.nodes)
+    hosts = (Node("A", NodeKind.HOST, 4), Node("B", NodeKind.HOST, 4))
+    return dataclasses.replace(core, nodes=core.nodes + hosts, links=core.links + access)
 
 
 def allocate_against_reference(view, src, dst, k, rate=1.0, max_latency=float("inf"),
@@ -362,6 +415,25 @@ class TestReferenceAllocator:
         got = allocate_against_reference(view, "s", "t", 2)
         assert sorted(got.paths) == [("s-a", "a-t"), ("s-b", "b-t")]
         assert got.latencies_ms == (11.0, 11.0)
+
+
+class TestDecompose:
+    def test_random_flows_with_loops_match_the_reference(self):
+        """Flows made of K random src->dst walks over fresh links of random
+        ids, so nodes repeat within and across walks and a walk may cut
+        several loops, some through nodes an earlier cut removed."""
+        rng = random.Random(17)
+        for _ in range(500):
+            nodes = [f"n{i}" for i in range(rng.randint(3, 7))]
+            src, dst = rng.sample(nodes, 2)
+            k, used = rng.randint(1, 3), {}
+            for _ in range(k):
+                hops = [src]
+                for _ in range(rng.randint(0, 10)):
+                    hops.append(rng.choice([n for n in nodes if n not in (dst, hops[-1])]))
+                for u, v in zip(hops, hops[1:] + [dst]):
+                    used[f"{rng.randrange(1000):03d}-{len(used)}"] = (u, v)
+            assert kmflash._decompose(used, src, dst, k) == reference_decompose(used, src, dst, k)
 
 
 def _zero_latency_cycle() -> dict:
@@ -527,6 +599,16 @@ class TestAllocationMemo:
         assert isinstance(got, AllocationFailure) and got.max_feasible_k == 1
         assert len(searches) == 2
 
+    def test_a_link_removed_before_a_new_rate_leaves_the_map(self, sim, searches):
+        """The 5 Mbps call covers every link the 10 Mbps one did, so the map
+        differs only by the removed link, which a recheck of the links still
+        in the topology would keep."""
+        assert allocate_fresh_and_memoized(sim, "A", "B", 2).k == 2
+        sim.remove_link("R3-R5")
+        got = allocate_fresh_and_memoized(sim, "A", "B", 2, rate=5.0)
+        assert isinstance(got, AllocationFailure) and got.max_feasible_k == 1
+        assert len(searches) == 2
+
     def test_bounds_are_checked_on_every_call(self, sim, searches):
         assert allocate_fresh_and_memoized(sim, "A", "B", 2).k == 2
         tight = allocate_fresh_and_memoized(sim, "A", "B", 2, max_latency=1.5)
@@ -630,6 +712,15 @@ class TestAllocationMemo:
                                                     sim.now_ms + start + length))
             elif op == "advance":
                 sim.run_until(sim.now_ms + args[0])
+
+
+class TestAddressOf:
+    def test_every_endpoint_form(self):
+        assert kmflash._address_of("A") == "A"
+        assert kmflash._address_of({"address": "A", "port": 5000, "nic": 0}) == "A"
+        assert kmflash._address_of([{"address": "B"}, {"address": "C"}]) == "B"
+        with pytest.raises(KMError, match="cannot extract an address"):
+            kmflash._address_of([])
 
 
 class TestDefaultPath:
