@@ -285,8 +285,8 @@ class AgentRuntime:
     def acquire_agent(self, env_id: str, spec: AgentSpec) -> str:
         """The live agent this environment shares for `spec`'s type and
         resource, spawned on first use; each acquire is matched by one
-        `release_agent`. An agent destroyed or moved out of band is never
-        handed out again."""
+        `release_agent`. An agent destroyed out of band is never handed out
+        again."""
         key = (env_id, spec.type_name, frozenset(spec.params.items()))
         agent_id = self._shared.get(key)
         if agent_id not in self.agents:
@@ -344,17 +344,6 @@ class AgentRuntime:
         del self.agents[agent_id]
         self.log(agent_id, "destroy", "ok", type_name=agent.spec.type_name)
         return len(dropped)
-
-    def move_agent(self, agent_id: str, new_env_id: str) -> None:
-        """Atomic re-registration into another environment, preserving id."""
-        agent = self.agent(agent_id)
-        new_env = self.environment(new_env_id)
-        old_env = self.environment(agent.env_id)
-        self._shared = {key: aid for key, aid in self._shared.items() if aid != agent_id}
-        old_env.agent_ids.discard(agent_id)
-        new_env.agent_ids.add(agent_id)
-        agent.env_id = new_env_id
-        self.log(agent_id, "move", "ok", env=new_env_id)
 
     # -- messaging ------------------------------------------------------------
 

@@ -325,15 +325,6 @@ class TestLinkAgent:
         assert reply.payload["capacity_mbps"] == 100.0
 
 
-class TestMove:
-    def test_move_preserves_id(self, runtime):
-        aid = spawn_link(runtime)
-        runtime.create_environment("other", "second concern")
-        runtime.move_agent(aid, "other")
-        assert any(v.agent_id == aid for v in runtime.central_view("other"))
-        assert all(v.agent_id != aid for v in runtime.central_view("testbed"))
-
-
 class TestSharedAgents:
     """Resource agents acquired in one environment are shared per type and
     resource, and live until their last holder releases them."""
@@ -368,16 +359,10 @@ class TestSharedAgents:
         runtime.release_agent(aid)
         assert runtime.agents == {}
 
-    @pytest.mark.parametrize("out_of_band", ["destroy", "move"])
-    def test_agent_destroyed_or_moved_out_of_band_is_not_handed_out_again(
-            self, runtime, out_of_band):
+    def test_agent_destroyed_out_of_band_is_not_handed_out_again(self, runtime):
         spec = AgentSpec("LinkAgent", {"link": "A-R1"})
         aid = runtime.acquire_agent("testbed", spec)
-        if out_of_band == "destroy":
-            runtime.destroy_agent(aid)
-        else:
-            runtime.create_environment("other", "second concern")
-            runtime.move_agent(aid, "other")
+        runtime.destroy_agent(aid)
         fresh = runtime.acquire_agent("testbed", spec)
         assert fresh != aid
         runtime.release_agent(aid)  # its one holder lets go of the old agent
