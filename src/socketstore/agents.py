@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Any, Callable
 
 from . import netsim
-from .netsim import FlowRule, NodeKind, Simulator
+from .netsim import NodeKind, Simulator
 
 
 class AgentError(Exception):
@@ -138,8 +138,7 @@ class Agent:
 
 
 class SwitchAgent(Agent):
-    """Resource agent over one switch: inspectable and editable routing
-    table, nothing else."""
+    """Resource agent bound to one switch; it holds no state of its own."""
 
     def bind(self, runtime: "AgentRuntime") -> None:
         switch = self.spec.params["switch"]
@@ -151,23 +150,6 @@ class SwitchAgent(Agent):
             raise BindingError(f"resource binding failure: {switch!r} is not a switch")
         self.switch = switch
         self.bound_resources = (switch,)
-
-    def read_rules(self, runtime: "AgentRuntime") -> list[FlowRule]:
-        return runtime.sim.rules_at(self.switch)
-
-    def write_rule(self, runtime: "AgentRuntime", rule: FlowRule) -> None:
-        if rule.switch != self.switch:
-            raise AgentError(f"rule targets {rule.switch!r}, agent manages {self.switch!r}")
-        runtime.sim.install_rule(rule)
-
-    def handle_message(self, runtime, message):
-        if message.payload.get("kind") == "read_rules":
-            rules = [
-                {"flow": [r.flow.src, r.flow.dst, r.flow.tag],
-                 "path_index": r.path_index, "out_link": r.out_link}
-                for r in self.read_rules(runtime)
-            ]
-            runtime.reply(self, message, {"kind": "rules", "switch": self.switch, "rules": rules})
 
 
 class LinkAgent(Agent):
@@ -197,7 +179,7 @@ SWITCH_AGENT_TYPE = AgentTypeDef(
     type_name="SwitchAgent",
     kind=AgentKind.RESOURCE,
     params=(ParamSpec("switch", "switch_id"),),
-    message_kinds=("read_rules",),
+    message_kinds=(),
     factory=SwitchAgent,
 )
 

@@ -84,9 +84,6 @@ class Link:
             return a
         raise RoutingError(f"node {node!r} is not an endpoint of link {self.id!r}")
 
-    def touches(self, node: str) -> bool:
-        return node in self.endpoints
-
 
 class FlowId(NamedTuple):
     src: str
@@ -333,7 +330,7 @@ class Simulator:
             key: {node: out for node, out in route.items() if out != link_id}
             for key, route in self._routes.items()
         }
-        self._compiled.clear()  # a walk's bound counts links
+        self._compiled.clear()  # a compiled route may run over the removed link
         self._walks.clear()
         self._link_hops.pop(link_id, None)
         self._link_changed(link_id)
@@ -388,27 +385,6 @@ class Simulator:
         route = self._routes.pop((flow, path_index), {})
         self._compiled.pop((flow, path_index), None)
         return len(route) - (flow.src in route)
-
-    def install_rule(self, rule: FlowRule) -> None:
-        """Install a single rule, replacing any rule with the same key."""
-        link = self.link(rule.out_link)
-        switch = self.node(rule.switch)
-        if switch.kind is not NodeKind.SWITCH:
-            raise RoutingError(f"{rule.switch!r} is not a switch")
-        if not link.touches(rule.switch):
-            raise RoutingError(
-                f"out_link {rule.out_link!r} is not incident to switch {rule.switch!r}"
-            )
-        if rule.switch == rule.flow.src:
-            raise RoutingError(f"{rule.switch!r} is the flow source; deploy_path sets its egress")
-        self._routes.setdefault((rule.flow, rule.path_index), {})[rule.switch] = rule.out_link
-        self._compiled.pop((rule.flow, rule.path_index), None)
-
-    def rules_at(self, switch: str) -> list[FlowRule]:
-        self.node(switch)
-        rules = [r for r in self.all_rules() if r.switch == switch]
-        rules.sort(key=lambda r: (r.flow.src, r.flow.dst, r.flow.tag, r.path_index))
-        return rules
 
     def all_rules(self) -> list[FlowRule]:
         """Every switch rule, in no particular order."""
@@ -468,8 +444,8 @@ class Simulator:
         drop_reason = None if flow.dst in self.topology.nodes else "unroutable destination"
         while drop_reason is None and cursor != flow.dst:
             out = route.get(cursor)
-            if out is None or len(links) > len(self.topology.links):
-                drop_reason = f"no rule at {cursor}" if out is None else "routing loop"
+            if out is None:
+                drop_reason = f"no rule at {cursor}"
                 break
             links.append(self.link(out))
             cursor = links[-1].other_end(cursor)

@@ -450,22 +450,6 @@ class ReferenceSimulator:
         self._host_egress.pop((flow, path_index), None)
         return len(keys)
 
-    def install_rule(self, rule):
-        link = self._link(rule.out_link)
-        if self._node(rule.switch).kind is not NodeKind.SWITCH:
-            raise RoutingError(f"{rule.switch!r} is not a switch")
-        if rule.switch not in link.endpoints:
-            raise RoutingError(
-                f"out_link {rule.out_link!r} is not incident to switch {rule.switch!r}"
-            )
-        self._rules[(rule.switch, rule.flow, rule.path_index)] = rule
-
-    def rules_at(self, switch):
-        self._node(switch)
-        rules = [r for (sw, _, _), r in self._rules.items() if sw == switch]
-        rules.sort(key=lambda r: (r.flow.src, r.flow.dst, r.flow.tag, r.path_index))
-        return rules
-
     def all_rules(self):
         return list(self._rules.values())
 

@@ -17,11 +17,7 @@ from socketstore.agents import (
     UnknownTypeError,
 )
 from socketstore.fixtures import default_library, evaluation_topology
-from socketstore.netsim import FlowId, FlowRule, LatencyInjection, Simulator
-
-from .conftest import DEFAULT_PATH
-
-FLOW = FlowId("A", "B", "f")
+from socketstore.netsim import LatencyInjection, Simulator
 
 
 class RecordingAgent(Agent):
@@ -256,47 +252,6 @@ class TestCentralView:
         for view in runtime.central_view("testbed"):
             if view.kind is AgentKind.ADAPTER:
                 assert view.bound_resources == ()
-
-
-class TestSwitchAgent:
-    def test_read_rules_reflects_deploy(self, runtime, sim):
-        aid = runtime.spawn_agent("testbed", AgentSpec("SwitchAgent", {"switch": "R3"}))
-        sim.deploy_path(FLOW, DEFAULT_PATH)
-        rules = runtime.agent(aid).read_rules(runtime)
-        assert len(rules) == 1
-        assert rules[0].out_link == "R3-R4"
-
-    def test_fresh_switch_empty(self, runtime):
-        aid = runtime.spawn_agent("testbed", AgentSpec("SwitchAgent", {"switch": "R3"}))
-        assert runtime.agent(aid).read_rules(runtime) == []
-
-    def test_write_rule_for_another_switch_rejected(self, runtime, sim):
-        aid = runtime.spawn_agent("testbed", AgentSpec("SwitchAgent", {"switch": "R3"}))
-        with pytest.raises(AgentError, match="rule targets 'R4', agent manages 'R3'"):
-            runtime.agent(aid).write_rule(runtime, FlowRule("R4", FLOW, 0, "R4-B"))
-        assert sim.rules_at("R4") == []
-
-    def test_write_rule_non_incident_rejected(self, runtime):
-        aid = runtime.spawn_agent("testbed", AgentSpec("SwitchAgent", {"switch": "R3"}))
-        with pytest.raises(Exception, match="not incident"):
-            runtime.agent(aid).write_rule(runtime, FlowRule("R3", FLOW, 0, "R4-B"))
-
-    def test_read_rules_via_message(self, runtime, sim):
-        aid = runtime.spawn_agent("testbed", AgentSpec("SwitchAgent", {"switch": "R3"}))
-        sim.deploy_path(FLOW, DEFAULT_PATH)
-        (reply,) = runtime.send_message("store", aid, {"kind": "read_rules"})
-        assert reply.from_ == aid
-        assert reply.payload == {"kind": "rules", "switch": "R3", "rules": [
-            {"flow": ["A", "B", "f"], "path_index": 0, "out_link": "R3-R4"}]}
-
-    def test_write_rule_replaces(self, runtime, sim):
-        aid = runtime.spawn_agent("testbed", AgentSpec("SwitchAgent", {"switch": "R3"}))
-        agent = runtime.agent(aid)
-        agent.write_rule(runtime, FlowRule("R3", FLOW, 0, "R3-R4"))
-        agent.write_rule(runtime, FlowRule("R3", FLOW, 0, "R3-R5"))
-        rules = agent.read_rules(runtime)
-        assert len(rules) == 1
-        assert rules[0].out_link == "R3-R5"
 
 
 class TestLinkAgent:

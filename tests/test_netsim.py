@@ -308,19 +308,6 @@ class TestRouteChangesAfterSend:
         rec = sim.send_packet(packet(seq=1))
         assert (rec.delivered, rec.drop_reason, rec.hops) == (False, "no rule at A", ())
 
-    def test_install_rule(self, sim):
-        sim.deploy_path(FLOW, DEFAULT_PATH)
-        assert sim.send_packet(packet()).delivered
-        sim.install_rule(FlowRule("R3", FLOW, 0, "R3-R5"))
-        rec = sim.send_packet(packet(seq=1))
-        assert rec.drop_reason == "no rule at R5"
-        assert [h.link for h in rec.hops] == ["A-R1", "R1-R3", "R3-R5"]
-        assert sim.link_rate_mbps("R3-R5") > 0  # hops walked before a drop are sampled
-        sim.install_rule(FlowRule("R5", FLOW, 0, "R5-B"))
-        rec = sim.send_packet(packet(seq=2))
-        assert rec.delivered
-        assert [h.link for h in rec.hops] == ["A-R1", "R1-R3", "R3-R5", "R5-B"]
-
     def test_remove_link(self, sim):
         sim.deploy_path(FLOW, DEFAULT_PATH)
         assert sim.send_packet(packet()).delivered
@@ -328,17 +315,6 @@ class TestRouteChangesAfterSend:
         rec = sim.send_packet(packet(seq=1))
         assert rec.drop_reason == "no rule at R3"
         assert [h.link for h in rec.hops] == ["A-R1", "R1-R3"]
-
-    def test_remove_link_shortens_the_loop_bound(self, sim):
-        sim.deploy_path(FLOW, DEFAULT_PATH)
-        sim.install_rule(FlowRule("R3", FLOW, 0, "R1-R3"))  # R1 and R3 bounce the packet
-        rec = sim.send_packet(packet())
-        assert rec.drop_reason == "routing loop"
-        assert len(rec.hops) == len(sim.topology.links) + 1
-        sim.remove_link("R2-R3")  # off the loop; the hop bound counts links
-        rec = sim.send_packet(packet(seq=1))
-        assert rec.drop_reason == "routing loop"
-        assert len(rec.hops) == len(sim.topology.links) + 1
 
     def test_injection_on_a_link_that_had_none(self, sim):
         sim.deploy_path(FLOW, DEFAULT_PATH)
@@ -617,7 +593,7 @@ class TestReservations:
 class TestRuleUniqueness:
     def test_one_rule_per_switch_flow_path_index(self, sim):
         sim.deploy_path(FLOW, DEFAULT_PATH)
-        sim.install_rule(FlowRule("R1", FLOW, 0, "A-R1"))
+        sim.deploy_path(FLOW, ["A-R1", "R1-R3", "R3-R5", "R5-B"])  # R1 and R3 again
         keys = [(r.switch, r.flow, r.path_index) for r in sim.all_rules()]
         assert len(keys) == len(set(keys))
 
@@ -631,17 +607,11 @@ class TestRuleUniqueness:
         assert rec0.delivered and rec1.delivered
         assert {h.link for h in rec0.hops}.isdisjoint({h.link for h in rec1.hops})
 
-    def test_incidence_checked_on_install(self, sim):
-        with pytest.raises(RoutingError, match="not incident"):
-            sim.install_rule(FlowRule("R1", FLOW, 0, "R4-B"))
-
-    def test_rule_at_flow_source_rejected(self, sim):
+    def test_flow_from_a_switch_has_no_rule_at_its_source(self, sim):
         """A flow may start at a switch; its first hop is the egress that
-        deploy_path sets, not a rule that install_rule can overwrite."""
+        deploy_path sets, not a switch rule."""
         flow = FlowId("R3", "B")
         sim.deploy_path(flow, ["R3-R4", "R4-B"])
-        with pytest.raises(RoutingError, match="flow source"):
-            sim.install_rule(FlowRule("R3", flow, 0, "R3-R5"))
         assert sim.all_rules() == [FlowRule("R4", flow, 0, "R4-B")]
         assert [h.link for h in sim.send_packet(packet(flow=flow)).hops] == ["R3-R4", "R4-B"]
 
@@ -668,21 +638,18 @@ def test_property_latency_matches_recomputation(extra, start, width, sent):
 # flows from both hosts and from a switch, on up to three path indexes
 TABLE_FLOWS = (FLOW, FlowId("B", "A", "f"), FlowId("A", "B", "g"), FlowId("R3", "A"))
 TABLE_LINKS = tuple(sorted(evaluation_topology().links))
-TABLE_SWITCHES = ("R1", "R2", "R3", "R4", "R5")
 _flow = st.integers(0, len(TABLE_FLOWS) - 1)
 _index = st.integers(0, 2)
 _link = st.sampled_from(TABLE_LINKS)
 _ms = st.sampled_from([0.0, 9.5, 10.0, 20.0, 32.25, 45.0])
 _deploy = st.tuples(st.just("deploy"), _flow, _index, st.lists(st.integers(0, 7), min_size=1, max_size=6))
-_install = st.tuples(st.just("install"), _flow, _index, st.sampled_from(TABLE_SWITCHES + ("A",)),
-                     st.integers(0, 3))
 # several reservations on one link, in amounts whose float sum depends on order
 _reserve = st.tuples(st.just("reserve"), _link,
                      st.lists(st.sampled_from([0.1, 0.2, 0.7, 10.0, 33.3]), min_size=1, max_size=4))
 _send = st.tuples(st.just("send"), _ms)
-# deploys, installs, reservations and sends are drawn more often than the rest
+# deploys, reservations and sends are drawn more often than the rest
 TABLE_OPS = st.one_of(
-    _deploy, _deploy, _deploy, _install, _install, _reserve, _reserve, _send, _send,
+    _deploy, _deploy, _deploy, _reserve, _reserve, _send, _send,
     st.tuples(st.just("run_until"), _ms),
     st.tuples(st.just("deploy_links"), _flow, _index, st.lists(_link, min_size=1, max_size=4)),
     st.tuples(st.just("retract"), _flow, _index),
@@ -763,16 +730,6 @@ def test_property_tables_match_flat_reference(ops):
         elif kind == "retract":
             flow, index = TABLE_FLOWS[op[1]], op[2]
             assert sim.retract_path(flow, index) == ref.retract_path(flow, index)
-        elif kind == "install":
-            # the out link is picked by index among the links at the node
-            incident = sorted(lk.id for lk in sim.topology.links.values() if op[3] in lk.endpoints)
-            out = incident[op[4] % len(incident)] if incident else "R4-B"
-            rule = FlowRule(op[3], TABLE_FLOWS[op[1]], op[2], out)
-            if rule.switch == rule.flow.src:
-                with pytest.raises(NetsimError):
-                    sim.install_rule(rule)
-                continue
-            assert _outcome(lambda: sim.install_rule(rule)) == _outcome(lambda: ref.install_rule(rule))
         elif kind == "reserve":
             for mbps in op[2]:
                 got = _outcome(lambda: sim.reserve_capacity(op[1], mbps))
@@ -796,8 +753,6 @@ def test_property_tables_match_flat_reference(ops):
         else:
             _assert_same_sends(sim, ref, op[1])
         assert sorted(sim.all_rules(), key=_rule_key) == sorted(ref.all_rules(), key=_rule_key)
-        for switch in TABLE_SWITCHES:
-            assert sim.rules_at(switch) == ref.rules_at(switch)
         for link in TABLE_LINKS:
             assert sim.link_load_mbps(link) == ref.link_load_mbps(link)
         assert sim.topology_snapshot() == ref.topology_snapshot()
