@@ -1,6 +1,6 @@
 """Multi-agent runtime: environments as concern contexts, the agent type
-library, agent lifecycle, and an in-process message bus with per-pair FIFO
-and exactly-once delivery.
+library and the agent lifecycle, with agents shared per environment and
+resource through reference-counted acquire and release.
 
 Resource agents bind directly to simulator resources (a switch routing
 table, a link monitor); adapter agents compose other agents and hold no
@@ -9,7 +9,6 @@ direct resource bindings.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
@@ -34,19 +33,9 @@ class BindingError(AgentError):
     pass
 
 
-class MessageRejected(AgentError):
-    pass
-
-
 class AgentKind(str, Enum):
     RESOURCE = "resource"
     ADAPTER = "adapter"
-
-
-class LifecycleState(str, Enum):
-    CREATED = "created"
-    RUNNING = "running"
-    DESTROYED = "destroyed"
 
 
 @dataclass(frozen=True)
@@ -60,7 +49,6 @@ class AgentTypeDef:
     type_name: str
     kind: AgentKind
     params: tuple[ParamSpec, ...]
-    message_kinds: tuple[str, ...]
     factory: Callable[..., "Agent"] | None = None
 
 
@@ -99,13 +87,6 @@ class Environment:
 
 
 @dataclass(frozen=True)
-class Message:
-    from_: str
-    to: str
-    payload: dict
-
-
-@dataclass(frozen=True)
 class AgentView:
     agent_id: str
     kind: AgentKind
@@ -115,14 +96,13 @@ class AgentView:
 
 
 class Agent:
-    """Base agent. Subclasses bind resources in `bind` and react to
-    messages in `handle_message`."""
+    """Base agent. Subclasses bind resources in `bind` and let them go in
+    `release`."""
 
     def __init__(self, agent_id: str, spec: AgentSpec, typedef: AgentTypeDef):
         self.agent_id = agent_id
         self.spec = spec
         self.typedef = typedef
-        self.state = LifecycleState.CREATED
         self.env_id: str | None = None
         self.bound_resources: tuple[str, ...] = ()
         self.composed: tuple[str, ...] = ()
@@ -131,9 +111,6 @@ class Agent:
         pass
 
     def release(self, runtime: "AgentRuntime") -> None:
-        pass
-
-    def handle_message(self, runtime: "AgentRuntime", message: Message) -> None:
         pass
 
 
@@ -168,18 +145,11 @@ class LinkAgent(Agent):
     def read(self, runtime: "AgentRuntime") -> netsim.LinkStats:
         return runtime.sim.link_stats(self.link)
 
-    def handle_message(self, runtime, message):
-        if message.payload.get("kind") == "read":
-            stats = self.read(runtime)
-            runtime.reply(self, message, {"kind": "link_stats", **vars(stats),
-                                          "endpoints": list(stats.endpoints)})
-
 
 SWITCH_AGENT_TYPE = AgentTypeDef(
     type_name="SwitchAgent",
     kind=AgentKind.RESOURCE,
     params=(ParamSpec("switch", "switch_id"),),
-    message_kinds=(),
     factory=SwitchAgent,
 )
 
@@ -187,7 +157,6 @@ LINK_AGENT_TYPE = AgentTypeDef(
     type_name="LinkAgent",
     kind=AgentKind.RESOURCE,
     params=(ParamSpec("link", "link_id"),),
-    message_kinds=("read",),
     factory=LinkAgent,
 )
 
@@ -199,16 +168,8 @@ def builtin_library() -> AgentTypeLibrary:
     return lib
 
 
-STORE_ADDRESS = "store"
-
-
 class AgentRuntime:
-    """Owns environments, live agents and the message bus for one simulator.
-
-    Observable behavior equals a serialized per-agent execution: the bus is
-    a single FIFO drained between sends, which implies per-(from, to) FIFO
-    and exactly-once delivery.
-    """
+    """Owns the environments and live agents for one simulator."""
 
     def __init__(
         self,
@@ -223,8 +184,6 @@ class AgentRuntime:
         self._agent_seq = 0
         self._shared: dict[tuple, str] = {}  # (env, type, params) -> agent id
         self._holds: dict[str, int] = {}  # acquired agent id -> holders left
-        self._queue: deque[Message] = deque()
-        self._draining = False
         self._action_log = action_log
 
     def log(self, actor: str, action: str, outcome: str, **detail) -> None:
@@ -258,7 +217,6 @@ class AgentRuntime:
         agent = factory(agent_id, spec, typedef)
         agent.env_id = env_id
         agent.bind(self)  # raises BindingError on resource failure
-        agent.state = LifecycleState.RUNNING
         self.agents[agent_id] = agent
         env.agent_ids.add(agent_id)
         self.log(agent_id, "spawn", "ok", type_name=spec.type_name, env=env_id)
@@ -307,71 +265,16 @@ class AgentRuntime:
         except KeyError:
             raise AgentError(f"unknown agent {agent_id!r}")
 
-    def destroy_agent(self, agent_id: str) -> int:
-        """Remove the agent; pending messages to it are dropped with a logged
-        notice. Returns the number of dropped messages; destroying an
-        already-gone agent is a no-op returning 0."""
+    def destroy_agent(self, agent_id: str) -> None:
+        """Remove the agent; destroying an already-gone agent is a no-op."""
         agent = self.agents.get(agent_id)
         if agent is None:
-            return 0
-        dropped = [m for m in self._queue if m.to == agent_id]
-        if dropped:
-            self._queue = deque(m for m in self._queue if m.to != agent_id)
-        for msg in dropped:
-            self.log(agent_id, "drop_message", "ok", from_=msg.from_, kind=msg.payload.get("kind"))
+            return
         agent.release(self)
-        agent.state = LifecycleState.DESTROYED
         if agent.env_id and agent.env_id in self.environments:
             self.environments[agent.env_id].agent_ids.discard(agent_id)
         del self.agents[agent_id]
         self.log(agent_id, "destroy", "ok", type_name=agent.spec.type_name)
-        return len(dropped)
-
-    # -- messaging ------------------------------------------------------------
-
-    def send_message(self, from_: str, to: str, payload: dict) -> list[Message]:
-        """Deliver a message and every message it sets off; returns those
-        addressed to the store, in delivery order. Raises MessageRejected
-        when the destination is unknown/destroyed or the payload kind is
-        outside the destination type's declared message schema."""
-        if to != STORE_ADDRESS:
-            agent = self.agents.get(to)
-            if agent is None or agent.state is not LifecycleState.RUNNING:
-                raise MessageRejected(f"destination {to!r} is not a running agent")
-            kind = payload.get("kind")
-            if kind not in agent.typedef.message_kinds:
-                raise MessageRejected(
-                    f"{agent.typedef.type_name} does not accept payload kind {kind!r}"
-                )
-        self._queue.append(Message(from_, to, payload))
-        return self._drain()
-
-    def reply(self, agent: Agent, original: Message, payload: dict) -> None:
-        """Reply path agents use from `handle_message`; the reply is
-        delivered by the drain in progress. Replies skip the schema check
-        (they are responses, not directives)."""
-        self._queue.append(Message(agent.agent_id, original.from_, payload))
-
-    def _drain(self) -> list[Message]:
-        if self._draining:
-            return []  # the outer drain delivers it
-        self._draining = True
-        to_store = []
-        try:
-            while self._queue:
-                msg = self._queue.popleft()
-                if msg.to == STORE_ADDRESS:
-                    to_store.append(msg)
-                    continue
-                agent = self.agents.get(msg.to)
-                if agent is None or agent.state is not LifecycleState.RUNNING:
-                    self.log(msg.to, "drop_message", "ok", from_=msg.from_,
-                             kind=msg.payload.get("kind"))
-                    continue
-                agent.handle_message(self, msg)
-        finally:
-            self._draining = False
-        return to_store
 
     # -- central view ------------------------------------------------------------
 

@@ -499,14 +499,6 @@ class KMAgent(Agent):
             if self.ledger is not None:
                 self.ledger.close_all(runtime.sim.now_ms)
 
-    def handle_message(self, runtime, message):
-        if message.payload.get("kind") == "describe" and self.handles is not None:
-            runtime.reply(self, message, {
-                "kind": "km_description",
-                "k": self.handles.k,
-                "paths": [list(p) for p in self.handles.pathset.paths],
-            })
-
 
 class KMAllocationError(KMError):
     def __init__(self, failure: AllocationFailure):
@@ -524,7 +516,6 @@ KM_AGENT_TYPE = AgentTypeDef(
         ParamSpec("rate", "mbps"),
         ParamSpec("max_latency", "ms"),
     ),
-    message_kinds=("describe",),
     factory=KMAgent,
 )
 

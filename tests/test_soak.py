@@ -1,5 +1,5 @@
-"""Long-run bounds: state that grows with every packet, agent message or
-wire request must stay flat once its window is full. Each soak measures
+"""Long-run bounds: state that grows with every packet or wire request
+must stay flat once its window is full. Each soak measures
 its own process with tracemalloc: the memory still held after the second
 half of the run, less that held after the first half."""
 
@@ -11,9 +11,8 @@ import tracemalloc
 
 import pytest
 
-from socketstore.agents import AgentRuntime, AgentSpec
 from socketstore.dsa import DedupReceiver, DsaClient
-from socketstore.fixtures import default_library, evaluation_topology, flash_delivery_manifest
+from socketstore.fixtures import evaluation_topology, flash_delivery_manifest
 from socketstore.netsim import Simulator
 from socketstore.store import SocketStore
 from socketstore.wire import MAX_LINE_BYTES, LocalTransport, StoreProtocol, StoreServer, encode
@@ -68,21 +67,6 @@ def test_sends_without_recv_hold_one_window():
     assert retained_growth(paced_send, 3000) < FLAT_BYTES
     # what is still pending is the last window's worth, in seq order
     assert [seq for seq, _ in conn.recv()] == list(range(sent - 256, sent))
-
-
-def test_store_bound_agent_reads_retain_nothing():
-    runtime = AgentRuntime(Simulator(evaluation_topology()), default_library())
-    runtime.create_environment("testbed", "sdn-testbed")
-    link_agent = runtime.spawn_agent("testbed", AgentSpec("LinkAgent", {"link": "R4-B"}))
-
-    replies = None
-
-    def read():
-        nonlocal replies
-        replies = runtime.send_message("store", link_agent, {"kind": "read"})
-
-    assert retained_growth(read, 5000) < FLAT_BYTES
-    assert [m.payload["kind"] for m in replies] == ["link_stats"]
 
 
 def test_bind_release_cycles_leave_no_session_state():

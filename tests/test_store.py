@@ -466,16 +466,6 @@ class TestInstantiate:
         destroys = [e.detail["type_name"] for e in store.log if e.action == "destroy"]
         assert destroys == ["KMirror", "LinkAgent", "LinkAgent"]
 
-    def test_describe_via_message(self):
-        store = fresh_store()
-        token = purchased_token(store)
-        instance = store.instantiate(token, "flash-delivery", KM_INPUTS)
-        adapter_id = instance.adapter_ids[0]
-        (reply,) = store.runtime.send_message("store", adapter_id, {"kind": "describe"})
-        assert reply.from_ == adapter_id
-        assert reply.payload == {"kind": "km_description", "k": 2,
-                                 "paths": instance.allocation["paths"]}
-
     def test_destroying_adapter_leaves_composed_agents_alive(self):
         # composition is non-owning: the instance manager owns teardown
         store = fresh_store()
