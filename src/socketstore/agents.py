@@ -2,9 +2,8 @@
 library and the agent lifecycle, with agents shared per environment and
 resource through reference-counted acquire and release.
 
-Resource agents bind directly to simulator resources (a switch routing
-table, a link monitor); adapter agents compose other agents and hold no
-direct resource bindings.
+Resource agents bind directly to simulator resources (a switch, a link);
+adapter agents compose other agents and hold no direct resource bindings.
 """
 
 from __future__ import annotations
@@ -130,8 +129,8 @@ class SwitchAgent(Agent):
 
 
 class LinkAgent(Agent):
-    """Resource agent over one link: read-only static and monitored
-    attributes. There is deliberately no write operation."""
+    """Resource agent bound to one link; it holds no state of its own and
+    has deliberately no write operation."""
 
     def bind(self, runtime: "AgentRuntime") -> None:
         link = self.spec.params["link"]
@@ -141,9 +140,6 @@ class LinkAgent(Agent):
             raise BindingError(f"resource binding failure: {exc}")
         self.link = link
         self.bound_resources = (link,)
-
-    def read(self, runtime: "AgentRuntime") -> netsim.LinkStats:
-        return runtime.sim.link_stats(self.link)
 
 
 SWITCH_AGENT_TYPE = AgentTypeDef(

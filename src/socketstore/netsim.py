@@ -1,5 +1,5 @@
 """Discrete-event simulation of a small SDN: topology, per-flow path rules,
-link monitoring, latency injection and packet delivery.
+capacity reservations, latency injection and packet delivery.
 
 Time is kept as integer nanoseconds internally and reported as float
 milliseconds, so event ordering never suffers float drift.
@@ -10,7 +10,6 @@ from __future__ import annotations
 import heapq
 import json
 import sys
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -20,10 +19,6 @@ from .records import from_doc
 
 NS_PER_MS = 1_000_000
 MAX_MS = sys.float_info.max / NS_PER_MS  # the largest time that ms_to_ns converts
-
-# window used for the monitored "transfer rate" attribute
-RATE_WINDOW_MS = 100.0
-RATE_WINDOW_NS = round(RATE_WINDOW_MS * NS_PER_MS)
 
 
 def ms_to_ns(ms: float) -> int:
@@ -140,16 +135,6 @@ class DeliveryRecord(NamedTuple):
         enter_ns = accumulate(self.hop_delays_ns, initial=ms_to_ns(self.packet.sent_at_ms))
         return tuple(Hop(link, ns_to_ms(t_ns), ns_to_ms(delay_ns))
                      for link, t_ns, delay_ns in zip(self.hop_links, enter_ns, self.hop_delays_ns))
-
-
-@dataclass(frozen=True)
-class LinkStats:
-    link: str
-    endpoints: tuple[str, str]
-    capacity_mbps: float
-    latency_now_ms: float
-    rate_mbps: float
-    load_mbps: float
 
 
 @dataclass(frozen=True)
@@ -284,9 +269,6 @@ class Simulator:
         # link -> number of its last load, injection or removal change, oldest first
         self._changed: dict[str, int] = {}
         self.changes = 0  # a change's number is this count just after it
-        # (end_ns, record) of each recent send, backing the monitored transfer
-        # rate; records that ended before the rate window are popped from the head
-        self._recent: deque[tuple[int, DeliveryRecord]] = deque()
 
     # -- clock and events ------------------------------------------------
 
@@ -473,9 +455,9 @@ class Simulator:
 
     def send_packet(self, packet: Packet) -> DeliveryRecord:
         """Send the packet along its deployed path, sampling each link's delay at the
-        traversal instant, and keep its record for `link_rate_mbps`. No retransmission
-        ever happens; packets to a node outside the topology, or that hit a switch
-        without a matching rule, are dropped. An unknown source raises."""
+        traversal instant. No retransmission ever happens; packets to a node outside
+        the topology, or that hit a switch without a matching rule, are dropped. An
+        unknown source raises."""
         key = (packet.flow, packet.path_index)
         links, hops, drop_reason, delays, latency_ns, windows = (
             self._compiled.get(key) or self._compile(key))
@@ -486,42 +468,12 @@ class Simulator:
                 delays = _walk_delays(hops, sent_ns)
                 latency_ns = sum(delays)
                 break
-        t_ns = sent_ns + latency_ns
         if drop_reason is not None:
-            record = new_tuple(DeliveryRecord, (packet, False, None, None, False, links, delays,
-                                                drop_reason))
-        else:
-            record = new_tuple(DeliveryRecord, (
-                packet, True, t_ns / NS_PER_MS, latency_ns / NS_PER_MS,
-                latency_ns > round(packet.deadline_ms * NS_PER_MS), links, delays, None))
-        # records end out of send order, so link_rate_mbps filters what this pop keeps
-        while self._recent and self._recent[0][0] <= self._now_ns - RATE_WINDOW_NS:
-            self._recent.popleft()
-        self._recent.append((t_ns, record))
-        return record
-
-    # -- monitoring ------------------------------------------------------------
-
-    def link_rate_mbps(self, link_id: str) -> float:
-        """Bytes of traversals entering the link in the rate window, as Mbps."""
-        self.link(link_id)
-        cutoff_ns = self._now_ns - RATE_WINDOW_NS
-        total_bytes = sum(record.packet.size_bytes for _, record in self._recent
-                          for link, enter_ns in zip(record.hop_links, accumulate(
-                              record.hop_delays_ns, initial=ms_to_ns(record.packet.sent_at_ms)))
-                          if link == link_id and enter_ns > cutoff_ns)
-        return total_bytes * 8 / (RATE_WINDOW_MS / 1000.0) / 1e6
-
-    def link_stats(self, link_id: str) -> LinkStats:
-        link = self.link(link_id)
-        return LinkStats(
-            link=link.id,
-            endpoints=link.endpoints,
-            capacity_mbps=link.capacity_mbps,
-            latency_now_ms=self.link_delay_ms(link_id, self.now_ms),
-            rate_mbps=self.link_rate_mbps(link_id),
-            load_mbps=self.link_load_mbps(link_id),
-        )
+            return new_tuple(DeliveryRecord, (packet, False, None, None, False, links, delays,
+                                              drop_reason))
+        return new_tuple(DeliveryRecord, (
+            packet, True, (sent_ns + latency_ns) / NS_PER_MS, latency_ns / NS_PER_MS,
+            latency_ns > round(packet.deadline_ms * NS_PER_MS), links, delays, None))
 
     def _link_changed(self, link_id: str) -> None:
         self._views.pop(link_id, None)

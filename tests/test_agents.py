@@ -11,7 +11,7 @@ from socketstore.agents import (
     UnknownTypeError,
 )
 from socketstore.fixtures import default_library, evaluation_topology
-from socketstore.netsim import LatencyInjection, Simulator
+from socketstore.netsim import Simulator
 
 
 PLAIN_TYPE = AgentTypeDef("Plain", AgentKind.ADAPTER, ())
@@ -121,18 +121,6 @@ class TestCentralView:
 
 
 class TestLinkAgent:
-    def test_read_matches_link_stats(self, runtime, sim):
-        aid = spawn_link(runtime)
-        sim.inject_latency(LatencyInjection("R4-B", 10.0, 40.0, 60.0))
-        sim.run_until(50.0)
-        stats = runtime.agent(aid).read(runtime)
-        assert stats == sim.link_stats("R4-B")
-        assert stats.latency_now_ms == pytest.approx(10.5)
-
-    def test_capacity_static(self, runtime):
-        aid = spawn_link(runtime)
-        assert runtime.agent(aid).read(runtime).capacity_mbps == 100.0
-
     def test_no_write_operation_exists(self, runtime):
         aid = spawn_link(runtime)
         agent = runtime.agent(aid)

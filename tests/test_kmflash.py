@@ -745,10 +745,10 @@ class TestDeploy:
         pathset = allocate_disjoint_paths(view_of(sim), "A", "B", 2, 10.0, 5.0)
         handles = deploy_mirror_paths(sim, FLOW, pathset, 10.0)
         assert len(sim.all_rules()) == 6
-        assert sim.link_stats("A-R1").load_mbps == 10.0
+        assert sim.link_load_mbps("A-R1") == 10.0
         retract_mirror_paths(sim, handles)
         assert sim.all_rules() == []
-        assert sim.link_stats("A-R1").load_mbps == 0.0
+        assert sim.link_load_mbps("A-R1") == 0.0
 
     def test_stale_pathset_rolls_back(self, sim):
         # path 1 crosses R3-R5: path 0 is deployed and reserved before it fails
@@ -786,15 +786,17 @@ class TestMirrorSend:
                         send_copies(sim, FLOW, 3, 1, 512, 5.0)):
             assert [rec.packet.path_index for rec in records] == list(range(len(records)))
 
-    def test_closed_handles_send_nothing_and_retract_once(self, sim):
+    def test_closed_handles_send_nothing_and_retract_once(self, sim, monkeypatch):
         """Retracting closes the handles: a send on them raises before any
         copy leaves, and a second retract changes nothing."""
         handles = deployed_handles(sim)
         retract_mirror_paths(sim, handles)
         state = (sim.changes, sim.links_changed_since(0), set(sim.all_rules()))
+        sends = []
+        monkeypatch.setattr(sim, "send_packet", sends.append)
         with pytest.raises(KMError, match="handles closed"):
             mirror_send(sim, handles, 0, 512, 5.0)
-        assert sim.link_rate_mbps(DEFAULT_PATH[0]) == 0.0
+        assert sends == []
         retract_mirror_paths(sim, handles)
         assert not handles.open
         assert (sim.changes, sim.links_changed_since(0), set(sim.all_rules())) == state

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -14,7 +13,6 @@ from socketstore.netsim import (
     FlowRule,
     LatencyInjection,
     NS_PER_MS,
-    RATE_WINDOW_MS,
     NetsimError,
     NodeKind,
     Packet,
@@ -32,8 +30,8 @@ from .test_kmflash import _churn_grid
 FLOW = FlowId("A", "B", "f")
 
 
-def packet(seq=0, sent_at=0.0, deadline=5.0, path_index=0, flow=FLOW, size=512):
-    return Packet(flow, seq, size, sent_at, deadline, path_index)
+def packet(seq=0, sent_at=0.0, deadline=5.0, path_index=0, flow=FLOW):
+    return Packet(flow, seq, 512, sent_at, deadline, path_index)
 
 
 @pytest.mark.parametrize("record, field", [
@@ -232,13 +230,12 @@ class TestSendPacket:
 
     def test_unknown_destination_drops_as_unroutable(self, sim):
         """The simulator records a send to a node outside the topology as a
-        drop, sampling no link; an unknown source is still an error."""
+        drop, walking no link; an unknown source is still an error."""
         sim.deploy_path(FLOW, DEFAULT_PATH)
         rec = sim.send_packet(packet(flow=FlowId("A", "Z", "lost"), path_index=1))
         assert (rec.delivered, rec.drop_reason, rec.arrive_at_ms, rec.latency_ms, rec.hops) == (
             False, "unroutable destination", None, None, ())
         assert rec.packet.path_index == 1 and not rec.violated_deadline
-        assert all(sim.link_rate_mbps(lid) == 0 for lid in sim.topology.links)
         with pytest.raises(TopologyError, match="unknown node 'Z'"):
             sim.send_packet(packet(flow=FlowId("Z", "B")))
 
@@ -332,17 +329,12 @@ class TestRouteChangesAfterSend:
     def test_remove_link_and_redeploy_samples_only_the_new_route(self, sim):
         for index in (0, 1):
             sim.deploy_path(FLOW, DEFAULT_PATH, index)
-            sim.send_packet(packet(path_index=index, size=12500))  # 1 Mbps in the window
+            sim.send_packet(packet(path_index=index))  # compiles both routes
         sim.remove_link("R3-R4")
         sim.deploy_path(FLOW, SECOND_PATH, 0)
-        moved, cut = (sim.send_packet(packet(seq=1, path_index=i, size=12500)) for i in (0, 1))
+        moved, cut = (sim.send_packet(packet(seq=1, path_index=i)) for i in (0, 1))
         assert moved.delivered and moved.hop_links == tuple(SECOND_PATH)
         assert cut.drop_reason == "no rule at R3" and cut.hop_links == ("A-R1", "R1-R3")
-        walked = Counter(DEFAULT_PATH * 2 + SECOND_PATH + list(cut.hop_links))
-        assert {link: sim.link_rate_mbps(link) for link in sim.topology.links} == {
-            link: float(walked[link]) for link in sim.topology.links}
-        with pytest.raises(TopologyError, match="unknown link 'R3-R4'"):
-            sim.link_rate_mbps("R3-R4")
 
     def test_compiled_routes_only_for_deployed_keys(self, sim):
         sim.deploy_path(FLOW, DEFAULT_PATH, 0)
@@ -462,67 +454,15 @@ class TestLinkStatsAndSnapshot:
     def test_latency_now_during_window(self, sim):
         sim.inject_latency(LatencyInjection("R4-B", 10.0, 40.0, 60.0))
         sim.run_until(50.0)
-        assert sim.link_stats("R4-B").latency_now_ms == pytest.approx(10.5)
+        assert sim.link_delay_ms("R4-B", sim.now_ms) == pytest.approx(10.5)
 
     def test_latency_now_before_window(self, sim):
         sim.inject_latency(LatencyInjection("R4-B", 10.0, 40.0, 60.0))
-        assert sim.link_stats("R4-B").latency_now_ms == pytest.approx(0.5)
-        assert sim.link_stats("R4-B").capacity_mbps == 100.0
+        assert sim.link_delay_ms("R4-B", sim.now_ms) == pytest.approx(0.5)
+        assert sim.link("R4-B").capacity_mbps == 100.0
 
     def test_idle_link_load_zero(self, sim):
-        stats = sim.link_stats("R4-B")
-        assert stats.load_mbps == 0.0
-        assert stats.rate_mbps == 0.0
-
-    def test_transfer_rate_reflects_recent_traffic(self, sim):
-        sim.deploy_path(FLOW, DEFAULT_PATH)
-        for i in range(10):
-            sim.run_until(i * 1.0)
-            sim.send_packet(packet(seq=i, sent_at=sim.now_ms, size=12500))
-        # 10 x 12500 bytes within the 100 ms window = 1 Mb / 0.1 s = 10 Mbps
-        assert sim.link_rate_mbps("A-R1") == pytest.approx(10.0)
-        sim.run_until(500.0)
-        assert sim.link_rate_mbps("A-R1") == 0.0
-
-    def test_rate_samples_bounded_and_rate_exact_over_long_stream(self, sim):
-        """Twenty rate windows of traffic keep a bounded number of delivery
-        records, while the rate still equals a sum over every traversal ever
-        made, including later hops whose entry time lies in the future."""
-        sim.deploy_path(FLOW, DEFAULT_PATH)
-        # a spike mid-path makes records end out of send order
-        sim.inject_latency(LatencyInjection("R1-R3", 30.0, 700.0, 760.0))
-        history = []  # (link, enter_ns, bytes) of every traversal
-        window_ns = ms_to_ns(RATE_WINDOW_MS)
-
-        def reference_rate(link):
-            cutoff = ms_to_ns(sim.now_ms) - window_ns
-            total = sum(b for lk, t, b in history if lk == link and t > cutoff)
-            return total * 8 / (RATE_WINDOW_MS / 1000.0) / 1e6
-
-        for i in range(4000):
-            sim.run_until(i * 0.5)
-            size = 100 + i % 7
-            rec = sim.send_packet(packet(seq=i, sent_at=sim.now_ms, size=size))
-            history.extend((h.link, ms_to_ns(h.enter_ms), size) for h in rec.hops)
-            if i % 37 == 0:
-                for link in DEFAULT_PATH:
-                    assert sim.link_rate_mbps(link) == reference_rate(link)
-                    assert sim.link_stats(link).rate_mbps == reference_rate(link)
-            # one window at a 0.5 ms gap is 200 records, plus the spike's lag
-            assert len(sim._recent) <= 400
-        sim.run_until(sim.now_ms + 2 * RATE_WINDOW_MS)
-        assert all(sim.link_rate_mbps(link) == 0.0 for link in DEFAULT_PATH)
-
-    def test_hop_entered_after_a_spike_longer_than_the_window_counts(self, sim):
-        """A record is kept until its last hop ends, not until it was sent."""
-        sim.deploy_path(FLOW, DEFAULT_PATH)
-        sim.inject_latency(LatencyInjection("R1-R3", 150.0, 0.0, 1.0))
-        spiked = sim.send_packet(packet(size=12500))  # enters R3-R4 at 151 ms
-        assert spiked.arrive_at_ms == pytest.approx(152.0)
-        sim.run_until(200.0)
-        sim.send_packet(packet(seq=1, sent_at=200.0, size=12500))  # pops what ended by 100 ms
-        assert {link: sim.link_rate_mbps(link) for link in DEFAULT_PATH} == {
-            "A-R1": 1.0, "R1-R3": 1.0, "R3-R4": 2.0, "R4-B": 2.0}
+        assert sim.link_load_mbps("R4-B") == 0.0
 
     def test_snapshot_counts(self, sim):
         view = sim.topology_snapshot()
@@ -569,9 +509,9 @@ class TestLinkStatsAndSnapshot:
 class TestReservations:
     def test_reserve_and_release(self, sim):
         h = sim.reserve_capacity("A-R1", 40.0)
-        assert sim.link_stats("A-R1").load_mbps == 40.0
+        assert sim.link_load_mbps("A-R1") == 40.0
         sim.release_capacity(h)
-        assert sim.link_stats("A-R1").load_mbps == 0.0
+        assert sim.link_load_mbps("A-R1") == 0.0
 
     def test_over_reservation_rejected(self, sim):
         sim.reserve_capacity("A-R1", 80.0)
@@ -586,8 +526,7 @@ class TestReservations:
 
     def test_load_never_exceeds_capacity(self, sim):
         sim.reserve_capacity("A-R1", 100.0)
-        stats = sim.link_stats("A-R1")
-        assert stats.load_mbps <= stats.capacity_mbps
+        assert sim.link_load_mbps("A-R1") <= sim.link("A-R1").capacity_mbps
 
 
 class TestRuleUniqueness:
