@@ -12,9 +12,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import secrets
-import statistics
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -189,11 +189,16 @@ class SearchResult:
     aggregate: float | None
 
 
+def _mean(values: list[float]) -> float:
+    """The mean of a non-empty list, computed as `statistics.fmean` does."""
+    return math.fsum(values) / len(values)
+
+
 # metric collectors the testbeds know how to measure, from `earliest_latencies` and its stats
 METRIC_COLLECTORS = {
     "in_deadline_ratio": lambda latencies, stats: stats.in_deadline_ratio,
     "loss_ratio": lambda latencies, stats: (stats.losses / stats.sent) if stats.sent else 0.0,
-    "mean_latency_ms": lambda latencies, stats: statistics.fmean(
+    "mean_latency_ms": lambda latencies, stats: _mean(
         [lat for lat in latencies if lat is not None]) if stats.delivered_unique else None,
 }
 
@@ -372,7 +377,7 @@ class SocketStore:
         ]
         if not values:
             return None
-        return statistics.fmean(values[-window:])
+        return _mean(values[-window:])
 
     def search_modules(self, query: str = "") -> list[SearchResult]:
         needle = query.lower()

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import statistics
 import tempfile
 import warnings
 from collections import Counter
@@ -332,6 +333,15 @@ class TestSearch:
         store = fresh_store(with_sim=False)
         publish_flash(store)
         assert store.search_modules("flash") == store.search_modules("flash")
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=25),
+           window=st.integers(1, 30))
+    def test_aggregate_is_the_fmean_of_the_window(self, values, window):
+        store = fresh_store(with_sim=False)
+        store.samples.extend(store_module.MetricSample("m", "x", value, float(ts), "testbed")
+                             for ts, value in enumerate(values))
+        assert store.metric_aggregate("m", "x", window) == statistics.fmean(values[-window:])
 
 
 class TestPurchaseAuthorize:
