@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -106,13 +107,17 @@ class TestConfig:
         report = run_experiment(ExperimentConfig(payload_size=0, packet_count=3))
         assert (report.mode, report.stats.losses) == ("module", 0)
 
-    def test_zero_packets_rejected(self):
-        with pytest.raises(ExperimentError, match="packet count"):
-            run_experiment(ExperimentConfig(packet_count=0))
-
-    def test_non_positive_deadline_rejected(self):
-        with pytest.raises(ExperimentError, match="deadline"):
-            run_experiment(ExperimentConfig(deadline_ms=0))
+    @pytest.mark.parametrize("field, value, message", [
+        ("packet_count", 0, "packet count must be >= 1"),
+        ("deadline_ms", 0, "deadline must be positive"),
+        ("gap_ms", -1.0, "gap must be >= 0"),
+        ("k", 0, "K must be >= 1"),
+        ("rate_mbps", 0.0, "rate must be a positive number"),
+        ("rate_mbps", math.nan, "rate must be a positive number"),
+    ], ids=["packet_count", "deadline_ms", "gap_ms", "k", "rate_mbps", "rate_mbps_nan"])
+    def test_out_of_range_field_rejected(self, field, value, message):
+        with pytest.raises(ExperimentError, match=message):
+            run_experiment(ExperimentConfig(**{field: value}))
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
