@@ -114,7 +114,7 @@ class Agent:
 
 
 class SwitchAgent(Agent):
-    """Resource agent bound to one switch; it holds no state of its own."""
+    """Resource agent bound to one switch, which `bind` checks exists."""
 
     def bind(self, runtime: "AgentRuntime") -> None:
         switch = self.spec.params["switch"]
@@ -124,13 +124,12 @@ class SwitchAgent(Agent):
             raise BindingError(f"resource binding failure: {exc}")
         if node.kind is not NodeKind.SWITCH:
             raise BindingError(f"resource binding failure: {switch!r} is not a switch")
-        self.switch = switch
         self.bound_resources = (switch,)
 
 
 class LinkAgent(Agent):
-    """Resource agent bound to one link; it holds no state of its own and
-    has deliberately no write operation."""
+    """Resource agent bound to one link, which `bind` checks exists. There
+    is deliberately no write operation."""
 
     def bind(self, runtime: "AgentRuntime") -> None:
         link = self.spec.params["link"]
@@ -138,7 +137,6 @@ class LinkAgent(Agent):
             runtime.sim.link(link)
         except netsim.TopologyError as exc:
             raise BindingError(f"resource binding failure: {exc}")
-        self.link = link
         self.bound_resources = (link,)
 
 
