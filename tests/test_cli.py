@@ -42,6 +42,11 @@ class TestLifecycleWalk:
         out = capsys.readouterr().out
         assert "flash-delivery" in out.splitlines()[-1]
 
+    def test_search_with_nothing_published(self, workdir, capsys):
+        submit_flash(workdir)  # submitted, not yet published
+        assert run("search", "flash") == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "no published modules match"
+
     def test_accept_without_start_is_illegal(self, workdir, capsys):
         submit_flash(workdir)
         assert run("review", "flash-delivery", "--accept") == 1

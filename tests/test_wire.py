@@ -235,6 +235,7 @@ class TestInstantiateOverWire:
         (dict(KM_INPUTS, rate=10**400), "too large"),
         (dict(KM_INPUTS, max_latency=-10**400), "too large"),
         (dict(KM_INPUTS, K=True), "must be an integer"),
+        (dict(KM_INPUTS, rate="fast"), "must be a number"),
     ])
     def test_allocator_rejection_reported(self, store, transport, inputs, reason):
         auth_ok(store, transport)
