@@ -119,7 +119,8 @@ class Connection:
     def send(self, payload, size_bytes: int | None = None) -> list:
         """One copy per path (module mode) or a single copy (fallback).
         Returns the per-copy delivery records; the receiver side is fed
-        through the duplicate filter."""
+        through the duplicate filter once, at the seq's earliest delivered
+        arrival (not at all when every copy is lost)."""
         if self.closed:
             raise DsaError("connection closed")
         if size_bytes is None:
@@ -128,15 +129,18 @@ class Connection:
         self._seq += 1
         records = send_copies(self.client.sim, self.flow, self.paths, seq, size_bytes,
                               self.deadline_ms)
-        offer = self._rx.offer
+        first = None
         for rec in records:
-            if rec.delivered:
-                offer(seq, rec.arrive_at_ms, payload)
+            if rec.delivered and (first is None or rec.arrive_at_ms < first):
+                first = rec.arrive_at_ms
+        if first is not None:
+            self._rx.offer(seq, first, payload)
         return records
 
     def recv(self) -> list[tuple[int, object]]:
-        """Deduplicated payloads in arrival order, each seq exactly once;
-        a payload whose seq fell out of the window before this call is gone."""
+        """Deduplicated payloads in order of each seq's earliest delivered
+        arrival (ties by seq), each seq exactly once; a payload whose seq fell
+        out of the window before this call is gone."""
         if self.closed:
             raise DsaError("connection closed")
         return self._rx.drain()

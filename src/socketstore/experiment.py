@@ -23,7 +23,7 @@ from .fixtures import (
     flash_delivery_manifest,
     load_topology,
 )
-from .kmflash import DeliveryStats, delivery_stats, earliest_latencies, paced, run_single_path
+from .kmflash import DeliveryStats, delivery_stats, earliest_latencies, run_single_path
 from .netsim import MAX_MS, DeliveryRecord, LatencyInjection, Simulator, new_tuple
 from .records import from_doc
 from .store import BASELINE_MODULE_ID, CostReport, SocketStore
@@ -156,8 +156,8 @@ def _run_module(sim: Simulator, config: ExperimentConfig, rng: random.Random,
         fallback_address=dst,
     )
     payload = b"x" * config.payload_size
-    per_seq = paced(sim, config.packet_count, config.gap_ms,
-                    lambda seq: conn.send(payload, size_bytes=config.payload_size))
+    per_seq = sim.paced(config.packet_count, config.gap_ms,
+                        lambda seq: conn.send(payload, size_bytes=config.payload_size))
     conn.close()
     cost = store.cost(conn.instance_id) if conn.mode == "module" else None
     return _report(conn.mode, per_seq, config, cost, conn.failure_reason)

@@ -290,6 +290,21 @@ class Simulator:
             action()
         self._now_ns = max(self._now_ns, until_ns)
 
+    def paced(self, count: int, gap_ms: float, send: Callable[[int], list]) -> list:
+        """The traffic loop: run `send(seq)` at simulated time `seq * gap_ms` for
+        each seq in range(count); returns each call's result, indexed by seq.
+        Before each send, events due by its time fire through `run_until`; with
+        none due the clock steps to that time itself, by `run_until`'s arithmetic."""
+        out, events = [], self._events
+        for seq in range(count):
+            at_ns = round(seq * gap_ms * NS_PER_MS)
+            if events and events[0][0] <= at_ns:
+                self.run_until(seq * gap_ms)
+            elif at_ns > self._now_ns:
+                self._now_ns = at_ns
+            out.append(send(seq))
+        return out
+
     # -- topology access -------------------------------------------------
 
     def link(self, link_id: str) -> Link:

@@ -27,7 +27,6 @@ from .kmflash import (
     delivery_stats,
     earliest_latencies,
     mirror_send,
-    paced,
     run_single_path,
 )
 from .moduledef import (
@@ -609,7 +608,7 @@ class SocketStore:
                 failure = str(exc)
             else:
                 kms = [a for a in map(runtime.agent, agent_ids) if isinstance(a, KMAgent)]
-                per_seq = paced(sim, scenario.packet_count, scenario.gap_ms, lambda seq: [
+                per_seq = sim.paced(scenario.packet_count, scenario.gap_ms, lambda seq: [
                     rec for km in kms for rec in mirror_send(
                         sim, km.handles, seq, scenario.size_bytes, scenario.deadline_ms)
                 ])
