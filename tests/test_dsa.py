@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socketstore.dsa import ConnectOptions, DedupReceiver, DsaClient, DsaError
+from socketstore.dsa import BoundHandle, ConnectOptions, DedupReceiver, DsaClient, DsaError
 from socketstore.fixtures import evaluation_topology, flash_delivery_manifest
-from socketstore.netsim import Simulator
+from socketstore.netsim import LatencyInjection, Simulator, build_topology
 from socketstore.store import SocketStore
 from socketstore.wire import LocalTransport, StoreProtocol
 
@@ -15,9 +17,9 @@ AUTHOR = "pathworks-labs"
 MODULE = "flash-delivery"
 
 
-def make_world():
+def make_world(topology=None):
     """One shared network carrying both the store and the two devices."""
-    sim = Simulator(evaluation_topology())
+    sim = Simulator(topology or evaluation_topology())
     store = SocketStore(sim=sim)
     store.register_specialist(AUTHOR)
     mid = store.submit_module(flash_delivery_manifest(store.library))
@@ -35,6 +37,25 @@ def client_pair(sim, protocol):
 
 def purchased(store, app="demo"):
     return store.purchase(app, MODULE).token
+
+
+def module_connection(topology=None, k=2):
+    """A K-mirror connection from A to B, made at simulated time 0."""
+    sim, store, protocol = make_world(topology)
+    dsa_a, dsa_b = client_pair(sim, protocol)
+    dsa_b.bind("Device_B")
+    conn = dsa_a.connect("Device_B", MODULE, purchased(store), ConnectOptions(k=k))
+    assert conn.mode == "module" and conn.paths == k
+    return sim, store, conn
+
+
+def parallel_paths(k):
+    """A and B joined by k two-link paths A-Si-B of 1 ms each."""
+    nodes = [{"id": host, "kind": "host", "nic_count": k} for host in "AB"]
+    nodes += [{"id": f"S{i}", "kind": "switch"} for i in range(k)]
+    link = {"capacity_mbps": 100, "latency_ms": 0.5}
+    links = [{"endpoints": [end, f"S{i}"], **link} for i in range(k) for end in "AB"]
+    return build_topology({"nodes": nodes, "links": links})
 
 
 class TestBind:
@@ -239,16 +260,8 @@ def test_malformed_success_reply_is_store_trouble(case, on_failure):
 
 
 class TestSendRecv:
-    def make_module_conn(self):
-        sim, store, protocol = make_world()
-        dsa_a, dsa_b = client_pair(sim, protocol)
-        dsa_b.bind("Device_B")
-        conn = dsa_a.connect("Device_B", MODULE, purchased(store))
-        assert conn.mode == "module"
-        return sim, store, conn
-
     def test_one_send_two_records_one_delivery(self):
-        _, _, conn = self.make_module_conn()
+        _, _, conn = module_connection()
         records = conn.send(b"hello")
         assert len(records) == 2
         assert conn.recv() == [(0, b"hello")]
@@ -264,7 +277,7 @@ class TestSendRecv:
         assert conn.recv() == [(0, b"payload")]
 
     def test_blackholed_path_still_delivers_everything(self):
-        sim, _, conn = self.make_module_conn()
+        sim, _, conn = module_connection()
         sim.retract_path(conn.flow, 0)  # kill the first mirror copy's route
         for i in range(100):
             sim.run_until(i * 1.0)
@@ -273,10 +286,113 @@ class TestSendRecv:
         assert [seq for seq, _ in got] == list(range(100))
 
     def test_send_after_close_raises(self):
-        _, _, conn = self.make_module_conn()
+        _, _, conn = module_connection()
         conn.close()
         with pytest.raises(DsaError, match="connection closed"):
             conn.send(b"late")
+
+    def test_recv_after_close_raises(self):
+        _, _, conn = module_connection()
+        conn.close()
+        with pytest.raises(DsaError, match="connection closed"):
+            conn.recv()
+
+    def test_a_payload_neither_bytes_nor_str_counts_512_bytes(self):
+        _, _, conn = module_connection()
+        payload = {"reading": 7}
+        assert [rec.packet.size_bytes for rec in conn.send(payload)] == [512, 512]
+        assert conn.recv() == [(0, payload)]
+
+
+class TestRecvOrder:
+    def test_a_seq_is_ordered_by_its_earliest_copy(self):
+        """Path 0's R1-R3 holds seq 0's first copy 10 ms, so seq 0 arrives at
+        2.0 ms by path 1, before seq 1 (sent at 1 ms, 3.0 ms on both paths)."""
+        sim, store, conn = module_connection()
+        assert "R1-R3" in store.instances[conn.instance_id].allocation["paths"][0]
+        sim.inject_latency(LatencyInjection("R1-R3", 10.0, 0.0, 1.0))
+        first = conn.send(b"s0")
+        sim.run_until(1.0)
+        second = conn.send(b"s1")
+        assert [rec.arrive_at_ms for rec in first + second] == [12.0, 2.0, 3.0, 3.0]
+        assert [s for s, _ in conn.recv()] == [0, 1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_property_recv_orders_by_earliest_delivered_arrival(self, k, seed):
+        """Copies lost to retracted paths and held by short injections on the
+        mirror links: recv returns the seqs with a delivered copy, sorted by
+        (earliest arrival among their records, seq)."""
+        sim, store, conn = module_connection(parallel_paths(k), k)
+        paths = store.instances[conn.instance_id].allocation["paths"]
+        links = sorted({lid for path in paths for lid in path})
+        rng = random.Random(seed)
+        for _ in range(rng.randint(1, 12)):
+            start = rng.uniform(0.0, 300.0)
+            sim.inject_latency(LatencyInjection(rng.choice(links), rng.uniform(0.1, 8.0),
+                                                start, start + rng.uniform(0.1, 5.0)))
+
+        def send(seq):
+            lost = [i for i in range(k) if rng.random() < 0.3]
+            for i in lost:
+                sim.retract_path(conn.flow, i)
+            records = conn.send(seq)
+            for i in lost:
+                sim.deploy_path(conn.flow, paths[i], path_index=i)
+            return records
+
+        first = {}
+        for seq, records in enumerate(sim.paced(300, 1.0, send)):
+            for rec in records:
+                if rec.delivered:
+                    first[seq] = min(first.get(seq, rec.arrive_at_ms), rec.arrive_at_ms)
+        assert conn.recv() == [(seq, seq) for seq in sorted(first, key=lambda s: (first[s], s))]
+
+
+class TestWorkCounts:
+    """Work counted through recorders patched onto the class, not timed."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_mirrored_seq_takes_k_sends_and_one_offer(self, monkeypatch, k):
+        sim, _, conn = module_connection(parallel_paths(k), k)
+        send_packet, offer, sends, offers = Simulator.send_packet, DedupReceiver.offer, [], []
+        monkeypatch.setattr(Simulator, "send_packet",
+                            lambda self, packet: sends.append(packet) or send_packet(self, packet))
+        monkeypatch.setattr(DedupReceiver, "offer",
+                            lambda self, *args: offers.append(args) or offer(self, *args))
+        per_seq = []
+        for seq in range(50):
+            sim.run_until(seq * 1.0)
+            per_seq.append(conn.send(b"x"))
+        assert all(rec.delivered for records in per_seq for rec in records)
+        assert len(sends) == k * 50
+        assert offers == [(seq, min(rec.arrive_at_ms for rec in records), b"x")
+                          for seq, records in enumerate(per_seq)]
+
+    def test_a_pending_refresh_fires_as_in_a_run_until_loop(self, monkeypatch):
+        """A bound alias refreshes every second: the paced loop fires each
+        refresh at the simulated time, and between the same sends, as a loop
+        that calls `run_until` before every send."""
+        log, refresh = [], BoundHandle.refresh
+        monkeypatch.setattr(BoundHandle, "refresh", lambda self: log.append(
+            ("refresh", self.client.sim.now_ms)) or refresh(self))
+
+        def run(loop):
+            log.clear()
+            sim, _, protocol = make_world()
+            client_pair(sim, protocol)[1].bind("Device_B")
+            loop(sim, 3000, 0.7, lambda seq: log.append(("send", seq, sim.now_ms)))
+            return list(log)
+
+        def run_until_loop(sim, count, gap_ms, send):
+            for seq in range(count):
+                sim.run_until(seq * gap_ms)
+                send(seq)
+
+        paced = run(lambda sim, *args: sim.paced(*args))
+        assert paced == run(run_until_loop)
+        assert [entry for entry in paced if entry[0] == "refresh"] == [
+            ("refresh", 0.0), ("refresh", 1000.0), ("refresh", 2000.0)]
 
 
 class TestClose:
@@ -301,6 +417,13 @@ class TestClose:
         conn = dsa_a.connect("Device_B", MODULE, purchased(store))
         conn.close()
         conn.close()
+
+    def test_close_survives_a_store_that_cannot_take_the_teardown(self):
+        _, store, conn = module_connection()
+        conn.client.transport = FaultyTransport(conn.client.transport, "down")
+        conn.close()
+        assert conn.closed
+        assert store.instances[conn.instance_id].torn_down_at_ms is None
 
     def test_close_fallback_no_store_interaction(self):
         sim, store, protocol = make_world()

@@ -555,6 +555,35 @@ class TestRuleUniqueness:
         assert [h.link for h in sim.send_packet(packet(flow=flow)).hops] == ["R3-R4", "R4-B"]
 
 
+class TestPaced:
+    def test_no_pending_event_takes_no_run_until(self, monkeypatch):
+        """With no event on the heap the loop steps the clock itself, to the
+        times a `run_until` loop reaches."""
+        plain = Simulator(evaluation_topology())
+        expected = []
+        for seq in range(500):
+            plain.run_until(seq * 0.1)
+            expected.append(plain.now_ms)
+        run_until, calls = Simulator.run_until, []
+        monkeypatch.setattr(Simulator, "run_until",
+                            lambda self, until_ms: calls.append(until_ms) or run_until(self, until_ms))
+        sim = Simulator(evaluation_topology())
+        assert sim.paced(500, 0.1, lambda seq: sim.now_ms) == expected
+        assert calls == []
+
+    def test_an_event_due_fires_before_its_send(self):
+        sim, fired = Simulator(evaluation_topology()), []
+        sim.schedule_in(2.5, lambda: fired.append(sim.now_ms))
+        sends = sim.paced(5, 1.0, lambda seq: (seq, sim.now_ms, list(fired)))
+        assert sends == [(0, 0.0, []), (1, 1.0, []), (2, 2.0, []), (3, 3.0, [2.5]),
+                         (4, 4.0, [2.5])]
+
+    def test_the_clock_never_runs_back(self):
+        sim = Simulator(evaluation_topology())
+        sim.run_until(2.5)
+        assert sim.paced(4, 1.0, lambda seq: sim.now_ms) == [2.5, 2.5, 2.5, 3.0]
+
+
 @settings(max_examples=30)
 @given(
     extra=st.floats(min_value=0.1, max_value=50.0),
