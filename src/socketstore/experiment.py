@@ -23,7 +23,7 @@ from .fixtures import (
     flash_delivery_manifest,
     load_topology,
 )
-from .kmflash import DeliveryStats, delivery_stats, earliest_latencies, run_single_path
+from .kmflash import DeliveryStats, delivery_stats, earliest_latency, run_single_path
 from .netsim import MAX_MS, DeliveryRecord, LatencyInjection, Simulator, new_tuple
 from .records import from_doc
 from .store import BASELINE_MODULE_ID, CostReport, SocketStore
@@ -130,11 +130,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     sim.inject_latency(config.injection)
     if config.module != BASELINE_MODULE_ID:
         return _run_module(sim, config, random.Random(config.seed), *hosts)
-    per_seq = run_single_path(sim, config.packet_count, config.gap_ms, config.payload_size,
-                              config.deadline_ms)
-    if per_seq is None:
+    rows = run_single_path(sim, config.packet_count, config.gap_ms, config.payload_size,
+                           config.deadline_ms,
+                           lambda seq, records: packet_row(seq, records, config.deadline_ms))
+    if rows is None:
         raise ExperimentError("no route between {} and {} in this topology".format(*hosts))
-    return _report("baseline", per_seq, config, cost=None)
+    return _report("baseline", rows, config, cost=None)
 
 
 def _run_module(sim: Simulator, config: ExperimentConfig, rng: random.Random,
@@ -156,11 +157,11 @@ def _run_module(sim: Simulator, config: ExperimentConfig, rng: random.Random,
         fallback_address=dst,
     )
     payload = b"x" * config.payload_size
-    per_seq = sim.paced(config.packet_count, config.gap_ms,
-                        lambda seq: conn.send(payload, size_bytes=config.payload_size))
+    rows = sim.paced(config.packet_count, config.gap_ms, lambda seq: packet_row(
+        seq, conn.send(payload, size_bytes=config.payload_size), config.deadline_ms))
     conn.close()
     cost = store.cost(conn.instance_id) if conn.mode == "module" else None
-    return _report(conn.mode, per_seq, config, cost, conn.failure_reason)
+    return _report(conn.mode, rows, config, cost, conn.failure_reason)
 
 
 def _store_for(sim: Simulator, config: ExperimentConfig,
@@ -182,19 +183,20 @@ def _store_for(sim: Simulator, config: ExperimentConfig,
     return store
 
 
-def _report(mode: str, per_seq: list[list[DeliveryRecord]], config: ExperimentConfig,
+def packet_row(seq: int, records: list[DeliveryRecord], deadline_ms: float) -> PacketRow:
+    """Seq `seq`'s CSV row from the records of its copies (a send gives at least
+    one, copy i on path index i), built with `tuple.__new__` in field order."""
+    first = earliest_latency(records)
+    return new_tuple(PacketRow, (seq, records[0].packet.sent_at_ms, records[0].latency_ms,
+                                 records[1].latency_ms if len(records) > 1 else None, first,
+                                 0 if first is not None and first <= deadline_ms else 1))
+
+
+def _report(mode: str, rows: list[PacketRow], config: ExperimentConfig,
             cost: CostReport | None, failure_reason: str | None = None) -> ExperimentReport:
-    """One CSV row per seq from the records of that seq's copies (a send gives
-    at least one, copy i on path index i), and the stats over each seq's
-    earliest latency."""
-    earliest = earliest_latencies(per_seq)
-    deadline_ms = config.deadline_ms
-    rows = [new_tuple(PacketRow, (seq, records[0].packet.sent_at_ms, records[0].latency_ms,
-                                  records[1].latency_ms if len(records) > 1 else None, first,
-                                  0 if first is not None and first <= deadline_ms else 1))
-            for seq, (records, first) in enumerate(zip(per_seq, earliest))]
-    return ExperimentReport(mode, rows, delivery_stats(earliest, deadline_ms), cost,
-                            failure_reason)
+    """The report of one row per seq, with the stats over each row's earliest latency."""
+    stats = delivery_stats([row.earliest_ms for row in rows], config.deadline_ms)
+    return ExperimentReport(mode, rows, stats, cost, failure_reason)
 
 
 def render_csv(report: ExperimentReport) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 from weakref import WeakKeyDictionary
 
 from .agents import Agent, AgentKind, AgentTypeDef, AgentTypeLibrary, AgentSpec, ParamSpec
@@ -352,15 +352,17 @@ def send_copies(sim: Simulator, flow: FlowId, copies: int, seq: int,
 
 
 def run_single_path(sim: Simulator, count: int, gap_ms: float, size_bytes: int,
-                    deadline_ms: float) -> list[list[DeliveryRecord]] | None:
+                    deadline_ms: float, reduce: Callable[[int, list[DeliveryRecord]], object]
+                    ) -> list | None:
     """The single-path baseline: deploy flow "baseline" over the default route
     between the topology's first two hosts, then pace one copy per seq; each
-    seq's records, or None when there is no route (or no second host)."""
+    seq's `reduce(seq, records)`, or None when there is no route (or no second
+    host). The records are dropped once reduced."""
     hosts = sim.topology.hosts()[:2]
     if len(hosts) < 2 or not deploy_default_route(sim, flow := FlowId(*hosts, "baseline")):
         return None
-    return sim.paced(count, gap_ms,
-                     lambda seq: send_copies(sim, flow, 1, seq, size_bytes, deadline_ms))
+    return sim.paced(count, gap_ms, lambda seq: reduce(
+        seq, send_copies(sim, flow, 1, seq, size_bytes, deadline_ms)))
 
 
 # -- delivery statistics --------------------------------------------------------
@@ -375,17 +377,14 @@ class DeliveryStats:
     in_deadline_ratio: float
 
 
-def earliest_latencies(per_seq: Iterable[list[DeliveryRecord]]) -> list[float | None]:
-    """Each seq's earliest delivered latency (None: lost), for each seq that sent a copy."""
-    out = []
-    for records in per_seq:
-        if records:
-            first = None
-            for rec in records:
-                if rec.delivered and (first is None or rec.latency_ms < first):
-                    first = rec.latency_ms
-            out.append(first)
-    return out
+def earliest_latency(records: Iterable[DeliveryRecord]) -> float | None:
+    """The least delivered latency among one seq's copies (None: all lost), in
+    one loop with no list or `min` call."""
+    first = None
+    for rec in records:
+        if rec.delivered and (first is None or rec.latency_ms < first):
+            first = rec.latency_ms
+    return first
 
 
 def delivery_stats(latencies: Iterable[float | None], deadline_ms: float) -> DeliveryStats:

@@ -290,7 +290,7 @@ class Simulator:
             action()
         self._now_ns = max(self._now_ns, until_ns)
 
-    def paced(self, count: int, gap_ms: float, send: Callable[[int], list]) -> list:
+    def paced(self, count: int, gap_ms: float, send: Callable[[int], object]) -> list:
         """The traffic loop: run `send(seq)` at simulated time `seq * gap_ms` for
         each seq in range(count); returns each call's result, indexed by seq.
         Before each send, events due by its time fire through `run_until`; with

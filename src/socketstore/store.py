@@ -25,7 +25,7 @@ from .kmflash import (
     KMAgent,
     KMError,
     delivery_stats,
-    earliest_latencies,
+    earliest_latency,
     mirror_send,
     run_single_path,
 )
@@ -193,7 +193,7 @@ def _mean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-# metric collectors the testbeds know how to measure, from `earliest_latencies` and its stats
+# metric collectors the testbeds know how to measure, from each seq's earliest latency and the stats
 METRIC_COLLECTORS = {
     "in_deadline_ratio": lambda latencies, stats: stats.in_deadline_ratio,
     "loss_ratio": lambda latencies, stats: (stats.losses / stats.sent) if stats.sent else 0.0,
@@ -589,12 +589,13 @@ class SocketStore:
         sim = Simulator(build_topology(scenario.topology_doc))
         for inj in scenario.injections:
             sim.inject_latency(inj)
-        per_seq: list[list] | None = None
+        latencies: list[float | None] | None = []  # each seq's earliest (None: lost)
         failure: str | None = None
         if manifest is None:
-            per_seq = run_single_path(sim, scenario.packet_count, scenario.gap_ms,
-                                      scenario.size_bytes, scenario.deadline_ms)
-            if per_seq is None:
+            latencies = run_single_path(sim, scenario.packet_count, scenario.gap_ms,
+                                        scenario.size_bytes, scenario.deadline_ms,
+                                        lambda seq, records: earliest_latency(records))
+            if latencies is None:
                 failure = f"no route between {' and '.join(sim.topology.hosts()[:2])}"
         else:
             runtime = AgentRuntime(sim, self.library, action_log=self._runtime_log)
@@ -608,13 +609,13 @@ class SocketStore:
                 failure = str(exc)
             else:
                 kms = [a for a in map(runtime.agent, agent_ids) if isinstance(a, KMAgent)]
-                per_seq = sim.paced(scenario.packet_count, scenario.gap_ms, lambda seq: [
-                    rec for km in kms for rec in mirror_send(
-                        sim, km.handles, seq, scenario.size_bytes, scenario.deadline_ms)
-                ])
+                if kms:  # with no KMirror agent no seq sends a copy
+                    size, deadline_ms = scenario.size_bytes, scenario.deadline_ms
+                    latencies = sim.paced(scenario.packet_count, scenario.gap_ms, lambda seq: (
+                        earliest_latency([rec for km in kms for rec in mirror_send(
+                            sim, km.handles, seq, size, deadline_ms)])))
                 _destroy_agents(runtime, agent_ids)
-        latencies = earliest_latencies(per_seq or ())
-        stats = delivery_stats(latencies, scenario.deadline_ms)
+        stats = delivery_stats(latencies or (), scenario.deadline_ms)
         samples = []
         ts = self.now_ms()
         for metric_id in metric_ids:

@@ -5,7 +5,8 @@ implementation under test: latency recomputation from first principles,
 exhaustive simple-path enumeration for disjoint-set feasibility, a plain
 BFS max-flow for the unit-capacity bound, a duplicate filter that
 rebuilds its seen-set on every new highest seq, per-seq delivery
-statistics that group every copy by seq before reducing, simulator
+statistics that group every copy by seq before reducing, the experiment
+report's rows and stats in two passes over every seq's records, simulator
 route, reservation and injection tables that filter every entry on read,
 a residual Bellman-Ford that relaxes every arc on every pass, and a flow
 decomposition that cuts a walk's loops only after the whole walk.
@@ -366,6 +367,27 @@ def reference_collect_stats(records, deadline_ms: float) -> DeliveryStats:
         losses=sent - delivered,
         in_deadline_ratio=(in_deadline / sent) if sent else 1.0,
     )
+
+
+def reference_report(per_seq: list[list[DeliveryRecord]], deadline_ms: float):
+    """The experiment report's rows, as plain tuples in CSV column order, and its
+    stats, by the two passes the report once made over the records of every
+    seq (each sent at least one copy): each seq's earliest delivered latency
+    first, then one row per seq from its copies 0 and 1 and that latency."""
+    earliest = []
+    for records in per_seq:
+        if records:
+            first = None
+            for rec in records:
+                if rec.delivered and (first is None or rec.latency_ms < first):
+                    first = rec.latency_ms
+            earliest.append(first)
+    rows = [(seq, records[0].packet.sent_at_ms, records[0].latency_ms,
+             records[1].latency_ms if len(records) > 1 else None, first,
+             0 if first is not None and first <= deadline_ms else 1)
+            for seq, (records, first) in enumerate(zip(per_seq, earliest))]
+    return rows, reference_collect_stats([rec for records in per_seq for rec in records],
+                                         deadline_ms)
 
 
 class ReferenceSimulator:

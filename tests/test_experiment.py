@@ -17,14 +17,17 @@ from socketstore.experiment import (
     PacketRow,
     _report,
     config_from_file,
+    packet_row,
     render_csv,
     run_experiment,
     stats_from_csv,
     write_report,
 )
 from socketstore.fixtures import EVALUATION_TOPOLOGY
-from socketstore.kmflash import delivery_stats, earliest_latencies
+from socketstore.kmflash import delivery_stats, earliest_latency
 from socketstore.netsim import DeliveryRecord, FlowId, Packet
+
+from .oracles import reference_report
 
 
 class TestModuleRun:
@@ -278,19 +281,20 @@ def per_seq_lists(min_copies: int):
 
 class TestReduction:
     """The per-seq reduction that the report and the testbed share, against
-    its definition."""
+    its definition and against the two-pass reduction it replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(per_seq=per_seq_lists(min_copies=0))
     def test_property_earliest_is_the_least_delivered_latency(self, per_seq):
-        assert earliest_latencies(per_seq) == [
+        assert [earliest_latency(records) for records in per_seq] == [
             min([rec.latency_ms for rec in records if rec.delivered], default=None)
-            for records in per_seq if records]
+            for records in per_seq]
 
     @settings(max_examples=300, deadline=None)
     @given(per_seq=per_seq_lists(min_copies=1), deadline_ms=st.sampled_from([0.5, 1.5, 2.0]))
     def test_property_report_rows_match_their_definition(self, per_seq, deadline_ms):
-        report = _report("module", per_seq, ExperimentConfig(deadline_ms=deadline_ms), None)
+        rows = [packet_row(seq, records, deadline_ms) for seq, records in enumerate(per_seq)]
+        report = _report("module", rows, ExperimentConfig(deadline_ms=deadline_ms), None)
         expected = []
         for seq, records in enumerate(per_seq):
             first = min([rec.latency_ms for rec in records if rec.delivered], default=None)
@@ -299,6 +303,22 @@ class TestReduction:
                 latency_path0_ms=records[0].latency_ms,
                 latency_path1_ms=records[1].latency_ms if len(records) > 1 else None,
                 earliest_ms=first, violated=0 if first is not None and first <= deadline_ms else 1))
+        assert report.rows is rows
         assert all(type(row) is PacketRow for row in report.rows)
         assert [row._asdict() for row in report.rows] == [row._asdict() for row in expected]
         assert report.stats == delivery_stats([row.earliest_ms for row in expected], deadline_ms)
+
+    @settings(max_examples=300, deadline=None)
+    @given(per_seq=per_seq_lists(min_copies=1), deadline_ms=st.sampled_from([0.5, 1.5, 2.0]))
+    def test_property_rows_built_per_seq_match_the_two_pass_reference(self, per_seq,
+                                                                       deadline_ms):
+        """Reducing each seq as it is sent gives the rows and stats, field by field
+        and bit for bit, that two passes over all the kept records gave."""
+        rows = [packet_row(seq, records, deadline_ms) for seq, records in enumerate(per_seq)]
+        report = _report("module", rows, ExperimentConfig(deadline_ms=deadline_ms), None)
+        expected_rows, expected_stats = reference_report(per_seq, deadline_ms)
+        assert len(report.rows) == len(expected_rows)
+        for row, expected in zip(report.rows, expected_rows):
+            for field, got, want in zip(CSV_COLUMNS, row, expected, strict=True):
+                assert (type(got), repr(got)) == (type(want), repr(want)), (row.seq, field)
+        assert vars(report.stats) == vars(expected_stats)

@@ -74,6 +74,21 @@ class TestParseNSD:
         with pytest.raises(NSDError, match="unexpected element"):
             parse_nsd("<nsd><thing /></nsd>", library)
 
+    @pytest.mark.parametrize("doc, message", [
+        ('<nsd><input name="K" /></nsd>', r"<input> missing attributes \['type'\]"),
+        ('<nsd><agent id="a" type="LinkAgent" colour="red" /></nsd>',
+         r"<agent> has unknown attributes \['colour'\]"),
+        ('<nsd><agent id="a" type="LinkAgent"><param name="link" /></agent></nsd>',
+         r"<param> missing attributes \['value'\]"),
+        ('<nsd><wire from="a" /></nsd>', r"<wire> missing attributes \['to'\]"),
+        ('<nsd><input name="K" type="int"><param name="x" value="1" /></input></nsd>',
+         "<input> must be empty"),
+    ], ids=["input-missing", "agent-unknown", "param-missing", "wire-missing",
+            "input-with-child"])
+    def test_element_attributes_and_children_checked(self, library, doc, message):
+        with pytest.raises(NSDError, match=message):
+            parse_nsd(doc, library)
+
 
 class TestSerializeNSD:
     def test_round_trip_fixture(self, library):
@@ -139,6 +154,16 @@ class TestValidateManifest:
         manifest = dataclasses.replace(flash_delivery_manifest(library), metric_ids=())
         violations = validate_manifest(manifest, METRICS, library)
         assert "module must declare a metric" in violations
+
+    @pytest.mark.parametrize("change, violation", [
+        ({"module_id": ""}, "empty module_id"),
+        ({"name": ""}, "empty name"),
+        ({"version": 0}, "version must be a positive integer"),
+        ({"author": ""}, "anonymous author"),
+    ], ids=["module-id", "name", "version", "author"])
+    def test_identity_field_violation(self, library, change, violation):
+        manifest = dataclasses.replace(flash_delivery_manifest(library), **change)
+        assert validate_manifest(manifest, METRICS, library) == [violation]
 
     def test_negative_price_violation(self, library):
         manifest = dataclasses.replace(flash_delivery_manifest(library), price=-1.0)

@@ -32,6 +32,7 @@ from socketstore.moduledef import (
     MetricDirection,
     ModuleState,
     manifest_to_doc,
+    parse_nsd,
 )
 from socketstore import store as store_module
 from socketstore.cli import main as cli_main
@@ -755,6 +756,21 @@ class TestTestbedEvaluation:
         samples = store.run_testbed_evaluation(mid, "latency-spike")
         assert {s.metric_id: s.value for s in samples} == {
             "in_deadline_ratio": 1.0, "loss_ratio": 0.0, "mean_latency_ms": 2.0,
+        }
+
+    def test_module_without_a_kmirror_agent_sends_nothing(self):
+        """An NSD with no KMirror agent sends no copy: the stats of zero sends,
+        which count as full marks, no loss and no mean latency."""
+        store = fresh_store()
+        nsd = parse_nsd('<nsd><agent id="l" type="LinkAgent">'
+                        '<param name="link" value="R4-B" /></agent></nsd>', store.library)
+        mid = store.submit_module(variant(
+            store, "link-only", nsd=nsd,
+            metric_ids=("in_deadline_ratio", "loss_ratio", "mean_latency_ms")))
+        store.start_review(mid, REVIEWER)
+        samples = store.run_testbed_evaluation(mid, "latency-spike")
+        assert {s.metric_id: s.value for s in samples} == {
+            "in_deadline_ratio": 1.0, "loss_ratio": 0.0, "mean_latency_ms": None,
         }
 
     def test_unreviewed_module_rejected(self):
