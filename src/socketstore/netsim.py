@@ -71,14 +71,6 @@ class Link:
     capacity_mbps: float
     base_latency_ms: float
 
-    def other_end(self, node: str) -> str:
-        a, b = self.endpoints
-        if node == a:
-            return b
-        if node == b:
-            return a
-        raise RoutingError(f"node {node!r} is not an endpoint of link {self.id!r}")
-
 
 class FlowId(NamedTuple):
     src: str
@@ -248,14 +240,11 @@ class Simulator:
         self._now_ns = 0
         self._events: list[tuple[int, int, Callable[[], None]]] = []
         self._event_seq = 0
-        # (flow, path_index) -> {node: out_link}; the flow source's entry is
-        # its egress link, every other entry is a switch rule
-        self._routes: dict[tuple[FlowId, int], dict[str, str]] = {}
-        # the _compile form of each _routes key deployed or sent on since its
-        # last change, an injection or a link removal
-        self._compiled: dict[tuple[FlowId, int], tuple] = {}
-        # (src, dst, path_index) -> (nodes, compiled form) of the path last checked for it
-        self._walks: dict[tuple[str, str, int], tuple[tuple[str, ...], tuple]] = {}
+        # (flow, path_index) -> the _walk (nodes, path, _route form) of its deployed
+        # path; path[0] is the source's egress and path[i] the rule of switch nodes[i]
+        self._routes: dict[tuple[FlowId, int], tuple] = {}
+        # (src, dst, path_index) -> the _walk of the path last checked for it
+        self._walks: dict[tuple[str, str, int], tuple] = {}
         # link -> its hop (base_ns, injections), shared by every compiled route on
         # the link until its next injection or removal
         self._link_hops: dict[str, tuple[int, Sequence[tuple[int, int, int]]]] = {}
@@ -323,16 +312,11 @@ class Simulator:
         """Tear a link out of the topology, dropping rules and state on it."""
         self.link(link_id)
         del self.topology.links[link_id]
-        self._routes = {
-            key: {node: out for node, out in route.items() if out != link_id}
-            for key, route in self._routes.items()
-        }
-        self._compiled.clear()  # a compiled route may run over the removed link
-        self._walks.clear()
         self._link_hops.pop(link_id, None)
         self._link_changed(link_id)
         for per_link in (self._injections, self._reservations):
             per_link.pop(link_id, None)
+        self._recompile()
 
     # -- flow rules -------------------------------------------------------
 
@@ -341,17 +325,13 @@ class Simulator:
         previously deployed for the same (flow, path_index)."""
         walk_key, path = (flow.src, flow.dst, path_index), tuple(path)
         walk = self._walks.get(walk_key)
-        if walk is None or walk[1][0] != path:
+        if walk is None or walk[1] != path:
             walk = self._walks[walk_key] = self._walk(flow, path)
-        nodes, compiled = walk
-        # atomic replacement of the old deployment; every node on the path
-        # but the destination maps to the link it forwards on
-        self._routes[(flow, path_index)] = dict(zip(nodes, path))
-        self._compiled[(flow, path_index)] = compiled
-        return [FlowRule(node, flow, path_index, out) for node, out in zip(nodes[1:], path[1:])]
+        self._routes[(flow, path_index)] = walk  # atomic replacement of the old deployment
+        return [FlowRule(node, flow, path_index, out) for node, out in zip(walk[0][1:], path[1:])]
 
-    def _walk(self, flow: FlowId, path: tuple[str, ...]) -> tuple[tuple[str, ...], tuple]:
-        """Check `path` for `flow`: its nodes in order and its _compile form."""
+    def _walk(self, flow: FlowId, path: tuple[str, ...]) -> tuple:
+        """Check `path` for `flow`: its nodes in order, the path and its _route form."""
         if not path:
             raise RoutingError("empty path")
         topo_links, topo_nodes = self.topology.links, self.topology.nodes
@@ -375,18 +355,31 @@ class Simulator:
                 raise RoutingError(f"path traverses host {hop_node!r}")
         if len(set(nodes_on_path)) != len(nodes_on_path):
             raise RoutingError("path revisits a node")
-        return tuple(nodes_on_path), self._route(path, links, None)
+        return tuple(nodes_on_path), path, self._route(path, None)
 
     def retract_path(self, flow: FlowId, path_index: int = 0) -> int:
-        """Remove the deployment of (flow, path_index); returns its switch rule count."""
-        route = self._routes.pop((flow, path_index), {})
-        self._compiled.pop((flow, path_index), None)
-        return len(route) - (flow.src in route)
+        """Remove the deployment of (flow, path_index); returns its switch rule count,
+        less the rules on links removed since the deploy."""
+        path = self._routes.pop((flow, path_index), ((), ()))[1]
+        return len(self.topology.links.keys() & path[1:])  # a path repeats no link
 
     def all_rules(self) -> list[FlowRule]:
-        """Every switch rule, in no particular order."""
-        return [FlowRule(node, flow, index, out) for (flow, index), route in self._routes.items()
-                for node, out in route.items() if node != flow.src]
+        """Every switch rule on a link still in the topology, in no particular order."""
+        topo_links = self.topology.links
+        return [FlowRule(node, flow, index, out)
+                for (flow, index), (nodes, path, _) in self._routes.items()
+                for node, out in zip(nodes[1:], path[1:]) if out in topo_links]
+
+    def _recompile(self) -> None:
+        """Rebuild every deployed route's _route form from its path, after an injection
+        or a link removal; a route over a removed link stops at the node before it,
+        which has no rule left. Every kept walk is dropped."""
+        topo_links = self.topology.links
+        for key, (nodes, path, _) in self._routes.items():
+            cut = next((i for i, out in enumerate(path) if out not in topo_links), len(path))
+            self._routes[key] = (nodes, path, self._route(
+                path[:cut], f"no rule at {nodes[cut]}" if cut < len(path) else None))
+        self._walks.clear()
 
     # -- latency injection -------------------------------------------------
 
@@ -397,11 +390,10 @@ class Simulator:
         if inj.start_ms >= inj.end_ms:
             raise NetsimError("inverted window")
         self._link_changed(inj.link)
-        self._compiled.clear()  # a compiled route holds its injection windows
-        self._walks.clear()
         self._link_hops.pop(inj.link, None)  # its hop holds the injection list, or none
         self._injections.setdefault(inj.link, []).append(
             (ms_to_ns(inj.start_ms), ms_to_ns(inj.end_ms), ms_to_ns(inj.extra_ms)))
+        self._recompile()  # a compiled route holds its injection windows
 
     def link_delay_ms(self, link_id: str, at_ms: float) -> float:
         """Delay the link contributes to a packet entering it at `at_ms`."""
@@ -433,35 +425,24 @@ class Simulator:
 
     # -- packet delivery -----------------------------------------------------
 
-    def _compile(self, key: tuple[FlowId, int]) -> tuple:
-        """Walk the route of `key` once into its `_route` form."""
-        flow = key[0]
+    def _undeployed(self, flow: FlowId) -> tuple:
+        """The _route form of a key with nothing deployed, which is never kept."""
         self.node(flow.src)
-        route, cursor, links = self._routes.get(key, {}), flow.src, []
-        drop_reason = None if flow.dst in self.topology.nodes else "unroutable destination"
-        while drop_reason is None and cursor != flow.dst:
-            out = route.get(cursor)
-            if out is None:
-                drop_reason = f"no rule at {cursor}"
-                break
-            links.append(self.link(out))
-            cursor = links[-1].other_end(cursor)
-        compiled = self._route(tuple(lk.id for lk in links), links, drop_reason)
-        if key in self._routes:
-            self._compiled[key] = compiled
-        return compiled
+        if flow.dst not in self.topology.nodes:
+            return self._route((), "unroutable destination")
+        return self._route((), None if flow.src == flow.dst else f"no rule at {flow.src}")
 
-    def _route(self, path: tuple[str, ...], links: list[Link], drop_reason: str | None) -> tuple:
+    def _route(self, path: tuple[str, ...], drop_reason: str | None) -> tuple:
         """A compiled route: the links it forwards on; each as a hop (base delay,
         that link's injections); why a packet on it is dropped (None if it
         arrives); the base delays and their sum; and each send-time window
         [start - offset, end - offset) in which a hop's injection could apply,
         offset being the base delays before that hop. A send outside every
         window meets no injection, so its delays are the base ones."""
-        link_hops = self._link_hops
-        hops = tuple(link_hops.get(lk.id) or link_hops.setdefault(
-            lk.id, (ms_to_ns(lk.base_latency_ms), self._injections.get(lk.id, ())))
-            for lk in links)
+        link_hops, topo_links = self._link_hops, self.topology.links
+        hops = tuple(link_hops.get(lid) or link_hops.setdefault(
+            lid, (ms_to_ns(topo_links[lid].base_latency_ms), self._injections.get(lid, ())))
+            for lid in path)
         base = tuple([delay_ns for delay_ns, _ in hops])
         windows = tuple((start - offset, end - offset)
                         for offset, (_, injections) in zip(accumulate(base, initial=0), hops)
@@ -473,9 +454,9 @@ class Simulator:
         traversal instant. No retransmission ever happens; packets to a node outside
         the topology, or that hit a switch without a matching rule, are dropped. An
         unknown source raises."""
-        key = (packet.flow, packet.path_index)
+        route = self._routes.get((packet.flow, packet.path_index))
         links, hops, drop_reason, delays, latency_ns, windows = (
-            self._compiled.get(key) or self._compile(key))
+            route[2] if route else self._undeployed(packet.flow))
         # ms_to_ns and ns_to_ms inlined: the same arithmetic without a call per send
         sent_ns = round(packet.sent_at_ms * NS_PER_MS)
         for lo, hi in windows:

@@ -149,11 +149,6 @@ class TestDeployRetract:
             sim.deploy_path(FLOW, [])
         assert sim.all_rules() == []
 
-    def test_other_end_of_a_link_not_touching_the_node(self, sim):
-        assert sim.link("A-R1").other_end("R1") == "A"
-        with pytest.raises(RoutingError, match="node 'B' is not an endpoint of link 'A-R1'"):
-            sim.link("A-R1").other_end("B")
-
     def test_path_must_end_at_flow_destination(self, sim):
         with pytest.raises(RoutingError, match="not flow destination"):
             sim.deploy_path(FLOW, ["A-R1", "R1-R3"])
@@ -238,6 +233,13 @@ class TestSendPacket:
         assert rec.packet.path_index == 1 and not rec.violated_deadline
         with pytest.raises(TopologyError, match="unknown node 'Z'"):
             sim.send_packet(packet(flow=FlowId("Z", "B")))
+
+    def test_a_flow_to_its_own_source_arrives_with_no_hop(self, sim):
+        """No deploy can name such a flow; a send on it walks nothing, as in the reference."""
+        pkt = packet(flow=FlowId("A", "A"))
+        rec = sim.send_packet(pkt)
+        assert (rec.delivered, rec.latency_ms, rec.hops) == (True, 0.0, ())
+        assert rec == ReferenceSimulator(evaluation_topology()).send_packet(pkt)
 
     def test_partial_rules_drop_at_switch(self, sim):
         sim.deploy_path(FLOW, DEFAULT_PATH)
@@ -343,7 +345,7 @@ class TestRouteChangesAfterSend:
             for index in range(4):  # 2 and 3 are never deployed
                 sim.send_packet(packet(seq=seq, path_index=index))
             sim.retract_path(FLOW, 1)
-        assert set(sim._compiled) <= set(sim._routes)
+        assert set(sim._routes) == {(FLOW, 0)}
 
 
 class TestWalkReuse:
@@ -377,15 +379,17 @@ class TestWalkReuse:
 
     def test_walks_over_a_link_share_its_hop_until_an_injection_or_removal(self, sim):
         def hops(flow):
-            return sim._compiled[(flow, 0)][1]
+            return sim._routes[(flow, 0)][2][1]
 
         other = FlowId("R1", "B")
         sim.deploy_path(FLOW, DEFAULT_PATH)
         sim.deploy_path(other, DEFAULT_PATH[1:])
         assert all(a is b for a, b in zip(hops(FLOW)[1:], hops(other)))
         sim.inject_latency(LatencyInjection("R4-B", 1.0, 0.0, 1.0))
+        assert all(a is b for a, b in zip(hops(FLOW)[1:], hops(other)))
         sim.deploy_path(other, DEFAULT_PATH[1:])
         assert hops(other)[-1][1] == [(0, NS_PER_MS, NS_PER_MS)]
+        assert hops(FLOW)[-1] is hops(other)[-1]
         sim.remove_link("R4-B")
         assert "R4-B" not in sim._link_hops
 
@@ -644,7 +648,8 @@ def _walk(topology, flow, choices):
             break
         link = topology.links[onward[choice % len(onward)]]
         path.append(link.id)
-        cursor = link.other_end(cursor)
+        a, b = link.endpoints
+        cursor = b if cursor == a else a
         nodes.append(cursor)
         if cursor == flow.dst:
             break
