@@ -115,6 +115,10 @@ def validate_nsd(nsd: NSD, library: AgentTypeLibrary) -> list[str]:
         ids.add(d.directive_id)
         if not library.has(d.type_name):
             violations.append(f"unknown agent type {d.type_name!r}")
+        for name, value in d.params:
+            if isinstance(value, str) and value.startswith("$") and value[1:] not in seen_inputs:
+                violations.append(f"param {name!r} of {d.directive_id!r} names "
+                                  f"undeclared input {value[1:]!r}")
     for frm, to in nsd.wires:
         for ref in (frm, to):
             if ref not in ids:

@@ -172,7 +172,6 @@ class ModuleInstance:
     instance_id: str
     module_id: str
     agent_ids: tuple[str, ...]
-    adapter_ids: tuple[str, ...]
     ledger: UsageLedger
     allocation: dict
     torn_down_at_ms: float | None = None
@@ -487,7 +486,7 @@ class SocketStore:
         instance_id = f"inst-{self._instance_seq:04d}"
         ledger = UsageLedger()
         try:
-            agent_ids, adapter_ids, allocation = self._execute_nsd(
+            agent_ids, allocation = self._execute_nsd(
                 manifest, inputs, self.runtime, PRODUCTION_ENV, ledger, instance_id
             )
         except (StoreError, KMError, AgentError, OverflowError) as exc:
@@ -499,7 +498,6 @@ class SocketStore:
             instance_id=instance_id,
             module_id=module_id,
             agent_ids=agent_ids,
-            adapter_ids=adapter_ids,
             ledger=ledger,
             allocation=allocation,
         )
@@ -530,11 +528,7 @@ class SocketStore:
         except Exception:
             _destroy_agents(runtime, _with_composed(spawned))
             raise
-        ids = _with_composed(spawned)
-        adapter_ids = tuple(
-            aid for aid in ids if runtime.agent(aid).typedef.kind is AgentKind.ADAPTER
-        )
-        return ids, adapter_ids, allocation
+        return _with_composed(spawned), allocation
 
     def teardown_instance(self, instance_id: str) -> None:
         """Destroy the instance's agents, adapters strictly before the
@@ -602,7 +596,7 @@ class SocketStore:
             env = f"testbed-{scenario.name}"
             runtime.create_environment(env, f"testbed {scenario.name}")
             try:
-                agent_ids, _, _ = self._execute_nsd(
+                agent_ids, _ = self._execute_nsd(
                     manifest, scenario.inputs, runtime, env, UsageLedger(), "testbed"
                 )
             except (StoreError, KMError, AgentError) as exc:
@@ -759,11 +753,9 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _resolve_param(value: str, inputs: Mapping):
+    """A `$name` value is input `name`, which validate_nsd checked is declared."""
     if isinstance(value, str) and value.startswith("$"):
-        name = value[1:]
-        if name not in inputs:
-            raise StoreError(f"missing input {name!r}")
-        return inputs[name]
+        return inputs[value[1:]]
     return value
 
 

@@ -18,6 +18,8 @@ from socketstore.moduledef import (
     FormalInput,
     IllegalTransition,
     ManifestError,
+    MetricDef,
+    MetricDirection,
     ModuleState,
     NSDError,
     can_transition,
@@ -89,6 +91,24 @@ class TestParseNSD:
         with pytest.raises(NSDError, match=message):
             parse_nsd(doc, library)
 
+    @pytest.mark.parametrize("doc, message", [
+        ("<module />", "root element must be <nsd>, got <module>"),
+        ('<nsd version="2" />', r"unexpected attributes on <nsd>: \['version'\]"),
+        ('<nsd><agent id="a" type="LinkAgent"><wire from="a" to="a" /></agent></nsd>',
+         "unexpected element <wire> in <agent>"),
+        ('<nsd><input name="K" type="int" /><input name="K" type="ms" /></nsd>',
+         "duplicate input 'K'"),
+    ], ids=["root", "root-attribute", "agent-child", "duplicate-input"])
+    def test_document_shape_checked(self, library, doc, message):
+        with pytest.raises(NSDError, match=message):
+            parse_nsd(doc, library)
+
+    def test_param_naming_an_undeclared_input_rejected(self, library):
+        """Every instantiate would fail with a missing input, so the NSD is invalid."""
+        doc = FLASH_DELIVERY_NSD.replace('value="$K"', 'value="$k2"')
+        with pytest.raises(NSDError, match="^param 'K' of 'km' names undeclared input 'k2'$"):
+            parse_nsd(doc, library)
+
 
 class TestSerializeNSD:
     def test_round_trip_fixture(self, library):
@@ -146,6 +166,10 @@ class TestRandomRoundTrip:
 
 
 class TestValidateManifest:
+    def test_metric_unit_must_be_non_empty(self):
+        with pytest.raises(ManifestError, match="metric unit must be non-empty"):
+            MetricDef("m", "a metric", "", MetricDirection.LOWER_BETTER)
+
     def test_flash_delivery_ok(self, library):
         manifest = flash_delivery_manifest(library)
         assert validate_manifest(manifest, METRICS, library) == []

@@ -190,6 +190,18 @@ class TestSubmit:
         with pytest.raises(StoreError, match="must declare a metric"):
             store.submit_module(bad)
 
+    def test_a_param_naming_no_declared_input_is_rejected(self):
+        """Such a module could never instantiate: each run would miss the input."""
+        store = fresh_store(with_sim=False)
+        nsd = flash_delivery_manifest(store.library).nsd
+        km = nsd.directives[0]
+        params = tuple((name, "$k2" if value == "$K" else value) for name, value in km.params)
+        bad = variant(store, "undeclared", nsd=dataclasses.replace(
+            nsd, directives=(dataclasses.replace(km, params=params),)))
+        with pytest.raises(StoreError, match="nsd: param 'K' of 'km' names undeclared input 'k2'"):
+            store.submit_module(bad)
+        assert "undeclared" not in store.modules
+
     def test_duplicate_version_rejected(self):
         store = fresh_store(with_sim=False)
         store.submit_module(flash_delivery_manifest(store.library))
@@ -358,6 +370,12 @@ class TestPurchaseAuthorize:
         second = store.purchase(APP, mid)
         assert first == second
 
+    def test_a_repeated_token_is_drawn_again(self):
+        tokens = iter(["tok-1", "tok-1", "tok-2"])
+        store = fresh_store(token_factory=lambda: next(tokens))
+        mid = publish_flash(store)
+        assert [store.purchase(app, mid).token for app in ("app-1", "app-2")] == ["tok-1", "tok-2"]
+
     def test_purchase_unpublished_rejected(self):
         store = fresh_store()
         mid = store.submit_module(flash_delivery_manifest(store.library))
@@ -412,7 +430,6 @@ class TestInstantiate:
         token = purchased_token(store)
         instance = store.instantiate(token, "flash-delivery", KM_INPUTS)
         assert instance.allocation["k"] == 2
-        assert len(instance.adapter_ids) == 1
         # 1 KM adapter + 8 links + 5 switches composed
         view = store.runtime.central_view("production")
         adapters = [v for v in view if v.type_name == "KMirror"]
@@ -482,7 +499,7 @@ class TestInstantiate:
         store = fresh_store()
         token = purchased_token(store)
         instance = store.instantiate(token, "flash-delivery", KM_INPUTS)
-        adapter_id = instance.adapter_ids[0]
+        adapter_id = instance.agent_ids[0]
         composed = store.runtime.agent(adapter_id).composed
         store.runtime.destroy_agent(adapter_id)
         alive = {v.agent_id for v in store.runtime.central_view("production")}
@@ -551,7 +568,7 @@ class TestSharedResourceAgents:
         store = fresh_store()
         token = purchased_token(store)
         first, second = (store.instantiate(token, "flash-delivery", KM_INPUTS) for _ in "12")
-        composed = [store.runtime.agent(i.adapter_ids[0]).composed for i in (first, second)]
+        composed = [store.runtime.agent(i.agent_ids[0]).composed for i in (first, second)]
         assert composed[0] == composed[1]
         assert len(set(composed[0])) == 13
         assert len(store.runtime.agents) == 2 + 13
@@ -560,14 +577,14 @@ class TestSharedResourceAgents:
         store = fresh_store()
         token = purchased_token(store)
         first, second = (store.instantiate(token, "flash-delivery", KM_INPUTS) for _ in "12")
-        shared = store.runtime.agent(first.adapter_ids[0]).composed
+        shared = store.runtime.agent(first.agent_ids[0]).composed
         store.teardown_instance(first.instance_id)
-        assert set(store.runtime.agents) == {second.adapter_ids[0], *shared}
+        assert set(store.runtime.agents) == {second.agent_ids[0], *shared}
         mark = len(store.log)
         store.teardown_instance(second.instance_id)
         assert store.runtime.agents == {}
         destroyed = [e.actor for e in store.log[mark:] if e.action == "destroy"]
-        assert destroyed == [second.adapter_ids[0], *shared]
+        assert destroyed == [second.agent_ids[0], *shared]
         destroys = Counter(e.actor for e in store.log if e.action == "destroy")
         assert all(destroys[aid] == 1 for aid in shared)
 
