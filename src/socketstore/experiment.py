@@ -240,11 +240,10 @@ def write_plot(csv_path: str, plot_path: str, deadline_ms: float) -> None:
         raise ExperimentError(
             "plot output needs matplotlib (install the 'plot' extra)"
         )
-    sent, per_path = [], {}
+    per_path = {}
     with open(csv_path, "r", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             t = float(row["sent_at_ms"])
-            sent.append(t)
             for col in ("latency_path0_ms", "latency_path1_ms"):
                 if row[col]:
                     per_path.setdefault(col, []).append((t, float(row[col])))

@@ -1,7 +1,12 @@
 import contextlib
+import csv
 import io
 import json
+import re
+import sys
 import tempfile
+import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from socketstore.cli import build_parser, main
 from socketstore.fixtures import flash_delivery_manifest, write_fixture_tree
 from socketstore.moduledef import manifest_to_doc
+from socketstore.wire import StoreServer, TCPTransport
 
 from .test_wire import JSON
 
@@ -298,6 +304,78 @@ def assert_one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     return err
+
+
+@pytest.fixture
+def stub_pyplot(monkeypatch):
+    """A matplotlib whose pyplot hands out one figure and one axes, each of which
+    records every method call as (name, args, kwargs) in the returned list."""
+    calls = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            return lambda *args, **kwargs: calls.append((name, args, kwargs))
+
+    figure, axes = Recorder(), Recorder()
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda **kwargs: (figure, axes)
+    pyplot.close = lambda fig: calls.append(("close", (fig,), {}))
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.use = lambda backend: calls.append(("use", (backend,), {}))
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return calls, figure
+
+
+class TestPlot:
+    def test_plot_draws_each_path_from_the_csv(self, workdir, capsys, stub_pyplot):
+        calls, figure = stub_pyplot
+        out_dir = workdir / "out"
+        assert run("run-experiment", "--plot", "--packets", "30", "--out", str(out_dir)) == 0
+        plot_path = str(out_dir / "flash-delivery-latency.png")
+        assert f"plot: {plot_path}" in capsys.readouterr().out
+        assert [name for name, _, _ in calls] == [
+            "use", "plot", "plot", "axhline", "set_xlabel", "set_ylabel", "legend",
+            "tight_layout", "savefig", "close"]
+        with open(out_dir / "flash-delivery-packets.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for (_, (xs, ys), kwargs), col in zip(calls[1:3], ("latency_path0", "latency_path1")):
+            assert kwargs["label"] == col
+            assert list(zip(xs, ys)) == [(float(r["sent_at_ms"]), float(r[f"{col}_ms"]))
+                                         for r in rows if r[f"{col}_ms"]]
+        assert calls[3][1] == (5.0,)  # the default deadline
+        assert calls[-2][1] == (plot_path,) and calls[-1][1] == (figure,)
+
+    def test_plot_without_matplotlib_is_one_error_line(self, workdir, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # its import then fails
+        assert run("run-experiment", "--plot", "--packets", "30",
+                   "--out", str(workdir / "out")) == 1
+        assert "plot output needs matplotlib" in assert_one_error_line(capsys)
+
+
+def test_serve_answers_a_hello_and_stops_on_interrupt(workdir, capsys, monkeypatch):
+    """`serve` runs the real server loop; once it answers one HELLO over TCP the
+    loop stops and ^C arrives, and the command closes the server and exits 0."""
+    real_serve_forever, replies = StoreServer.serve_forever, []
+
+    def serve_one_hello(server):
+        loop = threading.Thread(target=real_serve_forever, args=(server, 0.01))
+        loop.start()
+        client = TCPTransport(*server.address)
+        try:
+            replies.append(client.request({"kind": "HELLO", "app_id": "demo-app"}))
+        finally:
+            client.close()
+            server.shutdown()
+            loop.join()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(StoreServer, "serve_forever", serve_one_hello)
+    assert run("serve", "--port", "0") == 0
+    assert replies == [{"kind": "HELLO_OK", "app_id": "demo-app"}]
+    listening = capsys.readouterr().out
+    assert re.fullmatch(r"store listening on 127\.0\.0\.1:\d+ \(data: .*store\.json\)\n", listening)
 
 
 class TestMalformedFiles:
