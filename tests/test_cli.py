@@ -368,7 +368,8 @@ def test_serve_answers_a_hello_and_stops_on_interrupt(workdir, capsys, monkeypat
         finally:
             client.close()
             server.shutdown()
-            loop.join()
+            loop.join(timeout=5)
+        assert not loop.is_alive()
         raise KeyboardInterrupt
 
     monkeypatch.setattr(StoreServer, "serve_forever", serve_one_hello)

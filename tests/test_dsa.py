@@ -58,6 +58,12 @@ def parallel_paths(k):
     return build_topology({"nodes": nodes, "links": links})
 
 
+def test_a_client_on_a_switch_is_refused():
+    sim, _, protocol = make_world()
+    with pytest.raises(DsaError, match="^'R1' is not a host$"):
+        DsaClient("R1", sim, LocalTransport(protocol))
+
+
 class TestBind:
     def test_bind_publishes_two_endpoints(self):
         sim, store, protocol = make_world()

@@ -25,7 +25,7 @@ from socketstore.experiment import (
 )
 from socketstore.fixtures import EVALUATION_TOPOLOGY
 from socketstore.kmflash import delivery_stats, earliest_latency
-from socketstore.netsim import DeliveryRecord, FlowId, Packet
+from socketstore.netsim import DeliveryRecord, FlowId, LatencyInjection, Packet
 
 from .oracles import reference_report
 
@@ -103,6 +103,18 @@ class TestTopologyHosts:
         assert report.stats.deadline_violations == violations
         default = run_experiment(ExperimentConfig(module=module))
         assert render_csv(report) == render_csv(default)
+
+
+    def test_baseline_with_no_route_between_the_hosts_is_an_error(self, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps({
+            "nodes": [{"id": "A", "kind": "host", "nic_count": 1},
+                      {"id": "B", "kind": "host", "nic_count": 1}, {"id": "S", "kind": "switch"}],
+            "links": [{"endpoints": ["A", "S"], "capacity_mbps": 10, "latency_ms": 1}]}))
+        config = ExperimentConfig(module="baseline", topology_path=str(path),
+                                  injection=LatencyInjection("A-S", 10.0, 40.0, 60.0))
+        with pytest.raises(ExperimentError, match="^no route between A and B in this topology$"):
+            run_experiment(config)
 
 
 class TestConfig:

@@ -85,21 +85,15 @@ class TestParseNSD:
         ('<nsd><wire from="a" /></nsd>', r"<wire> missing attributes \['to'\]"),
         ('<nsd><input name="K" type="int"><param name="x" value="1" /></input></nsd>',
          "<input> must be empty"),
-    ], ids=["input-missing", "agent-unknown", "param-missing", "wire-missing",
-            "input-with-child"])
-    def test_element_attributes_and_children_checked(self, library, doc, message):
-        with pytest.raises(NSDError, match=message):
-            parse_nsd(doc, library)
-
-    @pytest.mark.parametrize("doc, message", [
         ("<module />", "root element must be <nsd>, got <module>"),
         ('<nsd version="2" />', r"unexpected attributes on <nsd>: \['version'\]"),
         ('<nsd><agent id="a" type="LinkAgent"><wire from="a" to="a" /></agent></nsd>',
          "unexpected element <wire> in <agent>"),
         ('<nsd><input name="K" type="int" /><input name="K" type="ms" /></nsd>',
          "duplicate input 'K'"),
-    ], ids=["root", "root-attribute", "agent-child", "duplicate-input"])
-    def test_document_shape_checked(self, library, doc, message):
+    ], ids=["input-missing", "agent-unknown", "param-missing", "wire-missing",
+            "input-with-child", "root", "root-attribute", "agent-child", "duplicate-input"])
+    def test_element_attributes_and_children_checked(self, library, doc, message):
         with pytest.raises(NSDError, match=message):
             parse_nsd(doc, library)
 

@@ -31,6 +31,7 @@ from socketstore.moduledef import (
     MetricDef,
     MetricDirection,
     ModuleState,
+    NSDError,
     manifest_to_doc,
     parse_nsd,
 )
@@ -1451,6 +1452,20 @@ class TestPersistence:
         with pytest.raises(StoreError) as raised:
             SocketStore(data_path=str(path))
         assert str(raised.value) == violation
+
+    def test_a_store_file_that_is_not_json_raises_its_decode_error(self, tmp_path):
+        path = tmp_path / "store.json"
+        path.write_text('{"specialists": [\n')
+        with pytest.raises(json.JSONDecodeError, match="line 2 column 1"):
+            SocketStore(data_path=str(path))
+
+    def test_a_stored_param_naming_no_declared_input_is_refused(self, tmp_path):
+        doc = manifest_to_doc(flash_delivery_manifest())
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps({"modules": [
+            {**doc, "nsd": doc["nsd"].replace('"$K"', '"$k2"')}]}))
+        with pytest.raises(NSDError, match="names undeclared input 'k2'"):
+            SocketStore(data_path=str(path))
 
 
 def seeded_workflow_store_file(tmp_path) -> Path:
