@@ -104,7 +104,6 @@ class TestTopologyHosts:
         default = run_experiment(ExperimentConfig(module=module))
         assert render_csv(report) == render_csv(default)
 
-
     def test_baseline_with_no_route_between_the_hosts_is_an_error(self, tmp_path):
         path = tmp_path / "cut.json"
         path.write_text(json.dumps({
